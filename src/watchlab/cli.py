@@ -82,8 +82,12 @@ def _curve_from_config(spec, default: Curve) -> Curve:
         return default
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError(f"curve spec must be {{'family': ..., params...}}, got {spec}")
-    params = {k: v for k, v in spec.items() if k != "family"}
-    return Curve(spec["family"], params)
+    curve = Curve(spec["family"], {k: v for k, v in spec.items() if k != "family"})
+    try:
+        curve(1.0)  # an unknown family or a missing parameter fails here
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad curve spec {spec}: {exc!r}")
+    return curve
 
 
 def _synth_config(config: dict, seed_override) -> SynthConfig:

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import rankdata
 
 from .data_model import Dataset, write_csv
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     OutOfInterval,
 )
 from .estimator import BiasNoiseCurves
+from .ranking import average_ranks
 
 METHOD_IDS = (
     "watch_time",
@@ -103,16 +103,8 @@ def label_wtg(w, mu_w, sigma_w):
 def label_d2q(dataset: Dataset, bins: DurationBins) -> np.ndarray:
     """Quantile label: (bin_size - rank)/bin_size with descending average
     ranks of watch time inside each duration bin."""
-    w = dataset.watch_times
-    labels = np.empty(len(dataset))
-    for b in range(bins.bin_sizes.size):
-        mask = bins.bin_of_row == b
-        if not mask.any():
-            continue
-        ranks = rankdata(-w[mask], method="average")
-        size = mask.sum()
-        labels[mask] = (size - ranks) / size
-    return labels
+    size = bins.bin_sizes[bins.bin_of_row]
+    return (size - average_ranks(-dataset.watch_times, bins.bin_of_row)) / size
 
 
 def label_d2co_affine(w, w_plus, w_minus, clip: bool = True):
@@ -141,10 +133,10 @@ def label_d2co_sensitivity(w, w_plus, w_minus, alpha: float, clip: bool = True):
     if np.any(wp <= wm):
         raise CurveCollapse("bias curve must stay above noise curve")
     if alpha > 0:
-        e1, e2, e3 = alpha * (w - wp), alpha * (wm - wp), alpha * (wm - wp)
+        e1, e2 = alpha * (w - wp), alpha * (wm - wp)
         if np.any(np.maximum(e1, e2) > _EXP_LIMIT):
             raise NumericOverflow("alpha * watch time out of stable range")
-        r = (np.exp(e1) - np.exp(e2)) / (-np.expm1(e3))
+        r = (np.exp(e1) - np.exp(e2)) / (-np.expm1(e2))
     else:
         e1, e2 = alpha * (w - wm), alpha * (wp - wm)
         if np.any(np.maximum(e1, e2) > _EXP_LIMIT):
@@ -258,9 +250,10 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
         if params.clip:
             labels = np.clip(labels, 0.0, 1.0)
     elif base == "wtg":
-        stats = group_watch_stats(dataset)
-        mu = np.array([stats[int(k)].mu_w for k in d])
-        sigma = np.array([stats[int(k)].sigma_w for k in d])
+        stats = list(group_watch_stats(dataset).values())  # in sorted duration order
+        group = np.unique(d, return_inverse=True)[1]
+        mu = np.array([s.mu_w for s in stats])[group]
+        sigma = np.array([s.sigma_w for s in stats])[group]
         labels = label_wtg(w, mu, sigma)
     elif base == "d2q":
         bins = build_duration_bins(dataset, params.n_bins)

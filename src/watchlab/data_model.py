@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,6 +195,10 @@ def _parse_row(line_no, row, header_idx, schema):
         d_raw = float(get("duration_s"))
     except ValueError:
         raise MalformedRow(line_no, f"duration_s not numeric: {get('duration_s')!r}")
+    if not math.isfinite(w):
+        raise MalformedRow(line_no, f"watch_time_s not finite: {w}")
+    if not math.isfinite(d_raw):
+        raise MalformedRow(line_no, f"duration_s not finite: {d_raw}")
     d = int(round(d_raw))
     if w < 0:
         raise MalformedRow(line_no, f"watch_time_s negative: {w}")

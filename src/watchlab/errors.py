@@ -82,3 +82,11 @@ class NonFiniteLoss(WatchlabError):
 
 class ConfigError(WatchlabError):
     """Invalid pipeline configuration (CLI exits with code 2)."""
+
+
+class NonFiniteScores(WatchlabError):
+    pass
+
+
+class NonBinaryLabels(WatchlabError):
+    pass

@@ -7,7 +7,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data_model import Dataset, derive_interest_label
 from .errors import (
@@ -15,58 +14,51 @@ from .errors import (
     LengthMismatch,
     MissingGroundTruth,
     NoEvaluableUsers,
+    NonBinaryLabels,
+    NonFiniteScores,
 )
+from .ranking import average_ranks, group_codes, offsets_in_run, run_starts
 
 
-def _check_aligned(*arrays):
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
+def _metric_inputs(scores, labels, user_ids):
+    """Validated float scores, positive-row mask, user codes and user count."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = len(scores)
+    if len(labels) != n or len(user_ids) != n:
         raise LengthMismatch("scores, labels and user ids must be row-aligned")
-
-
-def _user_slices(user_ids):
-    order = np.argsort(np.asarray(user_ids, dtype=object), kind="stable")
-    sorted_users = np.asarray(user_ids, dtype=object)[order]
-    boundaries = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(order)]))
-    return [(order[s:e]) for s, e in zip(starts, ends)]
-
-
-def _auc(scores, labels):
-    """Rank-based AUC; tied scores contribute 0.5 per pair."""
+    if not np.isfinite(scores).all():
+        raise NonFiniteScores(f"{int((~np.isfinite(scores)).sum())} scores are NaN or infinite")
     pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = labels.size - n_pos
-    ranks = rankdata(scores, method="average")
-    return (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if not (pos | (labels == 0)).all():
+        raise NonBinaryLabels("labels must be 0 or 1")
+    codes, n_users = group_codes(user_ids)
+    return scores, pos, codes, n_users
 
 
 def gauc(scores, labels, user_ids, return_counts: bool = False):
     """Per-user AUC averaged with each user weighted by their row count.
 
-    Users whose labels are all one class carry no ranking signal and are
-    skipped.
+    Tied scores share their average rank, so a tied positive/negative pair
+    counts 0.5. Users whose labels are all one class carry no ranking signal
+    and are skipped.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    _check_aligned(scores, labels, user_ids)
-    total = 0.0
-    weight = 0
-    n_eval = n_skip = 0
-    for rows in _user_slices(user_ids):
-        y = labels[rows]
-        if y.min() == y.max():
-            n_skip += 1
-            continue
-        total += _auc(scores[rows], y) * rows.size
-        weight += rows.size
-        n_eval += 1
+    scores, pos, codes, n_users = _metric_inputs(scores, labels, user_ids)
+    size = np.bincount(codes, minlength=n_users)
+    n_pos = np.bincount(codes[pos], minlength=n_users)
+    rank_sum = np.bincount(codes[pos], weights=average_ranks(scores, codes)[pos],
+                           minlength=n_users)
+    ok = (n_pos > 0) & (n_pos < size)
+    n_eval = int(ok.sum())
     if n_eval == 0:
         raise NoEvaluableUsers("every user has single-class labels")
-    value = float(total / weight)
+    size, n_pos, rank_sum = size[ok], n_pos[ok], rank_sum[ok]
+    auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (size - n_pos))
+    # cumsum adds user by user, in the order a running total would
+    total = np.cumsum(auc * size)[-1]
+    value = float(total / int(size.sum()))
     if return_counts:
-        return value, n_eval, n_skip
+        return value, n_eval, n_users - n_eval
     return value
 
 
@@ -78,29 +70,26 @@ def ndcg_at_k(scores, labels, user_ids, k: int, return_counts: bool = False):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    _check_aligned(scores, labels, user_ids)
+    scores, pos, codes, n_users = _metric_inputs(scores, labels, user_ids)
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    total = 0.0
-    n_eval = n_skip = 0
-    for rows in _user_slices(user_ids):
-        y = labels[rows]
-        n_pos = int((y == 1).sum())
-        if n_pos == 0:
-            n_skip += 1
-            continue
-        order = np.argsort(-scores[rows], kind="stable")
-        top = y[order][:k]
-        dcg = float((top * discounts[: top.size]).sum())
-        idcg = float(discounts[: min(k, n_pos)].sum())
-        total += dcg / idcg
-        n_eval += 1
+    order = np.lexsort((-scores, codes))
+    user = codes[order]
+    rank = offsets_in_run(run_starts(user))
+    hit = pos[order] & (rank < k)
+    user, rank = user[hit], rank[hit]
+    dcg = np.zeros(n_users)
+    for r in range(k):  # position by position, as a left-to-right sum would
+        dcg[user[rank == r]] += discounts[r]
+    n_pos = np.bincount(codes[pos], minlength=n_users)
+    ok = n_pos > 0
+    n_eval = int(ok.sum())
     if n_eval == 0:
         raise NoEvaluableUsers("no user has a positive label")
-    value = total / n_eval
+    ideal = np.array([discounts[:m].sum() for m in range(k + 1)])
+    idcg = ideal[np.minimum(k, n_pos[ok])]
+    value = float(np.cumsum(dcg[ok] / idcg)[-1] / n_eval)
     if return_counts:
-        return value, n_eval, n_skip
+        return value, n_eval, n_users - n_eval
     return value
 
 

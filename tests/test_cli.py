@@ -84,6 +84,15 @@ class TestGenerate:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("spec", [{"family": "nope"}, {"family": "power_law", "gamma": 0.9}])
+    def test_bad_curve_spec_exits_2(self, tmp_path, spec):
+        cfg = write_config(tmp_path / "config.json",
+                           generate={"n_rows": 100, "bias_curve": spec})
+        result = invoke("generate", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert result.exit_code == 2
+        assert "configuration error: " in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
 class TestCorrect:
     def test_writes_curves_and_labels(self, pipeline_dir):
         _, out = pipeline_dir

@@ -125,6 +125,17 @@ class TestCsv:
         with pytest.raises(MalformedRow):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("duration, watch", [
+        ("10", "nan"), ("10", "inf"), ("10", "-inf"), ("inf", "3"), ("nan", "3"),
+    ])
+    def test_non_finite_number(self, tmp_path, duration, watch):
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s\n"
+                        f"a,x,10,3\na,y,{duration},{watch}\n")
+        with pytest.raises(MalformedRow, match="not finite") as info:
+            ingest_csv(path)
+        assert info.value.line == 3
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("user_id,item_id,duration_s\na,x,10\n")

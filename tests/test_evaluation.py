@@ -6,6 +6,8 @@ from watchlab.errors import (
     DegenerateDenominator,
     LengthMismatch,
     NoEvaluableUsers,
+    NonBinaryLabels,
+    NonFiniteScores,
 )
 from watchlab.evaluation import (
     duration_breakdown,
@@ -110,6 +112,28 @@ class TestNdcg:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             ndcg_at_k([0.1], [1], ["u"], k=0)
+
+
+@pytest.mark.parametrize("metric", [gauc, lambda s, y, u: ndcg_at_k(s, y, u, k=3)],
+                         ids=["gauc", "ndcg"])
+class TestBadInput:
+    def test_empty(self, metric):
+        with pytest.raises(NoEvaluableUsers):
+            metric([], [], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score(self, metric, bad):
+        with pytest.raises(NonFiniteScores):
+            metric([0.1, bad, 0.3, 0.4], [0, 1, 1, 0], ["a", "a", "b", "b"])
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_non_binary_label(self, metric, bad):
+        with pytest.raises(NonBinaryLabels):
+            metric([0.1, 0.2, 0.3, 0.4], [0, 1, bad, 1], ["a", "a", "b", "b"])
+
+    def test_float_binary_labels_accepted(self, metric):
+        scores, users = [0.1, 0.9, 0.3, 0.4], ["a", "a", "b", "b"]
+        assert metric(scores, [0.0, 1.0, 1.0, 0.0], users) == metric(scores, [0, 1, 1, 0], users)
 
 
 class TestImprovePercentage:

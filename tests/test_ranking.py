@@ -1,0 +1,168 @@
+"""The segmented rank kernel against per-group loops built on scipy's
+rankdata, which the metrics and the D2Q label used before the kernel."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
+
+import watchlab
+from watchlab.correction import build_duration_bins, label_d2q
+from watchlab.data_model import Dataset, Interaction
+from watchlab.errors import NoEvaluableUsers
+from watchlab.evaluation import gauc, ndcg_at_k
+from watchlab.ranking import average_ranks, group_codes
+
+
+def _user_slices(user_ids):
+    order = np.argsort(np.asarray(user_ids, dtype=object), kind="stable")
+    sorted_users = np.asarray(user_ids, dtype=object)[order]
+    boundaries = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [len(order)]))
+    return [order[s:e] for s, e in zip(starts, ends)]
+
+
+def reference_gauc(scores, labels, user_ids):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    total = 0.0
+    weight = 0
+    n_eval = n_skip = 0
+    for rows in _user_slices(user_ids):
+        y = labels[rows]
+        if y.min() == y.max():
+            n_skip += 1
+            continue
+        pos = y == 1
+        n_pos = int(pos.sum())
+        ranks = rankdata(scores[rows], method="average")
+        auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (y.size - n_pos))
+        total += auc * rows.size
+        weight += rows.size
+        n_eval += 1
+    if n_eval == 0:
+        raise NoEvaluableUsers()
+    return float(total / weight), n_eval, n_skip
+
+
+def reference_ndcg(scores, labels, user_ids, k):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    total = 0.0
+    n_eval = n_skip = 0
+    for rows in _user_slices(user_ids):
+        y = labels[rows]
+        n_pos = int((y == 1).sum())
+        if n_pos == 0:
+            n_skip += 1
+            continue
+        top = y[np.argsort(-scores[rows], kind="stable")][:k]
+        dcg = float((top * discounts[: top.size]).sum())
+        total += dcg / float(discounts[: min(k, n_pos)].sum())
+        n_eval += 1
+    if n_eval == 0:
+        raise NoEvaluableUsers()
+    return total / n_eval, n_eval, n_skip
+
+
+def reference_d2q(dataset, bins):
+    w = dataset.watch_times
+    labels = np.empty(len(dataset))
+    for b in range(bins.bin_sizes.size):
+        mask = bins.bin_of_row == b
+        if not mask.any():
+            continue
+        size = mask.sum()
+        labels[mask] = (size - rankdata(-w[mask], method="average")) / size
+    return labels
+
+
+def _same(metric, reference):
+    """Both raise NoEvaluableUsers, or both return identical results."""
+    try:
+        expected = reference()
+    except NoEvaluableUsers:
+        with pytest.raises(NoEvaluableUsers):
+            metric()
+        return
+    assert metric() == expected
+
+
+# scores rounded to one decimal tie often (and include -0.0 next to 0.0)
+tied_scores = st.floats(-2, 2).map(lambda x: round(x, 1))
+user_pools = st.sampled_from([
+    [f"u{i}" for i in range(12)],
+    ["b", "a", "ab", "B", "é"],
+    [3, -1, 10, 2, 0, 7],
+    ["solo"],
+])
+
+
+@st.composite
+def logs(draw):
+    pool = draw(user_pools)
+    n = draw(st.integers(1, 60))
+    users = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    scores = draw(st.lists(st.one_of(tied_scores, st.floats(-1e3, 1e3)), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    as_array = draw(st.booleans())
+    if as_array:
+        users = np.array(users, dtype=object)
+    return scores, labels, users
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs())
+def test_gauc_matches_reference(log):
+    scores, labels, users = log
+    _same(lambda: gauc(scores, labels, users, return_counts=True),
+          lambda: reference_gauc(scores, labels, users))
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs(), st.integers(1, 6))
+def test_ndcg_matches_reference(log, k):
+    scores, labels, users = log
+    _same(lambda: ndcg_at_k(scores, labels, users, k, return_counts=True),
+          lambda: reference_ndcg(scores, labels, users, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0, 30).map(lambda x: round(x, 0)), st.integers(1, 40)),
+                min_size=1, max_size=80),
+       st.integers(1, 8))
+def test_d2q_matches_reference(rows, n_bins):
+    ds = Dataset(Interaction(f"u{i}", f"i{i}", w, d) for i, (w, d) in enumerate(rows))
+    bins = build_duration_bins(ds, n_bins)
+    assert label_d2q(ds, bins).tolist() == reference_d2q(ds, bins).tolist()
+
+
+def test_average_ranks_hand_example():
+    values = [3.0, 1.0, 3.0, 2.0, 5.0, 5.0, 5.0]
+    codes = np.array([0, 0, 0, 0, 1, 1, 1])
+    assert average_ranks(values, codes).tolist() == [3.5, 1.0, 3.5, 2.0, 2.0, 2.0, 2.0]
+
+
+def test_group_codes_follow_key_order():
+    codes, n = group_codes(np.array(["b", "a", "c", "a"], dtype=object))
+    assert (codes.tolist(), n) == ([1, 0, 2, 0], 3)
+    codes, n = group_codes(np.array([10, 9, 10], dtype=object))
+    assert (codes.tolist(), n) == ([1, 0, 1], 2)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    env = dict(os.environ)
+    src = str(Path(watchlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, watchlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
