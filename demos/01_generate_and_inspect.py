@@ -12,7 +12,7 @@ recover.
 import numpy as np
 
 import watchlab as wl
-from watchlab.data_model import derive_interest_label
+from watchlab.data_model import long_view_labels
 
 cfg = wl.SynthConfig(n_rows=20_000, seed=0)
 dataset, truth = wl.generate(cfg)
@@ -34,7 +34,6 @@ for dur in (30, 60, 120):
         print(f"  {lo:6.1f}s | {'#' * (60 * h // max(hist.max(), 1))}")
 
 # The heuristic long-view rule vs the sampled latent interest.
-long_view = np.array([derive_interest_label(r) for r in dataset])
-latent = np.array([t.r_sample for t in truth])
-agree = float((long_view == latent).mean())
+long_view = long_view_labels(dataset.watch_times, dataset.durations)
+agree = float((long_view == truth.r_sample).mean())
 print(f"\nlong-view label agrees with latent interest on {agree:.1%} of rows")

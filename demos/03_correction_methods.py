@@ -15,7 +15,7 @@ from watchlab.correction import METHOD_IDS, CorrectionParams, apply_method
 
 cfg = wl.SynthConfig(n_rows=30_000, seed=2)
 dataset, truth = wl.generate(cfg)
-p = np.array([t.p_interest for t in truth])
+p = truth.p_interest
 
 raw = wl.fit_all_groups(dataset)
 counts = wl.compute_stats(dataset).group_counts

@@ -14,7 +14,7 @@ from .data_model import (  # noqa: F401
     split_chronological,
     write_csv,
 )
-from .synthgen import Curve, SynthConfig, generate, true_curves  # noqa: F401
+from .synthgen import Curve, GroundTruth, SynthConfig, generate, true_curves  # noqa: F401
 from .estimator import (  # noqa: F401
     BiasNoiseCurves,
     GmmOptions,

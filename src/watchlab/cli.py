@@ -33,7 +33,7 @@ from .data_model import (
     ingest_csv,
     write_csv,
 )
-from .errors import ConfigError, WatchlabError
+from .errors import ConfigError, LengthMismatch, WatchlabError
 from .estimator import BiasNoiseCurves, GmmOptions, fit_all_groups, smooth_curves
 from .evaluation import evaluate, gauc, improve_percentage, oracle_labels
 from .synthgen import (
@@ -212,8 +212,9 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
     truth_path = Path(config.get("ground_truth_csv", out_dir / "ground_truth.csv"))
     if truth_path.exists():
         truth = read_ground_truth_csv(truth_path)
-        wp_true = np.array([t.w_plus_d for t in truth])
-        wm_true = np.array([t.w_minus_d for t in truth])
+        if len(truth) != len(dataset):
+            raise LengthMismatch(f"{len(truth)} ground-truth rows for {len(dataset)} data rows")
+        wp_true, wm_true = truth.w_plus_d, truth.w_minus_d
         wp_est, wm_est = curves.value_at(dataset.durations)
         notes["curve_error"] = {
             "max_rel_err_w_plus": float(np.max(np.abs(wp_est - wp_true) / wp_true)),
@@ -360,7 +361,7 @@ def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep, se
                 params = CorrectionParams(method="d2co_s", curves=curves, alpha=a)
                 labels = apply_method(dataset, params).labels
                 scores = train_and_score(dataset, labels, splits, oracle, config, seed)
-                g = gauc(scores, test_oracle, test_set.user_ids)
+                g = gauc(scores, test_oracle, test_set.user_codes)
                 writer.writerow([T, repr(float(a)), repr(float(g))])
 
 

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import ndtr
 
-from .data_model import Dataset, write_csv
+from .data_model import Dataset, csv_columns
 from .errors import (
     CurveCollapse,
     DegenerateDenominator,
@@ -219,20 +221,20 @@ class CorrectedDataset:
     method: str
 
     def to_csv(self, path, schema=None) -> None:
-        write_csv(self.dataset, path, schema)
-        # append label and method columns by rewriting with extra fields
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
-        rows[0].extend(["label", "method"])
-        for i, row in enumerate(rows[1:]):
-            row.extend([repr(float(self.labels[i])), self.method])
+        """The dataset's CSV with `label` and `method` columns appended."""
+        header, columns = csv_columns(self.dataset, schema)
+        labels = np.asarray(self.labels, dtype=np.float64).tolist()
         with open(path, "w", newline="", encoding="utf-8") as f:
-            csv.writer(f).writerows(rows)
+            writer = csv.writer(f)
+            writer.writerow([*header, "label", "method"])
+            writer.writerows(zip(*columns, labels, repeat(self.method)))
 
 
 def read_labels_csv(path) -> np.ndarray:
     with open(path, newline="", encoding="utf-8") as f:
-        return np.array([float(row["label"]) for row in csv.DictReader(f)])
+        reader = csv.reader(f)
+        label = itemgetter(next(reader).index("label"))
+        return np.array(list(map(label, filter(None, reader))), dtype=np.float64)
 
 
 def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset:

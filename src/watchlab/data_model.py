@@ -1,4 +1,4 @@
-"""Interaction records, dataset container, splitting and interest labeling."""
+"""Interaction log as numpy columns, splitting, CSV I/O and interest labeling."""
 
 from __future__ import annotations
 
@@ -21,11 +21,15 @@ LONG_VIEW_CUTOFF_S = 18.0
 COMPLETE_PLAY_TOL = 1e-9
 
 BASE_COLUMNS = ["user_id", "item_id", "duration_s", "watch_time_s"]
+INT64_LIMIT = 2.0 ** 63  # integer columns hold values below this in magnitude
 
 
 @dataclass(frozen=True)
 class Interaction:
-    """One log row: who watched what, for how long, out of what duration."""
+    """One log row: who watched what, for how long, out of what duration.
+
+    A view of one Dataset row, or a hand-built row for Dataset.from_rows.
+    """
 
     user_id: str
     item_id: str
@@ -34,13 +38,13 @@ class Interaction:
     features: tuple = ()  # ordered (field_name, value) pairs
     timestamp: int | None = None
     true_interest: int | None = None
-    feedback_flags: tuple = ()
 
     def __post_init__(self):
-        if self.watch_time_s < 0:
-            raise ValueError(f"watch_time_s must be >= 0, got {self.watch_time_s}")
-        if self.duration_s < 1:
-            raise ValueError(f"duration_s must be >= 1, got {self.duration_s}")
+        w, d = self.watch_time_s, self.duration_s
+        if not math.isfinite(w) or w < 0:
+            raise ValueError(f"watch_time_s must be finite and >= 0, got {w}")
+        if not math.isfinite(d) or d < 1:
+            raise ValueError(f"duration_s must be finite and >= 1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -48,74 +52,124 @@ class FeatureSchema:
     """Declared extra categorical feature columns for a CSV file."""
 
     feature_fields: tuple = ()
-    has_timestamp: bool = True
-    has_true_interest: bool = False
 
-    @classmethod
-    def kuairand_like(cls) -> "FeatureSchema":
-        return cls(
-            feature_fields=(
-                "author_id",
-                "music_id",
-                "video_type",
-                "upload_type",
-                "tab",
-            ),
-            has_timestamp=True,
-        )
+
+def _check(bad: np.ndarray, what: str, values) -> None:
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"row {i}: {what}: {values[i]}")
 
 
 class Dataset:
-    """Immutable ordered collection of interactions with cached column views."""
+    """Immutable interaction log held as numpy columns.
 
-    def __init__(self, interactions):
-        self._rows = tuple(interactions)
-        self._cache: dict = {}
+    Columns (read-only by convention): `user_codes`/`item_codes` are int64
+    codes into the sorted id-string tables `user_table`/`item_table`, so codes
+    order users exactly as their id strings do; `watch_times` is float64,
+    `durations` int64, `timestamps` and `true_interest` are int64 or None,
+    and `features` maps each declared feature field to a string column.
+    Integer indexing and iteration yield Interaction views.
+    """
+
+    def __init__(self, user_ids, item_ids, watch_times, durations, timestamps=None,
+                 true_interest=None, features=None):
+        self._set(*np.unique(np.asarray(user_ids, dtype=str), return_inverse=True),
+                  *np.unique(np.asarray(item_ids, dtype=str), return_inverse=True),
+                  watch_times, durations, timestamps, true_interest, features)
+
+    @classmethod
+    def from_codes(cls, user_table, user_codes, item_table, item_codes, watch_times, durations,
+                   timestamps=None, true_interest=None, features=None) -> "Dataset":
+        """Columns with ids given as codes into sorted, duplicate-free tables."""
+        ds = cls.__new__(cls)
+        ds._set(user_table, user_codes, item_table, item_codes, watch_times, durations,
+                timestamps, true_interest, features)
+        return ds
+
+    @classmethod
+    def from_rows(cls, interactions) -> "Dataset":
+        """Columns from hand-built Interaction rows.
+
+        Every row must declare the same feature fields. A timestamp or
+        true-interest column is kept only when every row has a value.
+        """
+        rows = list(interactions)
+        fields = [f for f, _ in rows[0].features] if rows else []
+        if any([f for f, _ in r.features] != fields for r in rows):
+            raise ValueError("every row must declare the same feature fields")
+        u, i, w, d, ts, interest, *feats = list(zip(*(
+            (r.user_id, r.item_id, r.watch_time_s, r.duration_s, r.timestamp, r.true_interest,
+             *(v for _, v in r.features)) for r in rows))) or [()] * 6
+        return cls(u, i, w, d, None if None in ts else ts,
+                   None if None in interest else interest, dict(zip(fields, feats)))
+
+    def _set(self, user_table, user_codes, item_table, item_codes, watch_times, durations,
+             timestamps, true_interest, features):
+        w = np.asarray(watch_times, dtype=np.float64).reshape(-1)
+        d = np.asarray(durations, dtype=np.float64).reshape(-1)
+        _check(~np.isfinite(w), "watch_time_s not finite", w)
+        _check(w < 0, "watch_time_s negative", w)
+        _check(~np.isfinite(d), "duration_s not finite", d)
+        _check((d < 1) | (d != np.floor(d)) | (d >= INT64_LIMIT),
+               "duration_s not an int64 >= 1", d)
+        self.watch_times, self.durations = w, d.astype(np.int64)
+        self.user_table, self.item_table = (np.asarray(t, dtype=str)
+                                            for t in (user_table, item_table))
+        self.user_codes, self.item_codes = (np.asarray(c, dtype=np.int64).reshape(-1)
+                                            for c in (user_codes, item_codes))
+        self.timestamps, self.true_interest = (None if c is None else np.asarray(c, np.int64)
+                                               for c in (timestamps, true_interest))
+        self.features = {f: np.asarray(c, dtype=str) for f, c in (features or {}).items()}
+        columns = [d, self.user_codes, self.item_codes, *self.features.values(),
+                   *(c for c in (self.timestamps, self.true_interest) if c is not None)]
+        if any(c.shape != w.shape for c in columns):
+            raise ValueError(f"every column must hold {w.size} values")
+        for table, codes in ((self.user_table, self.user_codes),
+                             (self.item_table, self.item_codes)):
+            if np.any(table[1:] <= table[:-1]):
+                raise ValueError("id tables must be sorted and duplicate-free")
+            if codes.size and (codes.min() < 0 or codes.max() >= table.size):
+                raise ValueError("id code outside its table")
 
     def __len__(self):
-        return len(self._rows)
+        return self.watch_times.size
 
     def __iter__(self):
-        return iter(self._rows)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Dataset(self._rows[i])
-        return self._rows[i]
-
-    @property
-    def rows(self):
-        return self._rows
-
-    def _column(self, key, fn, dtype):
-        if key not in self._cache:
-            self._cache[key] = np.array([fn(r) for r in self._rows], dtype=dtype)
-        return self._cache[key]
-
-    @property
-    def watch_times(self) -> np.ndarray:
-        return self._column("w", lambda r: r.watch_time_s, np.float64)
-
-    @property
-    def durations(self) -> np.ndarray:
-        return self._column("d", lambda r: r.duration_s, np.int64)
+            return self.subset(np.arange(len(self))[i])
+        i = range(len(self))[i]
+        ts, interest = self.timestamps, self.true_interest
+        return Interaction(
+            user_id=str(self.user_table[self.user_codes[i]]),
+            item_id=str(self.item_table[self.item_codes[i]]),
+            watch_time_s=float(self.watch_times[i]),
+            duration_s=int(self.durations[i]),
+            features=tuple((f, str(c[i])) for f, c in self.features.items()),
+            timestamp=None if ts is None else int(ts[i]),
+            true_interest=None if interest is None else int(interest[i]),
+        )
 
     @property
     def user_ids(self) -> np.ndarray:
-        return self._column("u", lambda r: r.user_id, object)
+        """Object array of user id strings, one per row."""
+        return self.user_table[self.user_codes].astype(object)
 
     @property
     def item_ids(self) -> np.ndarray:
-        return self._column("v", lambda r: r.item_id, object)
-
-    @property
-    def timestamps(self) -> np.ndarray | None:
-        if any(r.timestamp is None for r in self._rows):
-            return None
-        return self._column("t", lambda r: r.timestamp, np.int64)
+        return self.item_table[self.item_codes].astype(object)
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(self._rows[i] for i in indices)
+        idx = np.asarray(indices, dtype=np.int64)
+        ts, interest = self.timestamps, self.true_interest
+        return Dataset.from_codes(
+            self.user_table, self.user_codes[idx], self.item_table, self.item_codes[idx],
+            self.watch_times[idx], self.durations[idx],
+            None if ts is None else ts[idx], None if interest is None else interest[idx],
+            {f: c[idx] for f, c in self.features.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -142,17 +196,22 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
     )
 
 
-def derive_interest_label(interaction: Interaction) -> int:
+def long_view_labels(watch_times, durations) -> np.ndarray:
     """Binary long_view interest: complete play for short videos, >18s watched
     for long ones.
 
     The short-video branch uses w >= d (within tolerance) so replays of a
     short video still count as interest and the label stays monotone in w.
     """
-    w, d = interaction.watch_time_s, interaction.duration_s
-    if d <= LONG_VIEW_CUTOFF_S:
-        return int(w >= d - COMPLETE_PLAY_TOL)
-    return int(w > LONG_VIEW_CUTOFF_S)
+    w = np.asarray(watch_times, dtype=np.float64)
+    d = np.asarray(durations)
+    short = d <= LONG_VIEW_CUTOFF_S
+    return np.where(short, w >= d - COMPLETE_PLAY_TOL, w > LONG_VIEW_CUTOFF_S).astype(np.int64)
+
+
+def derive_interest_label(interaction: Interaction) -> int:
+    """The long_view label of one row."""
+    return int(long_view_labels(interaction.watch_time_s, interaction.duration_s))
 
 
 def chronological_split_indices(dataset: Dataset, fractions) -> tuple:
@@ -183,44 +242,76 @@ def split_chronological(dataset: Dataset, fractions) -> tuple:
     return tuple(dataset.subset(p) for p in parts)
 
 
-def _parse_row(line_no, row, header_idx, schema):
-    def get(col):
-        return row[header_idx[col]]
+def _is_float(s) -> bool:
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False
 
+
+def _parse_floats(column):
+    """Float values of a string column, NaN where a cell does not parse, and
+    the mask of those cells."""
     try:
-        w = float(get("watch_time_s"))
-    except ValueError:
-        raise MalformedRow(line_no, f"watch_time_s not numeric: {get('watch_time_s')!r}")
-    try:
-        d_raw = float(get("duration_s"))
-    except ValueError:
-        raise MalformedRow(line_no, f"duration_s not numeric: {get('duration_s')!r}")
-    if not math.isfinite(w):
-        raise MalformedRow(line_no, f"watch_time_s not finite: {w}")
-    if not math.isfinite(d_raw):
-        raise MalformedRow(line_no, f"duration_s not finite: {d_raw}")
-    d = int(round(d_raw))
-    if w < 0:
-        raise MalformedRow(line_no, f"watch_time_s negative: {w}")
-    if d < 1:
-        raise MalformedRow(line_no, f"duration_s below 1: {d_raw}")
+        return np.array(column, dtype=np.float64), np.zeros(len(column), dtype=bool)
+    except ValueError:  # find the bad cells; only on the error path
+        bad = np.array([not _is_float(s) for s in column])
+        return np.array(np.where(bad, "nan", column), dtype=np.float64), bad
+
+
+def _parse_columns(header, rows, lines, schema):
+    """Typed columns of rows that all have len(header) fields; raises
+    MalformedRow for the first bad row, with the message of the first check
+    that row fails."""
+    header_idx = {name: i for i, name in enumerate(header)}
+    cols = list(zip(*rows)) if rows else [()] * len(header)
+
+    def col(name):
+        return cols[header_idx[name]]
+
+    checks = []  # (bad-row mask, message for row i), in the order a row is checked
+    missing = np.zeros(len(rows), dtype=bool)
+    for c in BASE_COLUMNS:
+        if "" in col(c):
+            missing |= np.array(col(c)) == ""
+    checks.append((missing, lambda i: "missing required value"))
+    w, w_bad = _parse_floats(col("watch_time_s"))
+    d_raw, d_bad = _parse_floats(col("duration_s"))
+    d = np.rint(np.where(np.isfinite(d_raw), d_raw, 1.0))
+    checks += [
+        (w_bad, lambda i: f"watch_time_s not numeric: {col('watch_time_s')[i]!r}"),
+        (d_bad, lambda i: f"duration_s not numeric: {col('duration_s')[i]!r}"),
+        (~np.isfinite(w), lambda i: f"watch_time_s not finite: {w[i]}"),
+        (~np.isfinite(d_raw), lambda i: f"duration_s not finite: {d_raw[i]}"),
+        (w < 0, lambda i: f"watch_time_s negative: {w[i]}"),
+        (d < 1, lambda i: f"duration_s below 1: {d_raw[i]}"),
+        (d >= INT64_LIMIT, lambda i: f"duration_s too large: {d_raw[i]}"),
+    ]
 
     ts = None
-    if "timestamp" in header_idx and get("timestamp") != "":
-        ts = int(float(get("timestamp")))
+    if "timestamp" in header_idx:
+        blank = np.array(col("timestamp"), dtype=str) == ""
+        t, t_bad = _parse_floats(np.where(blank, "0", col("timestamp")) if blank.any()
+                                 else col("timestamp"))
+        checks += [(t_bad, lambda i: f"timestamp not numeric: {col('timestamp')[i]!r}"),
+                   (~(np.abs(t) < INT64_LIMIT),
+                    lambda i: f"timestamp out of range: {col('timestamp')[i]!r}")]
+        ts = None if blank.any() else t
     interest = None
-    if "true_interest" in header_idx and get("true_interest") != "":
-        interest = int(get("true_interest"))
-    feats = tuple((f, get(f)) for f in schema.feature_fields)
-    return Interaction(
-        user_id=get("user_id"),
-        item_id=get("item_id"),
-        watch_time_s=w,
-        duration_s=d,
-        features=feats,
-        timestamp=ts,
-        true_interest=interest,
-    )
+    if "true_interest" in header_idx:
+        raw = np.array(col("true_interest"), dtype=str)
+        checks.append(((raw != "") & (raw != "0") & (raw != "1"),
+                       lambda i: f"true_interest not 0 or 1: {col('true_interest')[i]!r}"))
+        interest = None if (raw == "").any() else raw == "1"
+
+    hits = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if hits:
+        i, k = min(hits)
+        raise MalformedRow(int(lines[i]), checks[k][1](i))
+    return Dataset(col("user_id"), col("item_id"), w, d,
+                   timestamps=None if ts is None else ts.astype(np.int64),
+                   true_interest=interest, features={f: col(f) for f in schema.feature_fields})
 
 
 def ingest_csv(path, schema: FeatureSchema | None = None) -> Dataset:
@@ -229,7 +320,8 @@ def ingest_csv(path, schema: FeatureSchema | None = None) -> Dataset:
     Required columns: user_id, item_id, duration_s, watch_time_s. Optional:
     timestamp, true_interest, plus the schema's declared feature columns.
     Durations are quantized to integer seconds. Watch times above duration
-    are kept as-is (replays are real data).
+    are kept as-is (replays are real data). A timestamp or true_interest
+    column with a blank cell is dropped.
     """
     schema = schema or FeatureSchema()
     with open(path, newline="", encoding="utf-8") as f:
@@ -238,45 +330,40 @@ def ingest_csv(path, schema: FeatureSchema | None = None) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise MalformedRow(0, "file is empty")
-        header_idx = {name: i for i, name in enumerate(header)}
-        for col in BASE_COLUMNS:
-            if col not in header_idx:
-                raise MissingColumn(col)
-        for col in schema.feature_fields:
-            if col not in header_idx:
-                raise MissingColumn(col)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
-            if any(row[header_idx[c]] == "" for c in BASE_COLUMNS):
-                raise MalformedRow(line_no, "missing required value")
-            rows.append(_parse_row(line_no, row, header_idx, schema))
-    return Dataset(rows)
+        rows = list(reader)
+    for c in [*BASE_COLUMNS, *schema.feature_fields]:
+        if c not in header:
+            raise MissingColumn(c)
+    # blank lines are skipped but still count toward line numbers
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    lines = np.flatnonzero(sizes) + 2
+    if lines.size < len(rows):
+        rows = list(filter(None, rows))
+        sizes = sizes[sizes > 0]
+    wrong = np.flatnonzero(sizes != len(header))
+    if wrong.size:
+        i = int(wrong[0])
+        _parse_columns(header, rows[:i], lines, schema)  # an earlier bad row wins
+        raise MalformedRow(int(lines[i]), f"expected {len(header)} fields, got {sizes[i]}")
+    return _parse_columns(header, rows, lines, schema)
+
+
+def csv_columns(dataset: Dataset, schema: FeatureSchema | None = None):
+    """Header and per-column value lists in the layout ingest_csv reads."""
+    fields = (schema or FeatureSchema()).feature_fields
+    named = {"user_id": dataset.user_table[dataset.user_codes],
+             "item_id": dataset.item_table[dataset.item_codes],
+             "duration_s": dataset.durations, "watch_time_s": dataset.watch_times,
+             "timestamp": dataset.timestamps, "true_interest": dataset.true_interest,
+             **{f: dataset.features.get(f, np.full(len(dataset), "")) for f in fields}}
+    header = [name for name, column in named.items() if column is not None]
+    return header, [named[name].tolist() for name in header]
 
 
 def write_csv(dataset: Dataset, path, schema: FeatureSchema | None = None) -> None:
     """Write a Dataset in the same format ingest_csv reads."""
-    schema = schema or FeatureSchema()
-    has_ts = all(r.timestamp is not None for r in dataset)
-    has_interest = all(r.true_interest is not None for r in dataset)
-    header = list(BASE_COLUMNS)
-    if has_ts:
-        header.append("timestamp")
-    if has_interest:
-        header.append("true_interest")
-    header.extend(schema.feature_fields)
+    header, columns = csv_columns(dataset, schema)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        for r in dataset:
-            feats = dict(r.features)
-            row = [r.user_id, r.item_id, repr(r.duration_s), repr(r.watch_time_s)]
-            if has_ts:
-                row.append(repr(r.timestamp))
-            if has_interest:
-                row.append(repr(r.true_interest))
-            row.extend(feats.get(fname, "") for fname in schema.feature_fields)
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

@@ -72,10 +72,6 @@ class NoEvaluableUsers(WatchlabError):
     pass
 
 
-class MissingGroundTruth(WatchlabError):
-    pass
-
-
 class NonFiniteLoss(WatchlabError):
     pass
 

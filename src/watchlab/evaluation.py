@@ -8,11 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, derive_interest_label
+from .data_model import Dataset, long_view_labels
 from .errors import (
     DegenerateDenominator,
     LengthMismatch,
-    MissingGroundTruth,
     NoEvaluableUsers,
     NonBinaryLabels,
     NonFiniteScores,
@@ -20,20 +19,19 @@ from .errors import (
 from .ranking import average_ranks, group_codes, offsets_in_run, run_starts
 
 
-def _metric_inputs(scores, labels, user_ids):
-    """Validated float scores, positive-row mask, user codes and user count."""
+def _scores_and_positives(scores, labels, n_ids):
+    """Validated float scores and the positive-row mask."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     n = len(scores)
-    if len(labels) != n or len(user_ids) != n:
+    if len(labels) != n or n_ids != n:
         raise LengthMismatch("scores, labels and user ids must be row-aligned")
     if not np.isfinite(scores).all():
         raise NonFiniteScores(f"{int((~np.isfinite(scores)).sum())} scores are NaN or infinite")
     pos = labels == 1
     if not (pos | (labels == 0)).all():
         raise NonBinaryLabels("labels must be 0 or 1")
-    codes, n_users = group_codes(user_ids)
-    return scores, pos, codes, n_users
+    return scores, pos
 
 
 def gauc(scores, labels, user_ids, return_counts: bool = False):
@@ -41,9 +39,16 @@ def gauc(scores, labels, user_ids, return_counts: bool = False):
 
     Tied scores share their average rank, so a tied positive/negative pair
     counts 0.5. Users whose labels are all one class carry no ranking signal
-    and are skipped.
+    and are skipped. User ids may be strings or Dataset.user_codes.
     """
-    scores, pos, codes, n_users = _metric_inputs(scores, labels, user_ids)
+    scores, pos = _scores_and_positives(scores, labels, len(user_ids))
+    out = _gauc(scores, pos, *group_codes(user_ids))
+    return out if return_counts else out[0]
+
+
+def _gauc(scores, pos, codes, n_users):
+    """(GAUC, users evaluated, users skipped) over integer user codes below
+    n_users; codes with no rows count as skipped."""
     size = np.bincount(codes, minlength=n_users)
     n_pos = np.bincount(codes[pos], minlength=n_users)
     rank_sum = np.bincount(codes[pos], weights=average_ranks(scores, codes)[pos],
@@ -56,10 +61,7 @@ def gauc(scores, labels, user_ids, return_counts: bool = False):
     auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (size - n_pos))
     # cumsum adds user by user, in the order a running total would
     total = np.cumsum(auc * size)[-1]
-    value = float(total / int(size.sum()))
-    if return_counts:
-        return value, n_eval, n_users - n_eval
-    return value
+    return float(total / int(size.sum())), n_eval, n_users - n_eval
 
 
 def ndcg_at_k(scores, labels, user_ids, k: int, return_counts: bool = False):
@@ -68,9 +70,15 @@ def ndcg_at_k(scores, labels, user_ids, k: int, return_counts: bool = False):
     Score ties break by original row order (stable); users with no positive
     rows are skipped.
     """
+    scores, pos = _scores_and_positives(scores, labels, len(user_ids))
+    out = _ndcg(scores, pos, *group_codes(user_ids), k)
+    return out if return_counts else out[0]
+
+
+def _ndcg(scores, pos, codes, n_users, k):
+    """(nDCG@k, users evaluated, users skipped) over integer user codes."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores, pos, codes, n_users = _metric_inputs(scores, labels, user_ids)
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     order = np.lexsort((-scores, codes))
     user = codes[order]
@@ -87,10 +95,7 @@ def ndcg_at_k(scores, labels, user_ids, k: int, return_counts: bool = False):
         raise NoEvaluableUsers("no user has a positive label")
     ideal = np.array([discounts[:m].sum() for m in range(k + 1)])
     idcg = ideal[np.minimum(k, n_pos[ok])]
-    value = float(np.cumsum(dcg[ok] / idcg)[-1] / n_eval)
-    if return_counts:
-        return value, n_eval, n_users - n_eval
-    return value
+    return float(np.cumsum(dcg[ok] / idcg)[-1] / n_eval), n_eval, n_users - n_eval
 
 
 def improve_percentage(v_method, v_watchtime, v_oracle) -> float:
@@ -107,13 +112,10 @@ def oracle_labels(dataset: Dataset, truth=None) -> np.ndarray:
     if truth is not None:
         if len(truth) != len(dataset):
             raise LengthMismatch("ground-truth records not aligned with rows")
-        return np.array([t.r_sample for t in truth], dtype=np.int64)
-    if all(r.true_interest is not None for r in dataset):
-        return np.array([r.true_interest for r in dataset], dtype=np.int64)
-    try:
-        return np.array([derive_interest_label(r) for r in dataset], dtype=np.int64)
-    except Exception as exc:  # pragma: no cover
-        raise MissingGroundTruth(str(exc))
+        return truth.r_sample.astype(np.int64)
+    if dataset.true_interest is not None:
+        return dataset.true_interest.astype(np.int64)
+    return long_view_labels(dataset.watch_times, dataset.durations)
 
 
 @dataclass
@@ -164,14 +166,16 @@ def duration_breakdown(scores, labels, dataset: Dataset, n_ranges: int, ks=(1, 3
     Ranges come from duration quantiles of the evaluated rows; each row falls
     in exactly one range. A range where no user is evaluable reports None.
     """
+    scores, pos = _scores_and_positives(scores, labels, len(dataset))
+    codes, n_users = group_codes(dataset.user_codes)
+    return _breakdown(scores, pos, codes, n_users, dataset.durations, n_ranges, ks)
+
+
+def _breakdown(scores, pos, codes, n_users, d, n_ranges, ks):
     if n_ranges < 1:
         raise ValueError("n_ranges must be >= 1")
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    d = dataset.durations
     edges = np.unique(np.quantile(d, np.linspace(0, 1, n_ranges + 1)))
     assign = np.searchsorted(edges[1:-1], d, side="left")
-    users = dataset.user_ids
     out = []
     for b in range(max(1, edges.size - 1)):
         mask = assign == b
@@ -180,14 +184,15 @@ def duration_breakdown(scores, labels, dataset: Dataset, n_ranges: int, ks=(1, 3
         if not mask.any():
             out.append(RangeMetrics(lo, hi, 0, None, {k: None for k in ks}))
             continue
+        inputs = scores[mask], pos[mask], codes[mask], n_users
         try:
-            g = gauc(scores[mask], labels[mask], users[mask])
+            g = _gauc(*inputs)[0]
         except NoEvaluableUsers:
             g = None
         ndcg = {}
         for k in ks:
             try:
-                ndcg[k] = ndcg_at_k(scores[mask], labels[mask], users[mask], k)
+                ndcg[k] = _ndcg(*inputs, k)[0]
             except NoEvaluableUsers:
                 ndcg[k] = None
         out.append(RangeMetrics(lo, hi, int(mask.sum()), g, ndcg))
@@ -196,15 +201,19 @@ def duration_breakdown(scores, labels, dataset: Dataset, n_ranges: int, ks=(1, 3
 
 def evaluate(scores, labels, dataset: Dataset, method: str, ks=(1, 3, 5),
              n_ranges: int = 3) -> EvalReport:
-    """Full report: global GAUC/nDCG plus the duration-range breakdown."""
-    g, n_eval, n_skip = gauc(scores, labels, dataset.user_ids, return_counts=True)
-    ndcg = {k: ndcg_at_k(scores, labels, dataset.user_ids, k) for k in ks}
-    ranges = duration_breakdown(scores, labels, dataset, n_ranges, ks)
+    """Full report: global GAUC/nDCG plus the duration-range breakdown.
+
+    The user codes are computed once and sliced for each duration range.
+    """
+    scores, pos = _scores_and_positives(scores, labels, len(dataset))
+    codes, n_users = group_codes(dataset.user_codes)
+    g, n_eval, n_skip = _gauc(scores, pos, codes, n_users)
+    ndcg = {k: _ndcg(scores, pos, codes, n_users, k)[0] for k in ks}
     return EvalReport(
         method=method,
         gauc=g,
         ndcg_at=ndcg,
         n_users_evaluated=n_eval,
         n_users_skipped=n_skip,
-        ranges=ranges,
+        ranges=_breakdown(scores, pos, codes, n_users, dataset.durations, n_ranges, ks),
     )

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, Interaction
-from .errors import CurveOrderViolation, OutOfRangeDuration
+from .data_model import Dataset
+from .errors import CurveOrderViolation, MissingColumn, OutOfRangeDuration
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,56 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class GroundTruthRecord:
+    """A view of one row of GroundTruth."""
+
     p_interest: float
     r_sample: int
     w_plus_d: float
     w_minus_d: float
+
+
+class GroundTruth:
+    """Row-aligned latent truth of a synthetic log, as numpy columns: the
+    interest probability, the sampled interest and both curves at the row's
+    duration. Indexing with an integer and iteration yield
+    GroundTruthRecord views."""
+
+    def __init__(self, p_interest, r_sample, w_plus_d, w_minus_d):
+        self.p_interest = np.asarray(p_interest, dtype=np.float64)
+        self.r_sample = np.asarray(r_sample, dtype=np.int64)
+        self.w_plus_d = np.asarray(w_plus_d, dtype=np.float64)
+        self.w_minus_d = np.asarray(w_minus_d, dtype=np.float64)
+        if {c.shape for c in self._columns()} != {(self.p_interest.size,)}:
+            raise ValueError("ground-truth columns must be 1-D and equally long")
+
+    def _columns(self):
+        return self.p_interest, self.r_sample, self.w_plus_d, self.w_minus_d
+
+    def __len__(self):
+        return self.p_interest.size
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return GroundTruthRecord(float(self.p_interest[i]), int(self.r_sample[i]),
+                                 float(self.w_plus_d[i]), float(self.w_minus_d[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, GroundTruth):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
+
+
+def _id_table(prefix: str, n: int) -> tuple:
+    """Ids prefix0..prefix{n-1} as a sorted string table ("u10" < "u2") and
+    each number's code into it."""
+    names = np.array([f"{prefix}{k}" for k in range(n)])
+    order = np.argsort(names)
+    code = np.empty(n, dtype=np.int64)
+    code[order] = np.arange(n)
+    return names[order], code
 
 
 def true_curves(config: SynthConfig, d) -> tuple:
@@ -108,7 +154,7 @@ def _truncated_normal(rng, means, stds):
 
 
 def generate(config: SynthConfig) -> tuple:
-    """Sample a synthetic Dataset plus its aligned ground-truth records."""
+    """Sample a synthetic Dataset plus its row-aligned GroundTruth."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     n = config.n_rows
@@ -146,51 +192,24 @@ def generate(config: SynthConfig) -> tuple:
     stds = np.where(r == 1, config.noise_std_plus, config.noise_std_minus)
     w = _truncated_normal(rng, means, stds)
 
-    rows = []
-    truth = []
-    for i in range(n):
-        rows.append(
-            Interaction(
-                user_id=f"u{users[i]}",
-                item_id=f"i{items[i]}",
-                watch_time_s=float(w[i]),
-                duration_s=int(durations[i]),
-                timestamp=i,
-                true_interest=int(r[i]),
-            )
-        )
-        truth.append(
-            GroundTruthRecord(
-                p_interest=float(p[i]),
-                r_sample=int(r[i]),
-                w_plus_d=float(w_plus[i]),
-                w_minus_d=float(w_minus[i]),
-            )
-        )
-    return Dataset(rows), truth
+    user_table, user_code = _id_table("u", config.n_users)
+    item_table, item_code = _id_table("i", config.n_items)
+    dataset = Dataset.from_codes(user_table, user_code[users], item_table, item_code[items],
+                                 w, durations, timestamps=np.arange(n), true_interest=r)
+    return dataset, GroundTruth(p, r, w_plus, w_minus)
 
 
-def expected_watch_dataset(dataset: Dataset, truth) -> Dataset:
+def expected_watch_dataset(dataset: Dataset, truth: GroundTruth) -> Dataset:
     """Replace each watch time by its expectation p*w+ + (1-p)*w-.
 
     Used by the unbiasedness and rank-equivalence harnesses, where sampling
     noise must be switched off.
     """
-    rows = []
-    for r, t in zip(dataset, truth):
-        w = t.p_interest * t.w_plus_d + (1.0 - t.p_interest) * t.w_minus_d
-        rows.append(
-            Interaction(
-                user_id=r.user_id,
-                item_id=r.item_id,
-                watch_time_s=float(w),
-                duration_s=r.duration_s,
-                features=r.features,
-                timestamp=r.timestamp,
-                true_interest=r.true_interest,
-            )
-        )
-    return Dataset(rows)
+    p = truth.p_interest
+    w = p * truth.w_plus_d + (1.0 - p) * truth.w_minus_d
+    return Dataset.from_codes(dataset.user_table, dataset.user_codes, dataset.item_table,
+                              dataset.item_codes, w, dataset.durations, dataset.timestamps,
+                              dataset.true_interest, dataset.features)
 
 
 def matched_interest_dataset(p_values, durations, bias_curve: Curve,
@@ -203,52 +222,37 @@ def matched_interest_dataset(p_values, durations, bias_curve: Curve,
     standardization and quantile baselines are rank-faithful.
     """
     p_values = np.asarray(p_values, dtype=np.float64)
-    rows = []
-    truth = []
-    i = 0
-    for d in durations:
-        wp = float(bias_curve(d))
-        wm = float(noise_curve(d))
-        if not wm < wp:
-            raise CurveOrderViolation(f"noise >= bias at duration {d}")
-        for p in p_values:
-            w = p * wp + (1.0 - p) * wm
-            rows.append(
-                Interaction(
-                    user_id=f"u{i}",
-                    item_id=f"i{i}",
-                    watch_time_s=float(w),
-                    duration_s=int(d),
-                    timestamp=i,
-                )
-            )
-            truth.append(GroundTruthRecord(float(p), int(p >= 0.5), wp, wm))
-            i += 1
-    return Dataset(rows), truth
+    durations = np.asarray(durations, dtype=np.int64)
+    wp = np.asarray(bias_curve(durations), dtype=np.float64).reshape(-1)
+    wm = np.asarray(noise_curve(durations), dtype=np.float64).reshape(-1)
+    collapsed = ~(wm < wp)
+    if collapsed.any():
+        raise CurveOrderViolation(f"noise >= bias at duration {durations[collapsed][0]}")
+    m = p_values.size
+    p = np.tile(p_values, durations.size)
+    wp, wm = np.repeat(wp, m), np.repeat(wm, m)
+    ids = np.arange(p.size).astype(str)
+    dataset = Dataset(np.char.add("u", ids), np.char.add("i", ids), p * wp + (1.0 - p) * wm,
+                      np.repeat(durations, m), timestamps=np.arange(p.size))
+    return dataset, GroundTruth(p, p >= 0.5, wp, wm)
 
 
 GROUND_TRUTH_COLUMNS = ["p_interest", "r_sample", "w_plus_d", "w_minus_d"]
 
 
-def write_ground_truth_csv(truth, path) -> None:
+def write_ground_truth_csv(truth: GroundTruth, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(GROUND_TRUTH_COLUMNS)
-        for t in truth:
-            writer.writerow([repr(t.p_interest), t.r_sample, repr(t.w_plus_d), repr(t.w_minus_d)])
+        writer.writerows(zip(*(c.tolist() for c in truth._columns())))
 
 
-def read_ground_truth_csv(path):
-    truth = []
+def read_ground_truth_csv(path) -> GroundTruth:
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            truth.append(
-                GroundTruthRecord(
-                    p_interest=float(row["p_interest"]),
-                    r_sample=int(row["r_sample"]),
-                    w_plus_d=float(row["w_plus_d"]),
-                    w_minus_d=float(row["w_minus_d"]),
-                )
-            )
-    return truth
+        reader = csv.reader(f)
+        header = next(reader)
+        columns = list(zip(*filter(None, reader))) or [()] * len(header)
+    for c in GROUND_TRUTH_COLUMNS:
+        if c not in header:
+            raise MissingColumn(c)
+    return GroundTruth(*(columns[header.index(c)] for c in GROUND_TRUTH_COLUMNS))

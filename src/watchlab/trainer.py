@@ -22,9 +22,6 @@ class TrainConfig:
     embedding_dim: int = 10
     patience: int = 2  # eval rounds without val-GAUC improvement before stop
     seed: int = 0
-    # reserved for deep backbones; unused by the FM
-    hidden_units: int = 64
-    dropout: float = 0.2
 
     def validate(self) -> None:
         if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 1:
@@ -46,42 +43,48 @@ class Vocabulary:
     def index(self, fld, value) -> int:
         return self.token_to_idx.get((fld, value), self.token_to_idx[(fld, UNKNOWN)])
 
-    @staticmethod
-    def row_tokens(interaction):
-        yield ("user_id", interaction.user_id)
-        yield ("item_id", interaction.item_id)
-        yield from interaction.features
+    def lookup(self, fld, values) -> np.ndarray:
+        """Token index of each value; the field's unknown token where unseen."""
+        unknown = self.token_to_idx[(fld, UNKNOWN)]
+        return np.array([self.token_to_idx.get((fld, v), unknown) for v in values],
+                        dtype=np.int64)
+
+
+def _field_columns(dataset: Dataset):
+    """(field, value table, per-row code into the table) for every tokenized
+    field: user, item, then the declared features."""
+    yield "user_id", dataset.user_table, dataset.user_codes
+    yield "item_id", dataset.item_table, dataset.item_codes
+    for fld, column in dataset.features.items():
+        table, codes = np.unique(column, return_inverse=True)
+        yield fld, table, codes
 
 
 def build_vocab(train: Dataset) -> Vocabulary:
-    """One token per (field, value) seen in training plus per-field unknowns."""
+    """One token per (field, value) seen in training plus per-field unknowns.
+
+    A field's tokens follow the order in which its values first appear.
+    """
     if len(train) == 0:
         raise ValueError("cannot build a vocabulary from an empty dataset")
     fields = []
-    tokens = {}
-    for r in train:
-        for fld, value in Vocabulary.row_tokens(r):
-            if fld not in tokens:
-                fields.append(fld)
-                tokens[fld] = {}
-            if value not in tokens[fld]:
-                tokens[fld][value] = None
     token_to_idx = {}
-    for fld in fields:
-        for value in tokens[fld]:
+    for fld, table, codes in _field_columns(train):
+        seen, first = np.unique(codes, return_index=True)
+        for value in table[seen[np.argsort(first)]].tolist():
             token_to_idx[(fld, value)] = len(token_to_idx)
         token_to_idx[(fld, UNKNOWN)] = len(token_to_idx)
+        fields.append(fld)
     return Vocabulary(fields, token_to_idx)
 
 
 def encode(vocab: Vocabulary, dataset: Dataset) -> np.ndarray:
     """Token index matrix, one row per interaction, one column per field."""
-    n_fields = len(vocab.fields)
-    out = np.empty((len(dataset), n_fields), dtype=np.int64)
-    for i, r in enumerate(dataset):
-        row = dict(Vocabulary.row_tokens(r))
-        for j, fld in enumerate(vocab.fields):
-            out[i, j] = vocab.index(fld, row.get(fld, UNKNOWN))
+    out = np.empty((len(dataset), len(vocab.fields)), dtype=np.int64)
+    out[:] = [vocab.token_to_idx[(fld, UNKNOWN)] for fld in vocab.fields]
+    for fld, table, codes in _field_columns(dataset):
+        if fld in vocab.fields:
+            out[:, vocab.fields.index(fld)] = vocab.lookup(fld, table.tolist())[codes]
     return out
 
 
@@ -221,7 +224,7 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
     idx = encode(model.vocab, train_set)
     val_idx = encode(model.vocab, val_set)
     val_y = np.asarray(val_labels)
-    val_users = val_set.user_ids
+    val_users = val_set.user_codes
 
     rng = np.random.default_rng(config.seed)
     opt = _Adam([(), model.linear.shape, model.embeddings.shape], config.learning_rate)

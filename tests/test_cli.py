@@ -136,6 +136,31 @@ class TestCorrect:
         result = invoke("correct", "--config", str(cfg), "--out", str(out))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("timestamp, interest, reason", [
+        ("1", "1.0", "true_interest not 0 or 1: '1.0'"),
+        ("1", "yes", "true_interest not 0 or 1: 'yes'"),
+        ("later", "1", "timestamp not numeric: 'later'"),
+    ])
+    def test_bad_optional_value_exits_1(self, tmp_path, timestamp, interest, reason):
+        data = tmp_path / "log.csv"
+        data.write_text("user_id,item_id,duration_s,watch_time_s,timestamp,true_interest\n"
+                        f"a,x,10,3,0,0\nb,y,20,9,{timestamp},{interest}\n")
+        cfg = write_config(tmp_path / "config.json", dataset_csv=str(data))
+        result = invoke("correct", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: row 3: {reason}" in result.output
+
+    def test_short_ground_truth_exits_1(self, pipeline_dir):
+        cfg_path, out = pipeline_dir
+        short = out / "short_truth.csv"
+        short.write_text("".join((out / "ground_truth.csv").read_text().splitlines(True)[:100]))
+        cfg = write_config(cfg_path.parent / "config_short.json", ground_truth_csv=str(short))
+        result = invoke("correct", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: 99 ground-truth rows for 4000 data rows" in result.output
+
 
 class TestTrainEval:
     def test_report_rows_and_determinism(self, pipeline_dir):

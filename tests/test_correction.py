@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from watchlab.correction import (
+    CorrectedDataset,
     CorrectionParams,
     apply_method,
     build_duration_bins,
@@ -15,17 +17,18 @@ from watchlab.correction import (
     label_d2q,
     label_pcr,
     label_wtg,
+    read_labels_csv,
     sensitivity_affine,
     sensitivity_scontrolled_numeric,
 )
-from watchlab.data_model import Dataset, Interaction
+from watchlab.data_model import Dataset, FeatureSchema, Interaction, write_csv
 from watchlab.errors import CurveCollapse, LengthMismatch, OutOfInterval
 from watchlab.estimator import smooth_curves
 from tests.test_estimator import make_raw
 
 
 def simple_dataset(watch_times, durations):
-    return Dataset(
+    return Dataset.from_rows(
         Interaction(f"u{i}", f"i{i}", float(w), int(d), timestamp=i)
         for i, (w, d) in enumerate(zip(watch_times, durations))
     )
@@ -238,3 +241,40 @@ class TestApplyMethod:
         assert stats[10].mu_w == pytest.approx(2.0)
         assert stats[10].sigma_w == pytest.approx(1.0)
         assert stats[20].count == 1
+
+
+def reference_to_csv(labeled, path, schema=None):
+    """The earlier CorrectedDataset.to_csv: write the data, read it back,
+    append label and method to every row and write it all again."""
+    write_csv(labeled.dataset, path, schema)
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    rows[0].extend(["label", "method"])
+    for i, row in enumerate(rows[1:]):
+        row.extend([repr(float(labeled.labels[i])), labeled.method])
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows)
+
+
+class TestLabeledCsv:
+    def labeled(self):
+        from watchlab import SynthConfig, generate
+
+        ds, _ = generate(SynthConfig(n_rows=500, seed=8))
+        tabs = np.array(["a,b", 'say "hi"', "ünï", "line\nbreak", ""])[np.arange(len(ds)) % 5]
+        ds = Dataset(ds.user_ids, ds.item_ids, ds.watch_times, ds.durations, ds.timestamps,
+                     ds.true_interest, {"tab": tabs})
+        labels = np.random.default_rng(0).uniform(0, 1, len(ds)) ** 3
+        return CorrectedDataset(dataset=ds, labels=labels, method="d2co_s")
+
+    @pytest.mark.parametrize("schema", [None, FeatureSchema(feature_fields=("tab",))])
+    def test_bytes_match_write_read_rewrite(self, tmp_path, schema):
+        labeled = self.labeled()
+        labeled.to_csv(tmp_path / "new.csv", schema)
+        reference_to_csv(labeled, tmp_path / "old.csv", schema)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_labels_read_back_exactly(self, tmp_path):
+        labeled = self.labeled()
+        labeled.to_csv(tmp_path / "l.csv", FeatureSchema(feature_fields=("tab",)))
+        assert read_labels_csv(tmp_path / "l.csv").tolist() == labeled.labels.tolist()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def make_rows(watch_times, durations, timestamps=None):
             user_id=f"u{i}", item_id=f"i{i}", watch_time_s=w, duration_s=d,
             timestamp=timestamps[i] if timestamps else None,
         ))
-    return Dataset(rows)
+    return Dataset.from_rows(rows)
 
 
 class TestInteraction:
@@ -37,6 +39,13 @@ class TestInteraction:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
             Interaction("u", "i", watch_time_s=1.0, duration_s=0)
+
+    @pytest.mark.parametrize("w, d", [
+        (math.nan, 10), (math.inf, 10), (-math.inf, 10), (1.0, math.inf), (1.0, math.nan),
+    ])
+    def test_non_finite_rejected(self, w, d):
+        with pytest.raises(ValueError, match="finite"):
+            Interaction("u", "i", watch_time_s=w, duration_s=d)
 
     def test_replay_above_duration_kept(self):
         r = Interaction("u", "i", watch_time_s=25.0, duration_s=10)
@@ -57,7 +66,7 @@ class TestComputeStats:
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
-            compute_stats(Dataset([]))
+            compute_stats(Dataset.from_rows([]))
 
 
 class TestSplit:
@@ -142,6 +151,48 @@ class TestCsv:
         with pytest.raises(MissingColumn):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("timestamp, interest, message", [
+        ("2", "1.0", "true_interest not 0 or 1: '1.0'"),
+        ("2", "yes", "true_interest not 0 or 1: 'yes'"),
+        ("2", "2", "true_interest not 0 or 1: '2'"),
+        ("soon", "1", "timestamp not numeric: 'soon'"),
+        ("inf", "1", "timestamp out of range: 'inf'"),
+        ("-1e19", "1", "timestamp out of range: '-1e19'"),
+    ])
+    def test_bad_optional_value(self, tmp_path, timestamp, interest, message):
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s,timestamp,true_interest\n"
+                        f"a,x,10,3,1,0\n\nb,y,10,3,{timestamp},{interest}\n")
+        with pytest.raises(MalformedRow, match=message) as info:
+            ingest_csv(path)
+        assert info.value.line == 4  # the blank line still counts
+
+    @pytest.mark.parametrize("body, line, message", [
+        ("a,x,10,3\nb,y,10\n", 3, "expected 4 fields, got 3"),
+        ("a,x,10,oops\nb,y,10\n", 2, "watch_time_s not numeric: 'oops'"),
+        ("a,x,10,3\nb,,10,3\nc,z,0,3\n", 3, "missing required value"),
+        ("a,x,10,-1\nb,y,ten,3\n", 2, "watch_time_s negative: -1.0"),
+        ("a,x,0,3\nb,y,ten,3\n", 2, "duration_s below 1: 0.0"),
+        ("a,x,ten,nan\n", 2, "duration_s not numeric: 'ten'"),
+        ("a,x,,nan\n", 2, "missing required value"),
+        ("a,x,1e19,3\n", 2, "duration_s too large: 1e\\+19"),
+    ])
+    def test_first_bad_row_and_check_win(self, tmp_path, body, line, message):
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s\n" + body)
+        with pytest.raises(MalformedRow, match=message) as info:
+            ingest_csv(path)
+        assert info.value.line == line
+
+    def test_optional_columns_parsed(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s,timestamp,true_interest\n"
+                        "a,x,10.4,3,7.9,1\nb,y,10.6,3,8,0\n")
+        ds = ingest_csv(path)
+        assert ds.durations.tolist() == [10, 11]
+        assert ds.timestamps.tolist() == [7, 8]
+        assert ds.true_interest.tolist() == [1, 0]
+
     def test_declared_features(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(
@@ -149,3 +200,52 @@ class TestCsv:
         )
         ds = ingest_csv(path, FeatureSchema(feature_fields=("tab",)))
         assert ds[0].features == (("tab", "2"),)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("w, d, message", [
+        ([1.0, math.nan], [10, 10], "row 1: watch_time_s not finite: nan"),
+        ([1.0, math.inf], [10, 10], "row 1: watch_time_s not finite: inf"),
+        ([1.0, 2.0], [10, -math.inf], "row 1: duration_s not finite: -inf"),
+        ([1.0, 2.0], [math.nan, 10], "row 0: duration_s not finite: nan"),
+        ([1.0, -2.0], [10, 10], "row 1: watch_time_s negative: -2.0"),
+        ([1.0, 2.0], [10, 0], "row 1: duration_s not an int64 >= 1: 0.0"),
+        ([1.0, 2.0], [10, 10.5], "row 1: duration_s not an int64 >= 1: 10.5"),
+        ([1.0, 2.0], [10, 1e19], "row 1: duration_s not an int64 >= 1: 1e\\+19"),
+    ])
+    def test_bad_numbers_name_the_row(self, w, d, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(["a", "b"], ["x", "y"], w, d)
+
+    def test_ids_are_codes_into_sorted_table(self):
+        ds = Dataset(["u2", "u10", "u2"], ["i1", "i1", "i0"], [1.0, 2.0, 3.0], [5, 6, 7])
+        assert ds.user_table.tolist() == ["u10", "u2"]
+        assert ds.user_codes.tolist() == [1, 0, 1]
+        assert ds.item_codes.tolist() == [1, 1, 0]
+        assert ds.user_ids.dtype == object
+        assert ds.user_ids.tolist() == ["u2", "u10", "u2"]
+        assert ds.timestamps is None and ds.true_interest is None
+
+    def test_unsorted_table_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            Dataset.from_codes(["b", "a"], [0, 1], ["x"], [0, 0], [1.0, 2.0], [5, 5])
+
+    def test_subset_and_views(self):
+        ds = make_rows([3.0, 7.0, 9.0], [10, 20, 30], timestamps=[5, 6, 7])
+        sub = ds.subset([2, 0])
+        assert sub.watch_times.tolist() == [9.0, 3.0]
+        assert sub.timestamps.tolist() == [7, 5]
+        assert sub[0] == Interaction("u2", "i2", 9.0, 30, timestamp=7)
+        assert [r.user_id for r in ds[1:]] == ["u1", "u2"]
+        assert list(Dataset.from_rows(ds)) == list(ds)
+
+    def test_from_rows_needs_one_feature_layout(self):
+        rows = [Interaction("a", "x", 1.0, 10, features=(("tab", "1"),)),
+                Interaction("b", "y", 1.0, 10)]
+        with pytest.raises(ValueError, match="feature fields"):
+            Dataset.from_rows(rows)
+
+    def test_from_rows_keeps_partial_columns_out(self):
+        ds = Dataset.from_rows([Interaction("a", "x", 1.0, 10, timestamp=3),
+                                Interaction("b", "y", 1.0, 10)])
+        assert ds.timestamps is None

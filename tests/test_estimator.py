@@ -63,7 +63,7 @@ def dataset_with_groups(spec, seed=0):
         x = np.abs(x)
         for i, w in enumerate(x):
             rows.append(Interaction(f"u{i%17}", f"i{i}", float(w), int(d)))
-    return Dataset(rows)
+    return Dataset.from_rows(rows)
 
 
 class TestFitAllGroups:

@@ -17,7 +17,8 @@ from watchlab.evaluation import (
     ndcg_at_k,
     oracle_labels,
 )
-from watchlab.synthgen import GroundTruthRecord
+import watchlab.evaluation
+from watchlab.synthgen import GroundTruth
 
 
 class TestGauc:
@@ -159,20 +160,21 @@ def tiny_dataset():
         ("b", 40, 5.0, 0), ("b", 40, 39.0, 1), ("b", 10, 1.0, 0),
     ]):
         rows.append(Interaction(u, f"i{i}", w, d, timestamp=i, true_interest=y))
-    return Dataset(rows)
+    return Dataset.from_rows(rows)
 
 
 class TestOracleLabels:
     def test_sidecar_truth_wins(self):
         ds = tiny_dataset()
-        truth = [GroundTruthRecord(0.5, 1 - r.true_interest, 2.0, 1.0) for r in ds]
+        truth = GroundTruth(np.full(len(ds), 0.5), 1 - ds.true_interest, np.full(len(ds), 2.0),
+                            np.full(len(ds), 1.0))
         assert oracle_labels(ds, truth).tolist() == [0, 1, 0, 1, 0, 1]
 
     def test_true_interest_column(self):
         assert oracle_labels(tiny_dataset()).tolist() == [1, 0, 1, 0, 1, 0]
 
     def test_long_view_fallback(self):
-        ds = Dataset([
+        ds = Dataset.from_rows([
             Interaction("a", "x", 10.0, 10),   # complete play, short video
             Interaction("a", "y", 17.0, 60),   # below the threshold
             Interaction("a", "z", 25.0, 60),   # above the threshold
@@ -205,7 +207,7 @@ class TestBreakdownAndReport:
             Interaction("a", "z", 9.0, 100, true_interest=1),
             Interaction("a", "w", 2.0, 100, true_interest=0),
         ]
-        ds = Dataset(rows)
+        ds = Dataset.from_rows(rows)
         out = duration_breakdown(ds.watch_times, oracle_labels(ds), ds, n_ranges=2)
         assert out[0].gauc is None
         assert out[1].gauc == 1.0
@@ -223,3 +225,38 @@ class TestBreakdownAndReport:
         payload = json.loads(path.read_text())
         assert payload["gauc"] == report.gauc
         assert len(payload["ranges"]) == len(report.ranges)
+
+    def test_evaluate_computes_user_codes_once(self, monkeypatch):
+        calls = []
+        real = watchlab.evaluation.group_codes
+
+        def counting(keys):
+            calls.append(len(keys))
+            return real(keys)
+
+        ds = tiny_dataset()
+        labels = oracle_labels(ds)
+        expected = evaluate(ds.watch_times, labels, ds, "watch_time", ks=(1, 3, 5), n_ranges=3)
+        monkeypatch.setattr(watchlab.evaluation, "group_codes", counting)
+        report = evaluate(ds.watch_times, labels, ds, "watch_time", ks=(1, 3, 5), n_ranges=3)
+        assert calls == [len(ds)]
+        assert report == expected
+
+    def test_evaluate_matches_per_range_metric_calls(self):
+        """The shared user codes give the values separate metric calls give."""
+        from watchlab import SynthConfig, generate
+
+        ds, truth = generate(SynthConfig(n_rows=3000, n_users=60, seed=5))
+        y = oracle_labels(ds, truth)
+        scores = np.round(ds.watch_times, 0)  # plenty of ties
+        report = evaluate(scores, y, ds, "m", ks=(1, 3, 5), n_ranges=3)
+        users = ds.user_ids
+        assert report.gauc == gauc(scores, y, users)
+        assert report.ndcg_at == {k: ndcg_at_k(scores, y, users, k) for k in (1, 3, 5)}
+        d = ds.durations
+        for r in report.ranges:
+            mask = (d > r.duration_lo) & (d <= r.duration_hi)
+            assert r.n_rows == int(mask.sum())
+            assert r.gauc == gauc(scores[mask], y[mask], users[mask])
+            for k in (1, 3, 5):
+                assert r.ndcg[k] == ndcg_at_k(scores[mask], y[mask], users[mask], k)

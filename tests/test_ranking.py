@@ -140,7 +140,7 @@ def test_ndcg_matches_reference(log, k):
                 min_size=1, max_size=80),
        st.integers(1, 8))
 def test_d2q_matches_reference(rows, n_bins):
-    ds = Dataset(Interaction(f"u{i}", f"i{i}", w, d) for i, (w, d) in enumerate(rows))
+    ds = Dataset.from_rows(Interaction(f"u{i}", f"i{i}", w, d) for i, (w, d) in enumerate(rows))
     bins = build_duration_bins(ds, n_bins)
     assert label_d2q(ds, bins).tolist() == reference_d2q(ds, bins).tolist()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from watchlab.errors import CurveOrderViolation, OutOfRangeDuration
+from watchlab.errors import CurveOrderViolation, MissingColumn, OutOfRangeDuration
 from watchlab.synthgen import (
     Curve,
     SynthConfig,
@@ -102,6 +102,15 @@ def test_ground_truth_round_trip(tmp_path):
     path = tmp_path / "gt.csv"
     write_ground_truth_csv(truth, path)
     assert read_ground_truth_csv(path) == truth
+
+
+def test_ground_truth_missing_column(tmp_path):
+    _, truth = generate(SynthConfig(n_rows=5, seed=1))
+    path = tmp_path / "gt.csv"
+    write_ground_truth_csv(truth, path)
+    path.write_text(path.read_text().replace("w_minus_d", "w_minus"))
+    with pytest.raises(MissingColumn, match="w_minus_d"):
+        read_ground_truth_csv(path)
 
 
 def test_bimodal_groups_prefer_two_components():

@@ -20,7 +20,7 @@ def pair_dataset(pairs, labels=None):
     for i, (u, v) in enumerate(pairs):
         rows.append(Interaction(u, v, 1.0, 10, timestamp=i,
                                 true_interest=None if labels is None else labels[i]))
-    return Dataset(rows)
+    return Dataset.from_rows(rows)
 
 
 class TestVocabulary:
@@ -46,7 +46,7 @@ class TestVocabulary:
         assert idx[0, 1] == idx[1, 1]  # shared item token
 
     def test_feature_fields_tokenized(self):
-        ds = Dataset([Interaction("a", "x", 1.0, 10, features=(("tab", "2"),))])
+        ds = Dataset.from_rows([Interaction("a", "x", 1.0, 10, features=(("tab", "2"),))])
         vocab = build_vocab(ds)
         assert vocab.fields == ("user_id", "item_id", "tab")
         assert len(vocab) == 6
@@ -77,7 +77,7 @@ class TestFmScore:
         assert model.score_interactions(ds)[0] == pytest.approx(3.0)
 
     def test_identity_matches_bruteforce(self):
-        ds = Dataset([
+        ds = Dataset.from_rows([
             Interaction(f"u{i % 4}", f"i{i % 5}", 1.0, 10,
                         features=(("tab", str(i % 3)),))
             for i in range(30)
@@ -143,7 +143,7 @@ def toy_training_setup(seed=0, n=400):
         y = int((u < 4) == (v < 4))
         rows.append(Interaction(f"u{u}", f"i{v}", 1.0, 10, timestamp=i, true_interest=y))
         labels.append(float(y))
-    ds = Dataset(rows)
+    ds = Dataset.from_rows(rows)
     return ds, np.array(labels)
 
 
