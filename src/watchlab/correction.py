@@ -10,7 +10,6 @@ from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data_model import Dataset, csv_columns
 from .errors import (
@@ -95,6 +94,8 @@ def label_pcr(w, d):
 def label_wtg(w, mu_w, sigma_w):
     """Duration-group z-score of watch time mapped to [0,1] through the
     standard normal CDF; a zero-variance group gives 0.5."""
+    from scipy.special import ndtr  # deferred: importing scipy costs every CLI process
+
     w = np.asarray(w, dtype=np.float64)
     mu = np.asarray(mu_w, dtype=np.float64)
     sigma = np.asarray(sigma_w, dtype=np.float64)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +32,16 @@ class TrainConfig:
 
 
 class Vocabulary:
-    """Token index over (field, value) pairs with one unknown token per field."""
+    """Token index over (field, value) pairs with one unknown token per field.
+
+    `lookup` searches per-field sorted copies of `token_to_idx`, made on first
+    use, so the mapping is not to be changed after that.
+    """
 
     def __init__(self, fields, token_to_idx):
         self.fields = tuple(fields)
         self.token_to_idx = dict(token_to_idx)
+        self._sorted = {}
 
     def __len__(self):
         return len(self.token_to_idx)
@@ -43,11 +49,25 @@ class Vocabulary:
     def index(self, fld, value) -> int:
         return self.token_to_idx.get((fld, value), self.token_to_idx[(fld, UNKNOWN)])
 
+    def _sorted_tokens(self, fld):
+        """(the field's values as a sorted string array, their token indices),
+        built on the field's first lookup."""
+        if fld not in self._sorted:
+            items = [(v, i) for (f, v), i in self.token_to_idx.items() if f == fld]
+            values = np.array([v for v, _ in items], dtype=str)
+            order = np.argsort(values, kind="stable")
+            tokens = np.array([i for _, i in items], dtype=np.int64)
+            self._sorted[fld] = values[order], tokens[order]
+        return self._sorted[fld]
+
     def lookup(self, fld, values) -> np.ndarray:
-        """Token index of each value; the field's unknown token where unseen."""
+        """Token index of each value (an id string); the field's unknown token
+        where unseen."""
         unknown = self.token_to_idx[(fld, UNKNOWN)]
-        return np.array([self.token_to_idx.get((fld, v), unknown) for v in values],
-                        dtype=np.int64)
+        keys, tokens = self._sorted_tokens(fld)
+        values = np.asarray(values, dtype=str)
+        pos = np.searchsorted(keys, values).clip(max=keys.size - 1)
+        return np.where(keys[pos] == values, tokens[pos], unknown)
 
 
 def _field_columns(dataset: Dataset):
@@ -84,7 +104,7 @@ def encode(vocab: Vocabulary, dataset: Dataset) -> np.ndarray:
     out[:] = [vocab.token_to_idx[(fld, UNKNOWN)] for fld in vocab.fields]
     for fld, table, codes in _field_columns(dataset):
         if fld in vocab.fields:
-            out[:, vocab.fields.index(fld)] = vocab.lookup(fld, table.tolist())[codes]
+            out[:, vocab.fields.index(fld)] = vocab.lookup(fld, table)[codes]
     return out
 
 
@@ -189,23 +209,47 @@ class TrainHistory:
 
 
 class _Adam:
-    def __init__(self, shapes, lr):
-        self.lr = lr
-        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
-        self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+    """Dense Adam over the scalar bias and the parameter tables, updated in place.
 
-    def step(self, grads):
+    A step takes each table's gradient on the batch's rows only. Every row's
+    moments still decay and every row still moves, with the same arithmetic
+    as a full-table gradient that is zero off the batch: the rows left out
+    skip only an added zero, which changes nothing unless a moment has
+    decayed to -0.0.
+    """
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, tables, lr):
+        self.lr = lr
+        self.t = 0
+        self.bias_m = self.bias_v = 0.0
+        # per table: the table, its two moments and two scratch buffers
+        self.state = [(p, np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p))
+                      for p in tables]
+
+    def step(self, bias: float, g_bias: float, rows, grads) -> float:
+        """Update the tables in place from their gradients on `rows` (one
+        gradient row per entry of `rows`); return the updated bias."""
         self.t += 1
-        out = []
-        for i, g in enumerate(grads):
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
-            mhat = self.m[i] / (1 - self.b1 ** self.t)
-            vhat = self.v[i] / (1 - self.b2 ** self.t)
-            out.append(self.lr * mhat / (np.sqrt(vhat) + self.eps))
-        return out
+        c1 = 1 - self.b1 ** self.t
+        c2 = 1 - self.b2 ** self.t
+        self.bias_m = self.b1 * self.bias_m + (1 - self.b1) * g_bias
+        self.bias_v = self.b2 * self.bias_v + (1 - self.b2) * g_bias * g_bias
+        bias -= self.lr * (self.bias_m / c1) / (math.sqrt(self.bias_v / c2) + self.eps)
+        for (p, m, v, a, b), g in zip(self.state, grads):
+            m *= self.b1
+            m[rows] += (1 - self.b1) * g
+            v *= self.b2
+            v[rows] += (1 - self.b2) * g * g
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
+        return bias
 
 
 def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
@@ -227,7 +271,8 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
     val_users = val_set.user_codes
 
     rng = np.random.default_rng(config.seed)
-    opt = _Adam([(), model.linear.shape, model.embeddings.shape], config.learning_rate)
+    opt = _Adam([model.linear, model.embeddings], config.learning_rate)
+    n_fields, k = idx.shape[1], model.embeddings.shape[1]
     history = TrainHistory()
     best = model.params()
     best_gauc = -np.inf
@@ -247,18 +292,17 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
             epoch_loss += loss * batch.size
 
             g = bce_grad(logits, y[batch]) / batch.size
-            g_bias = g.sum()
-            g_linear = np.zeros_like(model.linear)
-            np.add.at(g_linear, bi, g[:, None])
+            # per-row gradient sums over the batch's distinct tokens, added in
+            # (row, field) order as a full-table np.add.at would add them
+            rows, inv = np.unique(bi.ravel(), return_inverse=True)
+            g_linear = np.bincount(inv, weights=np.repeat(g, n_fields), minlength=rows.size)
             V = model.embeddings[bi]
             s = V.sum(axis=1)
-            g_emb = np.zeros_like(model.embeddings)
-            np.add.at(g_emb, bi, g[:, None, None] * (s[:, None, :] - V))
-
-            d_bias, d_linear, d_emb = opt.step([g_bias, g_linear, g_emb])
-            model.bias -= float(d_bias)
-            model.linear -= d_linear
-            model.embeddings -= d_emb
+            terms = g[:, None, None] * (s[:, None, :] - V)
+            cells = (inv[:, None] * k + np.arange(k)).ravel()  # (row, column) of each term
+            g_emb = np.bincount(cells, weights=terms.ravel(),
+                                minlength=rows.size * k).reshape(rows.size, k)
+            model.bias = opt.step(model.bias, float(g.sum()), rows, [g_linear, g_emb])
 
         history.train_loss.append(epoch_loss / n)
         vg = gauc(model.score(val_idx), val_y, val_users)

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from watchlab.data_model import Dataset, Interaction
+from watchlab.errors import NonFiniteLoss
+from watchlab.evaluation import gauc
 from watchlab.trainer import (
+    UNKNOWN,
     FMModel,
     TrainConfig,
+    TrainHistory,
     Vocabulary,
     bce_grad,
     bce_loss,
@@ -198,3 +204,213 @@ class TestTrain:
         model = FMModel(build_vocab(ds), k=2, seed=0)
         with pytest.raises(ValueError):
             train(model, ds, y[:-1], ds, y.astype(int), TrainConfig(epochs=1))
+
+
+# any text but NUL and lone surrogates, as in the CSV round-trip tests
+ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+              min_size=1, max_size=6)
+
+
+def dict_walk(vocab, fld, values):
+    """The earlier Vocabulary.lookup: one dict.get per value."""
+    unknown = vocab.token_to_idx[(fld, UNKNOWN)]
+    return np.array([vocab.token_to_idx.get((fld, v), unknown) for v in values],
+                    dtype=np.int64)
+
+
+def dict_walk_encode(vocab, dataset):
+    cols = {"user_id": dataset.user_ids, "item_id": dataset.item_ids, **dataset.features}
+    return np.stack([dict_walk(vocab, fld, cols[fld].tolist()) for fld in vocab.fields], axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(ids, ids, st.sampled_from(["a", "b", UNKNOWN])), min_size=1,
+                max_size=20),
+       st.lists(st.tuples(ids, ids, st.sampled_from(["a", "c"])), min_size=1, max_size=20))
+def test_lookup_matches_dict_walk(tmp_path_factory, seen, other):
+    def log(rows):
+        return Dataset.from_rows([Interaction(u, i, 1.0, 10, features=(("tab", t),))
+                                  for u, i, t in rows])
+
+    train_set, other_set = log(seen), log(other)
+    vocab = build_vocab(train_set)
+    path = tmp_path_factory.mktemp("ckpt") / "model.json"
+    FMModel(vocab, k=2).save(path)
+    for v in (vocab, FMModel.load(path).vocab):
+        for ds in (train_set, other_set):
+            assert np.array_equal(encode(v, ds), dict_walk_encode(v, ds))
+        for fld, column in zip(v.fields, zip(*(seen + other))):
+            values = list(column) + [UNKNOWN, "never-seen"]
+            assert np.array_equal(v.lookup(fld, values), dict_walk(v, fld, values))
+
+
+class _DenseAdam:
+    """The earlier optimizer: full-table gradients, new arrays every step."""
+
+    def __init__(self, shapes, lr):
+        self.lr = lr
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
+        self.t = 0
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+
+    def step(self, grads):
+        self.t += 1
+        out = []
+        for i, g in enumerate(grads):
+            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
+            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
+            mhat = self.m[i] / (1 - self.b1 ** self.t)
+            vhat = self.v[i] / (1 - self.b2 ** self.t)
+            out.append(self.lr * mhat / (np.sqrt(vhat) + self.eps))
+        return out
+
+
+def reference_train(model, train_set, train_labels, val_set, val_labels, config):
+    """The earlier train loop: a full-table np.add.at gradient per batch."""
+    y = np.asarray(train_labels, dtype=np.float64)
+    idx = encode(model.vocab, train_set)
+    val_idx = encode(model.vocab, val_set)
+    val_y = np.asarray(val_labels)
+    val_users = val_set.user_codes
+
+    rng = np.random.default_rng(config.seed)
+    opt = _DenseAdam([(), model.linear.shape, model.embeddings.shape], config.learning_rate)
+    history = TrainHistory()
+    best = model.params()
+    best_gauc = -np.inf
+    stall = 0
+    n = len(train_set)
+
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            bi = idx[batch]
+            logits = model.score(bi)
+            loss = bce_loss(logits, y[batch])
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"loss became {loss} at epoch {epoch}")
+            epoch_loss += loss * batch.size
+
+            g = bce_grad(logits, y[batch]) / batch.size
+            g_bias = g.sum()
+            g_linear = np.zeros_like(model.linear)
+            np.add.at(g_linear, bi, g[:, None])
+            V = model.embeddings[bi]
+            s = V.sum(axis=1)
+            g_emb = np.zeros_like(model.embeddings)
+            np.add.at(g_emb, bi, g[:, None, None] * (s[:, None, :] - V))
+
+            d_bias, d_linear, d_emb = opt.step([g_bias, g_linear, g_emb])
+            model.bias -= float(d_bias)
+            model.linear -= d_linear
+            model.embeddings -= d_emb
+
+        history.train_loss.append(epoch_loss / n)
+        vg = gauc(model.score(val_idx), val_y, val_users)
+        history.val_gauc.append(vg)
+        if vg > best_gauc:
+            best_gauc = vg
+            best = model.params()
+            history.best_epoch = epoch
+            stall = 0
+        else:
+            stall += 1
+            if stall > config.patience:
+                break
+
+    model.set_params(best)
+    history.best_val_gauc = best_gauc
+    return history
+
+
+def random_log(seed, n, n_users, n_items, user_share=0.0, feature=False, t0=0):
+    """A log whose interest is a user-item parity, with `user_share` of its
+    rows on user u0."""
+    rng = np.random.default_rng(seed)
+    users = np.where(rng.random(n) < user_share, 0, rng.integers(0, n_users, n))
+    items = rng.integers(0, n_items, n)
+    interest = ((users + items) % 2).astype(np.int64)
+    features = {"tab": rng.integers(0, 3, n).astype(str)} if feature else None
+    ds = Dataset([f"u{u}" for u in users], [f"i{i}" for i in items], np.ones(n),
+                 np.full(n, 10), timestamps=np.arange(t0, t0 + n), true_interest=interest,
+                 features=features)
+    soft = np.clip(interest + rng.normal(0, 0.3, n), 0.0, 1.0)
+    return ds, soft
+
+
+def train_both(train_set, labels, val_set, config, k=4):
+    """(model, history) from train and from reference_train on one init."""
+    out = []
+    for fit in (train, reference_train):
+        model = FMModel(build_vocab(train_set), k=k, seed=config.seed)
+        hist = fit(model, train_set, labels, val_set, val_set.true_interest, config)
+        out.append((model, hist))
+    return out
+
+
+def assert_same_fit(fits):
+    (model, hist), (ref, ref_hist) = fits
+    assert model.bias == ref.bias
+    assert np.array_equal(model.linear, ref.linear)
+    assert np.array_equal(model.embeddings, ref.embeddings)
+    assert hist == ref_hist
+
+
+class TestTrainMatchesDenseReference:
+    def test_batch_size_not_dividing_n(self):
+        ds, y = random_log(1, 203, 12, 15)
+        assert_same_fit(train_both(ds, y, ds, TrainConfig(learning_rate=0.02, batch_size=64,
+                                                          epochs=3, patience=3)))
+
+    def test_many_rows_of_one_user_in_a_batch(self):
+        ds, y = random_log(2, 300, 20, 10, user_share=0.8)
+        val, _ = random_log(3, 200, 20, 10, user_share=0.5, t0=300)
+        assert_same_fit(train_both(ds, y, val, TrainConfig(learning_rate=0.05, batch_size=128,
+                                                           epochs=3, patience=3)))
+
+    def test_declared_feature_field(self):
+        ds, y = random_log(4, 250, 10, 12, feature=True)
+        fits = train_both(ds, y, ds, TrainConfig(learning_rate=0.02, batch_size=50, epochs=2))
+        assert fits[0][0].vocab.fields == ("user_id", "item_id", "tab")
+        assert_same_fit(fits)
+
+    def test_learning_rate_zero(self):
+        ds, y = random_log(5, 150, 8, 8)
+        assert_same_fit(train_both(ds, y, ds, TrainConfig(learning_rate=0.0, batch_size=32,
+                                                          epochs=2)))
+
+    def test_early_stop_restores_best_snapshot(self):
+        ds, y = random_log(6, 200, 8, 8)
+        val, _ = random_log(7, 200, 8, 8, t0=200)
+        fits = train_both(ds, 1.0 - y, val, TrainConfig(learning_rate=0.05, batch_size=32,
+                                                        epochs=8, patience=0))
+        hist = fits[0][1]
+        assert len(hist.val_gauc) < 8 and hist.best_epoch < len(hist.val_gauc) - 1
+        assert_same_fit(fits)
+
+    def test_val_rows_with_unseen_tokens(self):
+        ds, y = random_log(8, 200, 10, 10)
+        val, _ = random_log(9, 200, 25, 25, t0=200)
+        fits = train_both(ds, y, val, TrainConfig(learning_rate=0.02, batch_size=40, epochs=3,
+                                                  patience=3))
+        vocab = fits[0][0].vocab
+        unknowns = [vocab.index(fld, UNKNOWN) for fld in vocab.fields]
+        assert (encode(vocab, val) == unknowns).any(axis=0).all()
+        assert_same_fit(fits)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(20, 160), st.integers(1, 12),
+           st.integers(2, 12), st.sampled_from([0.0, 0.5, 0.9]), st.booleans(),
+           st.integers(1, 70), st.sampled_from([0.0, 1e-3, 0.1]), st.integers(0, 2))
+    def test_random_logs(self, seed, n, n_users, n_items, user_share, feature, batch_size,
+                         lr, patience):
+        ds, y = random_log(seed, n, n_users, n_items, user_share, feature)
+        val, _ = random_log(seed + 1, 60, n_users + 2, n_items + 2, t0=n)
+        positives = np.bincount(val.user_codes, val.true_interest)
+        assume(((positives > 0) & (positives < np.bincount(val.user_codes))).any())
+        cfg = TrainConfig(learning_rate=lr, batch_size=batch_size, epochs=3, patience=patience,
+                          seed=seed)
+        assert_same_fit(train_both(ds, y, val, cfg))
