@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import sys
+import typing
 from pathlib import Path
 
 import click
@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .correction import (
     METHOD_IDS,
-    CorrectedDataset,
     CorrectionParams,
     apply_method,
     error_decomposition,
@@ -49,11 +48,14 @@ from .trainer import FMModel, TrainConfig, build_vocab, train
 def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            config = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _sha256(path) -> str:
@@ -77,42 +79,70 @@ def _write_manifest(out_dir: Path, config: dict, inputs: dict, notes: dict | Non
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
-def _curve_from_config(spec, default: Curve) -> Curve:
-    if spec is None:
-        return default
+def _curve_from_config(spec, key) -> Curve:
     if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError(f"curve spec must be {{'family': ..., params...}}, got {spec}")
+        raise ConfigError(f"{key} must be {{'family': ..., params...}}, got {spec!r}")
     curve = Curve(spec["family"], {k: v for k, v in spec.items() if k != "family"})
     try:
         curve(1.0)  # an unknown family or a missing parameter fails here
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad curve spec {spec}: {exc!r}")
+        raise ConfigError(f"bad curve spec {key}: {spec}: {exc!r}")
     return curve
 
 
-def _synth_config(config: dict, seed_override) -> SynthConfig:
-    g = config.get("generate", {})
-    defaults = SynthConfig()
+# field annotation -> (JSON types it accepts, how to say so)
+_JSON_TYPES = {bool: (bool, "true or false"), int: (int, "an integer"),
+               float: ((int, float), "a number"), tuple: (list, "a list")}
+
+
+def _json_value(hint, value, key):
+    """`value` converted to the annotation `hint` (a _JSON_TYPES key, Curve or
+    `X | None`); ConfigError when its JSON type does not fit."""
+    if hint is Curve:
+        return _curve_from_config(value, key)
+    if type(None) in typing.get_args(hint):
+        if value is None:
+            return None
+        hint = next(t for t in typing.get_args(hint) if t is not type(None))
+    accepted, what = _JSON_TYPES[hint]
+    if isinstance(value, bool) is not (hint is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return hint(value)
+
+
+def _json_list(hint, value, key) -> list:
+    return [_json_value(hint, v, key) for v in _json_value(tuple, value, key)]
+
+
+def _mapping(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    return section
+
+
+def _section(cls, config: dict, name: str, skip=(), **fixed):
+    """`cls` built from `config[name]` plus the caller's `fixed` fields.
+
+    Absent keys take the dataclass defaults. A key that is not a field of
+    `cls` (other than the `skip` keys the caller reads itself), a fixed field,
+    a value of the wrong JSON type or one that `cls.validate` rejects raises
+    ConfigError.
+    """
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in _mapping(config, name).items():
+        if key in skip:
+            continue
+        if key not in hints or key in fixed:
+            raise ConfigError(f"unknown key {name}.{key}")
+        values[key] = _json_value(hints[key], value, f"{name}.{key}")
     try:
-        return SynthConfig(
-            n_rows=int(g.get("n_rows", defaults.n_rows)),
-            n_users=int(g.get("n_users", defaults.n_users)),
-            n_items=int(g.get("n_items", defaults.n_items)),
-            latent_dim=int(g.get("latent_dim", defaults.latent_dim)),
-            duration_range=tuple(g.get("duration_range", defaults.duration_range)),
-            bias_curve=_curve_from_config(g.get("bias_curve"), defaults.bias_curve),
-            noise_curve=_curve_from_config(g.get("noise_curve"), defaults.noise_curve),
-            noise_std_plus=float(g.get("noise_std_plus", defaults.noise_std_plus)),
-            noise_std_minus=float(g.get("noise_std_minus", defaults.noise_std_minus)),
-            duration_interest_coupling=float(
-                g.get("duration_interest_coupling", defaults.duration_interest_coupling)
-            ),
-            interest_scale=float(g.get("interest_scale", defaults.interest_scale)),
-            duration_per_item=bool(g.get("duration_per_item", defaults.duration_per_item)),
-            seed=int(seed_override if seed_override is not None else config.get("seed", 0)),
-        )
+        obj = cls(**values, **fixed)
+        obj.validate()
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad generate section: {exc}")
+        raise ConfigError(f"bad {name} section: {exc}")
+    return obj
 
 
 def _out_dir(config, out_override) -> Path:
@@ -133,7 +163,9 @@ def _schema(config) -> FeatureSchema:
 
 def run_generate(config: dict, seed=None, out=None) -> Path:
     out_dir = _out_dir(config, out)
-    synth = _synth_config(config, seed)
+    synth = _section(SynthConfig, config, "generate",
+                     seed=_json_value(int, config.get("seed", 0) if seed is None else seed,
+                                      "seed"))
     dataset, truth = generate(synth)
     data_path = out_dir / "data.csv"
     truth_path = out_dir / "ground_truth.csv"
@@ -144,50 +176,21 @@ def run_generate(config: dict, seed=None, out=None) -> Path:
     return out_dir
 
 
-def _estimator_options(config) -> tuple:
-    e = config.get("estimator", {})
-    opts = GmmOptions(
-        min_group_size=int(e.get("min_group_size", 50)),
-        tol=float(e.get("tol", 1e-6)),
-        max_iter=int(e.get("max_iter", 200)),
-        var_floor=float(e.get("var_floor", 1e-4)),
-    )
-    window = int(e.get("window", 2))
-    if window < 0:
-        raise ConfigError("estimator.window must be >= 0")
-    return opts, window
-
-
 def _correction_methods(config) -> list:
-    c = config.get("correction", {})
-    methods = c.get("methods", ["d2co_a", "d2co_s"])
-    if not methods:
-        raise ConfigError("correction.methods must be non-empty")
+    methods = _mapping(config, "correction").get("methods", ["d2co_a", "d2co_s"])
+    if not (isinstance(methods, list) and methods and all(isinstance(m, str) for m in methods)):
+        raise ConfigError(f"correction.methods must be a non-empty list of names, got {methods!r}")
     for m in methods:
         if m not in METHOD_IDS:
             raise ConfigError(f"unknown correction method {m!r}")
-    if "d2co_s" in methods and not c.get("alpha"):
-        raise ConfigError("d2co_s requested but correction.alpha is missing or zero")
     return methods
 
 
-def _correction_params(config, method, curves) -> CorrectionParams:
-    c = config.get("correction", {})
-    return CorrectionParams(
-        method=method,
-        curves=curves,
-        alpha=c.get("alpha"),
-        n_bins=int(c.get("n_bins", 60)),
-        denoise_threshold_s=float(c.get("denoise_threshold_s", 5.0)),
-        clip=bool(c.get("clip", True)),
-    )
-
-
 def fit_curves(dataset, config) -> BiasNoiseCurves:
-    opts, window = _estimator_options(config)
+    opts = _section(GmmOptions, config, "estimator")
     raw = fit_all_groups(dataset, opts)
     counts = compute_stats(dataset).group_counts
-    return smooth_curves(raw, window, counts)
+    return smooth_curves(raw, opts.window, counts)
 
 
 def run_correct(config: dict, seed=None, out=None) -> Path:
@@ -198,13 +201,15 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
     dataset = ingest_csv(data_path, _schema(config))
     methods = _correction_methods(config)
     curves = fit_curves(dataset, config)
+    params = [_section(CorrectionParams, config, "correction", skip=("methods",),
+                       method=m, curves=curves) for m in methods]
     curves_path = out_dir / "curves.csv"
     curves.to_csv(curves_path)
 
     outputs = {"curves.csv": curves_path}
-    for method in methods:
-        labeled = apply_method(dataset, _correction_params(config, method, curves))
-        path = out_dir / f"labeled_{method}.csv"
+    for p in params:
+        labeled = apply_method(dataset, p)
+        path = out_dir / f"labeled_{p.method}.csv"
         labeled.to_csv(path, _schema(config))
         outputs[path.name] = path
 
@@ -226,18 +231,6 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
     return out_dir
 
 
-def _train_config(config, seed) -> TrainConfig:
-    t = config.get("trainer", {})
-    return TrainConfig(
-        learning_rate=float(t.get("learning_rate", 1e-3)),
-        batch_size=int(t.get("batch_size", 512)),
-        epochs=int(t.get("epochs", 10)),
-        embedding_dim=int(t.get("embedding_dim", 10)),
-        patience=int(t.get("patience", 2)),
-        seed=int(seed),
-    )
-
-
 def train_and_score(dataset, labels, splits, oracle, config, seed):
     """Fit one FM on train labels, early-stop on val interest, score test."""
     tr_idx, va_idx, te_idx = splits
@@ -245,7 +238,7 @@ def train_and_score(dataset, labels, splits, oracle, config, seed):
     val_set = dataset.subset(va_idx)
     test_set = dataset.subset(te_idx)
     vocab = build_vocab(train_set)
-    tcfg = _train_config(config, seed)
+    tcfg = _section(TrainConfig, config, "trainer", seed=int(seed))
     model = FMModel(vocab, tcfg.embedding_dim, seed=tcfg.seed)
     train(model, train_set, labels[tr_idx], val_set, oracle[va_idx], tcfg)
     return model.score_interactions(test_set)
@@ -256,10 +249,13 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     data_path = _dataset_path(config, out_dir)
     if not data_path.exists():
         raise ConfigError(f"input dataset not found: {data_path}")
-    split_cfg = config.get("split", {})
-    fractions = split_cfg.get("fractions")
-    if not fractions or len(fractions) != 3:
-        raise ConfigError("split.fractions must list train/val/test fractions")
+    fractions = _json_list(float, _mapping(config, "split").get("fractions"), "split.fractions")
+    evaluation = _mapping(config, "evaluation")
+    ks = _json_list(int, evaluation.get("ndcg_k", [1, 3, 5]), "evaluation.ndcg_k")
+    n_ranges = _json_value(int, evaluation.get("n_ranges", 3), "evaluation.n_ranges")
+    if not ks or min(ks) < 1 or n_ranges < 1:
+        raise ConfigError("evaluation.ndcg_k needs at least one k, and every k and "
+                          "evaluation.n_ranges must be >= 1")
     dataset = ingest_csv(data_path, _schema(config))
     methods = _correction_methods(config)
     run_methods = list(dict.fromkeys(["watch_time", *methods, "oracle"]))
@@ -276,13 +272,15 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
         labels_by_method[m] = read_labels_csv(path)
     labels_by_method["watch_time"] = dataset.watch_times / dataset.watch_times.max()
 
-    splits = chronological_split_indices(dataset, fractions)
+    try:
+        splits = chronological_split_indices(dataset, fractions)
+    except ValueError as exc:
+        raise ConfigError(f"split.fractions: {exc}")
     te_idx = splits[2]
     test_set = dataset.subset(te_idx)
     test_oracle = oracle[te_idx].astype(np.int64)
-    seeds = [int(s) for s in config.get("seeds", [seed if seed is not None else config.get("seed", 0)])]
-    ks = tuple(config.get("evaluation", {}).get("ndcg_k", [1, 3, 5]))
-    n_ranges = int(config.get("evaluation", {}).get("n_ranges", 3))
+    seeds = _json_list(int, config.get("seeds", [config.get("seed", 0) if seed is None else seed]),
+                       "seeds")
 
     per_seed = {m: [] for m in run_methods}
     for s in seeds:
@@ -349,7 +347,7 @@ def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep, se
     correction (first seed only)."""
     windows = [int(t) for t in sweep.get("window", [1, 2, 3, 4, 5])]
     alphas = [float(a) for a in sweep.get("alpha", [-0.05, -0.03, -0.01])]
-    opts, _ = _estimator_options(config)
+    opts = _section(GmmOptions, config, "estimator")
     raw = fit_all_groups(dataset, opts)
     counts = compute_stats(dataset).group_counts
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -5,7 +5,7 @@ denoise post-processing, and the error/sensitivity diagnostics."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
@@ -37,30 +37,22 @@ METHOD_IDS = (
 _EXP_LIMIT = 700.0  # exp argument above which float64 overflows
 
 
-@dataclass(frozen=True)
-class GroupWatchStats:
-    d: int
-    mu_w: float
-    sigma_w: float
-    count: int
+def group_watch_stats(dataset: Dataset) -> tuple:
+    """(sorted distinct durations, each row's index into them, per-duration
+    mean and population std of watch time).
 
-
-def group_watch_stats(dataset: Dataset) -> dict:
-    """Per-duration mean/std of watch time (population std)."""
+    Sums run over deviations from each group's first watch time, so a group
+    whose watch times are all equal gets exactly that mean and a zero std.
+    """
     w = dataset.watch_times
-    d = dataset.durations
-    uniq, inverse = np.unique(d, return_inverse=True)
-    out = {}
-    for k in range(uniq.size):
-        mask = inverse == k
-        xs = w[mask]
-        out[int(uniq[k])] = GroupWatchStats(
-            d=int(uniq[k]),
-            mu_w=float(xs.mean()),
-            sigma_w=float(xs.std()),
-            count=int(mask.sum()),
-        )
-    return out
+    durations, first, group = np.unique(dataset.durations, return_index=True,
+                                        return_inverse=True)
+    counts = np.bincount(group)
+    ref = w[first]
+    dev = w - ref[group]
+    shift = np.bincount(group, dev) / counts
+    sigma = np.sqrt(np.bincount(group, (dev - shift[group]) ** 2) / counts)
+    return durations, group, ref + shift, sigma
 
 
 @dataclass
@@ -253,11 +245,8 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
         if params.clip:
             labels = np.clip(labels, 0.0, 1.0)
     elif base == "wtg":
-        stats = list(group_watch_stats(dataset).values())  # in sorted duration order
-        group = np.unique(d, return_inverse=True)[1]
-        mu = np.array([s.mu_w for s in stats])[group]
-        sigma = np.array([s.sigma_w for s in stats])[group]
-        labels = label_wtg(w, mu, sigma)
+        _, group, mu, sigma = group_watch_stats(dataset)
+        labels = label_wtg(w, mu[group], sigma[group])
     elif base == "d2q":
         bins = build_duration_bins(dataset, params.n_bins)
         labels = label_d2q(dataset, bins)

@@ -4,16 +4,12 @@ frequency-weighted moving average over the fitted mean sequences."""
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data_model import Dataset
 from .errors import EmptyCurve, GroupTooSmall, NoFittableGroups
-
-THREADS_ENV = "WATCHLAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -22,6 +18,11 @@ class GmmOptions:
     tol: float = 1e-6
     max_iter: int = 200
     var_floor: float = 1e-4
+    window: int = 2  # T: smooth_curves averages each fit with T neighbours per side
+
+    def validate(self) -> None:
+        if self.window < 0:
+            raise ValueError("window must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,7 @@ def fit_all_groups(dataset: Dataset, options: GmmOptions | None = None) -> dict:
     """Fit one mixture per duration value with enough rows.
 
     Returns {duration: GroupEstimate}. Thin groups are simply absent from the
-    result (smooth_curves interpolates them). Group fits run on a small
-    thread pool capped by WATCHLAB_THREADS; assembly order is sorted, so the
-    result is deterministic.
+    result (smooth_curves interpolates them).
     """
     options = options or GmmOptions()
     if len(dataset) == 0:
@@ -126,14 +125,7 @@ def fit_all_groups(dataset: Dataset, options: GmmOptions | None = None) -> dict:
               if (inverse == k).sum() >= options.min_group_size]
     if not groups:
         raise NoFittableGroups("no duration group reaches min_group_size")
-
-    max_workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    if max_workers == 1:
-        fits = [fit_group_gmm(x, options, d=dk) for dk, x in groups]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            fits = list(pool.map(lambda g: fit_group_gmm(g[1], options, d=g[0]), groups))
-    return {est.d: est for est in fits}
+    return {dk: fit_group_gmm(x, options, d=dk) for dk, x in groups}
 
 
 @dataclass
@@ -161,10 +153,9 @@ class BiasNoiseCurves:
         return wp, wm
 
     CSV_HEADER = ["d", "w_plus_raw", "w_minus_raw", "w_plus_smooth",
-                  "w_minus_smooth", "weight_plus", "count", "converged"]
+                  "w_minus_smooth", "weight_plus", "count", "fitted"]
 
-    def to_csv(self, path, converged=None) -> None:
-        conv = converged if converged is not None else self.fitted
+    def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(self.CSV_HEADER)
@@ -177,7 +168,7 @@ class BiasNoiseCurves:
                     repr(float(self.w_minus[i])),
                     repr(float(self.weight_plus[i])),
                     int(self.counts[i]),
-                    int(bool(conv[i])) if conv is not None else 1,
+                    int(bool(self.fitted[i])) if self.fitted is not None else 1,
                 ])
 
     @classmethod
@@ -198,7 +189,7 @@ class BiasNoiseCurves:
             weight_plus=np.array([float(r["weight_plus"]) for r in rows]),
             counts=np.array([int(r["count"]) for r in rows], dtype=np.int64),
             window=window,
-            fitted=np.array([bool(int(r["converged"])) for r in rows]),
+            fitted=np.array([bool(int(r["fitted"])) for r in rows]),
         )
 
 

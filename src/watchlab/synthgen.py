@@ -69,7 +69,7 @@ class SynthConfig:
 
     def validate(self) -> None:
         if self.noise_std_plus <= 0 or self.noise_std_minus <= 0:
-            raise ValueError("component standard deviations must be positive")
+            raise ValueError("noise_std_plus and noise_std_minus must be positive")
         d_lo, d_hi = self.duration_range
         if not (1 <= d_lo <= d_hi):
             raise ValueError(f"bad duration_range {self.duration_range}")

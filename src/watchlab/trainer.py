@@ -11,8 +11,8 @@ import numpy as np
 from .data_model import Dataset
 from .errors import NonFiniteLoss
 
-CHECKPOINT_VERSION = 1
-UNKNOWN = "<unk>"
+CHECKPOINT_VERSION = 2
+UNKNOWN = None  # value of a field's unknown token; no id string equals it
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning rate, batch size and epochs must be positive")
+            raise ValueError("learning_rate must be >= 0, batch_size and epochs >= 1")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
 
@@ -53,7 +53,8 @@ class Vocabulary:
         """(the field's values as a sorted string array, their token indices),
         built on the field's first lookup."""
         if fld not in self._sorted:
-            items = [(v, i) for (f, v), i in self.token_to_idx.items() if f == fld]
+            items = [(v, i) for (f, v), i in self.token_to_idx.items()
+                     if f == fld and v is not UNKNOWN]
             values = np.array([v for v, _ in items], dtype=str)
             order = np.argsort(values, kind="stable")
             tokens = np.array([i for _, i in items], dtype=np.int64)

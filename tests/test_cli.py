@@ -1,11 +1,19 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import re
+import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from watchlab.cli import main
+from watchlab.cli import _section, main
+from watchlab.correction import CorrectionParams
+from watchlab.estimator import GmmOptions
+from watchlab.synthgen import SynthConfig
+from watchlab.trainer import TrainConfig
 
 
 def sha(path):
@@ -83,6 +91,13 @@ class TestGenerate:
         result = invoke("generate", "--config", str(cfg))
         assert result.exit_code == 2
 
+    def test_non_object_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        result = invoke("generate", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "configuration error: config must be a JSON object" in result.output
 
     @pytest.mark.parametrize("spec", [{"family": "nope"}, {"family": "power_law", "gamma": 0.9}])
     def test_bad_curve_spec_exits_2(self, tmp_path, spec):
@@ -249,3 +264,61 @@ class TestReport:
         invoke("generate", "--config", str(cfg), "--out", str(out))
         result = invoke("report", "--config", str(cfg), "--out", str(out))
         assert result.exit_code == 2
+
+
+@pytest.fixture(scope="module")
+def corrected_run(tmp_path_factory):
+    """generate + correct with the base test config, copied by each user."""
+    root = tmp_path_factory.mktemp("corrected")
+    cfg = write_config(root / "config.json")
+    out = root / "run"
+    assert invoke("generate", "--config", str(cfg), "--out", str(out)).exit_code == 0
+    assert invoke("correct", "--config", str(cfg), "--out", str(out)).exit_code == 0
+    return out
+
+
+# (subcommand, section, key, value); key None replaces the whole section
+BAD_CONFIGS = [
+    ("correct", "estimator", "tol", "abc"),
+    ("train-eval", "trainer", "learning_rate", "fast"),
+    ("train-eval", "trainer", "epochs", 0),
+    ("generate", "generate", "noise_std_plus", -1),
+    ("correct", "estimator", None, [1, 2]),
+    ("correct", "correction", "n_bins", "x"),
+    ("correct", "correction", "alpha", "x"),
+    ("correct", "estimator", "min_group_sise", 40),
+    ("train-eval", "trainer", "epoch", 2),
+    ("generate", "generate", "n_row", 100),
+    ("correct", "estimator", "max_iter", 2.7),
+    ("correct", "correction", "clip", "false"),
+    ("correct", "correction", "methods", "pcr"),
+    ("correct", "correction", "method", "pcr"),
+    ("generate", "generate", "seed", 3),
+    ("train-eval", "split", "fractions", [0.5, 0.5, 0.5]),
+    ("train-eval", "evaluation", "ndcg_k", "abc"),
+]
+
+
+@pytest.mark.parametrize("command, section, key, value", BAD_CONFIGS)
+def test_bad_config_exits_2(tmp_path, corrected_run, command, section, key, value):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    base = json.loads(write_config(tmp_path / "base.json").read_text())
+    bad = value if key is None else {**base.get(section, {}), key: value}
+    cfg = write_config(tmp_path / "config.json", **{section: bad})
+    result = invoke(command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    message = result.output.split("configuration error: ", 1)[1]
+    assert section in message and (key is None or key in message), message
+
+
+def test_readme_config_block_matches_dataclass_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    config = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert _section(SynthConfig, config, "generate", seed=0) == SynthConfig()
+    assert _section(GmmOptions, config, "estimator") == GmmOptions()
+    assert _section(TrainConfig, config, "trainer", seed=0) == TrainConfig()
+    params = _section(CorrectionParams, config, "correction", skip=("methods",), method="pcr")
+    assert dataclasses.replace(params, alpha=None) == CorrectionParams("pcr")

@@ -237,10 +237,49 @@ class TestApplyMethod:
 
     def test_group_watch_stats(self):
         ds = simple_dataset([1.0, 3.0, 10.0], [10, 10, 20])
-        stats = group_watch_stats(ds)
-        assert stats[10].mu_w == pytest.approx(2.0)
-        assert stats[10].sigma_w == pytest.approx(1.0)
-        assert stats[20].count == 1
+        durations, group, mu, sigma = group_watch_stats(ds)
+        assert durations.tolist() == [10, 20]
+        assert mu[0] == pytest.approx(2.0)
+        assert sigma[0] == pytest.approx(1.0)
+        assert np.bincount(group)[1] == 1
+
+
+def reference_wtg_labels(dataset):
+    """The earlier wtg branch: a per-duration loop of mean/std into a dict,
+    then a dict -> list -> array gather."""
+    w, d = dataset.watch_times, dataset.durations
+    uniq, inverse = np.unique(d, return_inverse=True)
+    stats = []
+    for k in range(uniq.size):
+        xs = w[inverse == k]
+        stats.append((float(xs.mean()), float(xs.std())))
+    mu = np.array([m for m, _ in stats])[inverse]
+    sigma = np.array([s for _, s in stats])[inverse]
+    return label_wtg(w, mu, sigma)
+
+
+class TestWtgGroups:
+    @pytest.mark.parametrize("seed, decimals", [(3, None), (4, None), (5, 0), (6, 1)])
+    def test_matches_loop_reference(self, seed, decimals):
+        from watchlab import SynthConfig, generate
+
+        ds, _ = generate(SynthConfig(n_rows=6000, seed=seed))
+        if decimals is not None:  # many tied watch times inside each group
+            ds = Dataset(ds.user_ids, ds.item_ids, np.round(ds.watch_times, decimals),
+                         ds.durations, ds.timestamps)
+        ref = reference_wtg_labels(ds)
+        labels = apply_method(ds, CorrectionParams("wtg")).labels
+        assert np.abs(labels - ref).max() <= 1e-12
+        denoised = apply_method(ds, CorrectionParams("wtg_denoise")).labels
+        assert np.abs(denoised - np.where(ds.watch_times < 5.0, 0.0, ref)).max() <= 1e-12
+
+    def test_constant_group_is_exactly_half(self):
+        # the group mean of three 0.1s is not 0.1 in float sums; the label must
+        # still be the zero-variance 0.5, not Phi(+-1)
+        ds = simple_dataset([0.1, 0.1, 0.1, 1.0, 2.0], [10, 10, 10, 20, 20])
+        _, _, mu, sigma = group_watch_stats(ds)
+        assert mu[0] == 0.1 and sigma[0] == 0.0
+        assert apply_method(ds, CorrectionParams("wtg")).labels[:3].tolist() == [0.5] * 3
 
 
 def reference_to_csv(labeled, path, schema=None):

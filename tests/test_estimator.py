@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,17 @@ class TestSmoothCurves:
         assert np.allclose(back.w_plus, curves.w_plus)
         assert np.allclose(back.w_minus_raw, curves.w_minus_raw)
         assert np.array_equal(back.durations, curves.durations)
+
+    def test_csv_flag_is_the_fitted_mask(self, tmp_path):
+        raw = make_raw({10: 100, 30: 100}, [10.0, 30.0])
+        curves = smooth_curves(raw, window=0, group_counts={10: 100, 20: 5, 30: 100})
+        path = tmp_path / "curves.csv"
+        curves.to_csv(path)
+        with open(path) as f:
+            rows = list(csv.DictReader(f))
+        assert "converged" not in rows[0]
+        assert [r["fitted"] for r in rows] == ["1", "0", "1"]
+        assert BiasNoiseCurves.from_csv(path).fitted.tolist() == [True, False, True]
 
     def test_value_at_interpolates_and_extends(self):
         raw = make_raw({10: 1, 20: 1}, [10.0, 20.0])

@@ -57,6 +57,18 @@ class TestVocabulary:
         assert vocab.fields == ("user_id", "item_id", "tab")
         assert len(vocab) == 6
 
+    def test_unk_value_gets_its_own_token(self):
+        ds = Dataset.from_rows([Interaction("<unk>", "x", 1.0, 10),
+                                Interaction("b", "y", 1.0, 10)])
+        vocab = build_vocab(ds)
+        assert sorted(vocab.token_to_idx.values()) == list(range(len(vocab))) == list(range(6))
+        unk_user = vocab.index("user_id", "<unk>")
+        assert unk_user != vocab.index("user_id", "never-seen")
+        assert vocab.index("item_id", "x") not in (unk_user, vocab.index("user_id", "never-seen"))
+        unseen = Dataset.from_rows([Interaction("never-seen", "x", 1.0, 10)])
+        assert encode(vocab, unseen)[0].tolist() == [vocab.index("user_id", "zzz"),
+                                                    vocab.index("item_id", "x")]
+
 
 class TestFmScore:
     def test_fresh_model_logit_is_near_zero(self):
@@ -224,7 +236,7 @@ def dict_walk_encode(vocab, dataset):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(ids, ids, st.sampled_from(["a", "b", UNKNOWN])), min_size=1,
+@given(st.lists(st.tuples(ids, ids, st.sampled_from(["a", "b", "<unk>"])), min_size=1,
                 max_size=20),
        st.lists(st.tuples(ids, ids, st.sampled_from(["a", "c"])), min_size=1, max_size=20))
 def test_lookup_matches_dict_walk(tmp_path_factory, seen, other):
@@ -240,7 +252,7 @@ def test_lookup_matches_dict_walk(tmp_path_factory, seen, other):
         for ds in (train_set, other_set):
             assert np.array_equal(encode(v, ds), dict_walk_encode(v, ds))
         for fld, column in zip(v.fields, zip(*(seen + other))):
-            values = list(column) + [UNKNOWN, "never-seen"]
+            values = list(column) + ["<unk>", "never-seen"]
             assert np.array_equal(v.lookup(fld, values), dict_walk(v, fld, values))
 
 
