@@ -9,7 +9,6 @@ from .data_model import (  # noqa: F401
     FeatureSchema,
     Interaction,
     compute_stats,
-    derive_interest_label,
     ingest_csv,
     split_chronological,
     write_csv,

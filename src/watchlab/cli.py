@@ -32,7 +32,7 @@ from .data_model import (
     ingest_csv,
     write_csv,
 )
-from .errors import ConfigError, LengthMismatch, WatchlabError
+from .errors import ConfigError, CurveOrderViolation, LengthMismatch, WatchlabError
 from .estimator import BiasNoiseCurves, GmmOptions, fit_all_groups, smooth_curves
 from .evaluation import evaluate, gauc, improve_percentage, oracle_labels
 from .synthgen import (
@@ -140,7 +140,7 @@ def _section(cls, config: dict, name: str, skip=(), **fixed):
     try:
         obj = cls(**values, **fixed)
         obj.validate()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, CurveOrderViolation) as exc:
         raise ConfigError(f"bad {name} section: {exc}")
     return obj
 
@@ -157,8 +157,7 @@ def _dataset_path(config, out_dir: Path) -> Path:
 
 
 def _schema(config) -> FeatureSchema:
-    fields = tuple(config.get("feature_fields", ()))
-    return FeatureSchema(feature_fields=fields)
+    return FeatureSchema(feature_fields=tuple(config.get("feature_fields", ())))
 
 
 def run_generate(config: dict, seed=None, out=None) -> Path:
@@ -256,6 +255,11 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     if not ks or min(ks) < 1 or n_ranges < 1:
         raise ConfigError("evaluation.ndcg_k needs at least one k, and every k and "
                           "evaluation.n_ranges must be >= 1")
+    grid = _sweep_grid(config)
+    seeds = ([seed] if seed is not None else
+             _json_list(int, config.get("seeds", [config.get("seed", 0)]), "seeds"))
+    if not seeds:
+        raise ConfigError("seeds must list at least one seed")
     dataset = ingest_csv(data_path, _schema(config))
     methods = _correction_methods(config)
     run_methods = list(dict.fromkeys(["watch_time", *methods, "oracle"]))
@@ -269,7 +273,7 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
         path = out_dir / f"labeled_{m}.csv"
         if not path.exists():
             raise ConfigError(f"labeled dataset missing (run `correct` first): {path}")
-        labels_by_method[m] = read_labels_csv(path)
+        labels_by_method[m] = read_labels_csv(path, len(dataset))
     labels_by_method["watch_time"] = dataset.watch_times / dataset.watch_times.max()
 
     try:
@@ -279,8 +283,6 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     te_idx = splits[2]
     test_set = dataset.subset(te_idx)
     test_oracle = oracle[te_idx].astype(np.int64)
-    seeds = _json_list(int, config.get("seeds", [config.get("seed", 0) if seed is None else seed]),
-                       "seeds")
 
     per_seed = {m: [] for m in run_methods}
     for s in seeds:
@@ -331,10 +333,9 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
 
     outputs = {"report.csv": report_path, "breakdown.csv": breakdown_path}
 
-    sweep = config.get("sweep")
-    if sweep:
+    if grid:
         sweep_path = out_dir / "sweep_gauc.csv"
-        _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep,
+        _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, *grid,
                    seeds[0], sweep_path)
         outputs["sweep_gauc.csv"] = sweep_path
 
@@ -342,11 +343,25 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     return out_dir
 
 
-def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep, seed, path):
+def _sweep_grid(config):
+    """(windows, alphas) of the optional sweep section, or None without one."""
+    sweep = _mapping(config, "sweep")
+    if not sweep:
+        return None
+    unknown = set(sweep) - {"window", "alpha"}
+    if unknown:
+        raise ConfigError(f"unknown key sweep.{min(unknown)}")
+    windows = _json_list(int, sweep.get("window", [1, 2, 3, 4, 5]), "sweep.window")
+    alphas = _json_list(float, sweep.get("alpha", [-0.05, -0.03, -0.01]), "sweep.alpha")
+    if min(windows, default=0) < 0 or 0 in alphas:
+        raise ConfigError("every sweep.window must be >= 0 and every sweep.alpha nonzero")
+    return windows, alphas
+
+
+def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, windows, alphas, seed,
+               path):
     """GAUC grid over moving-average window x alpha for the exponential
     correction (first seed only)."""
-    windows = [int(t) for t in sweep.get("window", [1, 2, 3, 4, 5])]
-    alphas = [float(a) for a in sweep.get("alpha", [-0.05, -0.03, -0.01])]
     opts = _section(GmmOptions, config, "estimator")
     raw = fit_all_groups(dataset, opts)
     counts = compute_stats(dataset).group_counts

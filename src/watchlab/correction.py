@@ -5,13 +5,13 @@ denoise post-processing, and the error/sensitivity diagnostics."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
-from .data_model import Dataset, csv_columns
+from .data_model import Dataset, csv_columns, read_float_columns
 from .errors import (
     CurveCollapse,
     DegenerateDenominator,
@@ -35,6 +35,7 @@ METHOD_IDS = (
 )
 
 _EXP_LIMIT = 700.0  # exp argument above which float64 overflows
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def group_watch_stats(dataset: Dataset) -> tuple:
@@ -57,10 +58,8 @@ def group_watch_stats(dataset: Dataset) -> tuple:
 
 @dataclass
 class DurationBins:
-    """Equal-frequency duration bins with per-row descending watch-time ranks."""
+    """Equal-frequency duration bins: each row's bin and each bin's size."""
 
-    n_bins: int
-    edges: np.ndarray  # duration boundaries, len n_bins + 1
     bin_of_row: np.ndarray
     bin_sizes: np.ndarray
 
@@ -75,7 +74,7 @@ def build_duration_bins(dataset: Dataset, n_bins: int) -> DurationBins:
     # right-closed bins: d <= edge goes to the earlier bin
     bin_of_row = np.searchsorted(edges[1:-1], d, side="left")
     sizes = np.bincount(bin_of_row, minlength=max(1, edges.size - 1))
-    return DurationBins(n_bins=n_bins, edges=edges, bin_of_row=bin_of_row, bin_sizes=sizes)
+    return DurationBins(bin_of_row=bin_of_row, bin_sizes=sizes)
 
 
 def label_pcr(w, d):
@@ -85,14 +84,10 @@ def label_pcr(w, d):
 
 def label_wtg(w, mu_w, sigma_w):
     """Duration-group z-score of watch time mapped to [0,1] through the
-    standard normal CDF; a zero-variance group gives 0.5."""
-    from scipy.special import ndtr  # deferred: importing scipy costs every CLI process
-
-    w = np.asarray(w, dtype=np.float64)
-    mu = np.asarray(mu_w, dtype=np.float64)
-    sigma = np.asarray(sigma_w, dtype=np.float64)
+    standard normal CDF erfc(-z/sqrt 2)/2; a zero-variance group gives 0.5."""
+    w, mu, sigma = (np.asarray(a, dtype=np.float64) for a in (w, mu_w, sigma_w))
     z = np.where(sigma > 0, (w - mu) / np.where(sigma > 0, sigma, 1.0), 0.0)
-    return ndtr(z)
+    return 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=np.float64)
 
 
 def label_d2q(dataset: Dataset, bins: DurationBins) -> np.ndarray:
@@ -104,9 +99,7 @@ def label_d2q(dataset: Dataset, bins: DurationBins) -> np.ndarray:
 
 def label_d2co_affine(w, w_plus, w_minus, clip: bool = True):
     """Affine correction (w - w-)/(w+ - w-)."""
-    w = np.asarray(w, dtype=np.float64)
-    wp = np.asarray(w_plus, dtype=np.float64)
-    wm = np.asarray(w_minus, dtype=np.float64)
+    w, wp, wm = (np.asarray(a, dtype=np.float64) for a in (w, w_plus, w_minus))
     if np.any(wp <= wm):
         raise CurveCollapse("bias curve must stay above noise curve")
     r = (w - wm) / (wp - wm)
@@ -122,20 +115,19 @@ def label_d2co_sensitivity(w, w_plus, w_minus, alpha: float, clip: bool = True):
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero; use label_d2co_affine instead")
-    w = np.asarray(w, dtype=np.float64)
-    wp = np.asarray(w_plus, dtype=np.float64)
-    wm = np.asarray(w_minus, dtype=np.float64)
+    w, wp, wm = (np.asarray(a, dtype=np.float64) for a in (w, w_plus, w_minus))
     if np.any(wp <= wm):
         raise CurveCollapse("bias curve must stay above noise curve")
     if alpha > 0:
         e1, e2 = alpha * (w - wp), alpha * (wm - wp)
-        if np.any(np.maximum(e1, e2) > _EXP_LIMIT):
-            raise NumericOverflow("alpha * watch time out of stable range")
-        r = (np.exp(e1) - np.exp(e2)) / (-np.expm1(e2))
     else:
         e1, e2 = alpha * (w - wm), alpha * (wp - wm)
-        if np.any(np.maximum(e1, e2) > _EXP_LIMIT):
-            raise NumericOverflow("alpha * watch time out of stable range")
+    # e2 == 0 where |alpha| * (w+ - w-) underflows: the ratio would be 0/0
+    if np.any(np.maximum(e1, e2) > _EXP_LIMIT) or np.any(e2 == 0):
+        raise NumericOverflow("alpha * watch time out of stable range")
+    if alpha > 0:
+        r = (np.exp(e1) - np.exp(e2)) / (-np.expm1(e2))
+    else:
         r = np.expm1(e1) / np.expm1(e2)
     return np.clip(r, 0.0, 1.0) if clip else r
 
@@ -150,9 +142,7 @@ def denoise_postprocess(labels, dataset: Dataset, threshold_s: float = 5.0):
 
 def sensitivity_affine(w, w_plus, w_minus, delta_plus, delta_minus):
     """Closed-form sensitivity of the affine correction to curve disturbances."""
-    w = np.asarray(w, dtype=np.float64)
-    wp = np.asarray(w_plus, dtype=np.float64)
-    wm = np.asarray(w_minus, dtype=np.float64)
+    w, wp, wm = (np.asarray(a, dtype=np.float64) for a in (w, w_plus, w_minus))
     if np.any((w < wm) | (w > wp)):
         raise OutOfInterval("w must lie in [w-, w+]")
     gap2 = (wp - wm) ** 2
@@ -164,9 +154,7 @@ def sensitivity_affine(w, w_plus, w_minus, delta_plus, delta_minus):
 def sensitivity_scontrolled_numeric(w, w_plus, w_minus, alpha, delta):
     """Sensitivity of the exponential correction to curve disturbances,
     via central finite differences (no closed form asserted here)."""
-    w = np.asarray(w, dtype=np.float64)
-    wp = np.asarray(w_plus, dtype=np.float64)
-    wm = np.asarray(w_minus, dtype=np.float64)
+    w, wp, wm = (np.asarray(a, dtype=np.float64) for a in (w, w_plus, w_minus))
     if np.any((w < wm) | (w > wp)):
         raise OutOfInterval("w must lie in [w-, w+]")
     h = min(1e-4, abs(delta) / 10.0)
@@ -196,7 +184,6 @@ class CorrectionParams:
     alpha: float | None = None
     n_bins: int = 60
     denoise_threshold_s: float = 5.0
-    clip: bool = True
 
     def validate(self) -> None:
         if self.method not in METHOD_IDS:
@@ -223,11 +210,12 @@ class CorrectedDataset:
             writer.writerows(zip(*columns, labels, repeat(self.method)))
 
 
-def read_labels_csv(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        label = itemgetter(next(reader).index("label"))
-        return np.array(list(map(label, filter(None, reader))), dtype=np.float64)
+def read_labels_csv(path, n_rows: int) -> np.ndarray:
+    """The `label` column of a labeled_<method>.csv file of n_rows rows."""
+    (labels,) = read_float_columns(path, ["label"])
+    if labels.size != n_rows:
+        raise LengthMismatch(f"{labels.size} labels in {path} for {n_rows} data rows")
+    return labels
 
 
 def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset:
@@ -241,9 +229,7 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
     if base == "watch_time":
         labels = w / w.max()
     elif base == "pcr":
-        labels = label_pcr(w, d)
-        if params.clip:
-            labels = np.clip(labels, 0.0, 1.0)
+        labels = np.clip(label_pcr(w, d), 0.0, 1.0)
     elif base == "wtg":
         _, group, mu, sigma = group_watch_stats(dataset)
         labels = label_wtg(w, mu[group], sigma[group])
@@ -252,10 +238,10 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
         labels = label_d2q(dataset, bins)
     elif base == "d2co_a":
         wp, wm = params.curves.value_at(d)
-        labels = label_d2co_affine(w, wp, wm, clip=params.clip)
+        labels = label_d2co_affine(w, wp, wm)
     elif base == "d2co_s":
         wp, wm = params.curves.value_at(d)
-        labels = label_d2co_sensitivity(w, wp, wm, params.alpha, clip=params.clip)
+        labels = label_d2co_sensitivity(w, wp, wm, params.alpha)
     else:  # pragma: no cover - guarded by validate()
         raise ValueError(method)
 

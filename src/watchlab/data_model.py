@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -176,8 +177,6 @@ class Dataset:
 class DatasetStats:
     n: int
     w_max: float
-    duration_min: int
-    duration_max: int
     group_counts: dict = field(compare=False)
 
 
@@ -185,13 +184,10 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
     """Count rows, find the watch-time max and the per-duration group sizes."""
     if len(dataset) == 0:
         raise EmptyDataset("cannot compute stats of an empty dataset")
-    d = dataset.durations
-    uniq, counts = np.unique(d, return_counts=True)
+    uniq, counts = np.unique(dataset.durations, return_counts=True)
     return DatasetStats(
         n=len(dataset),
         w_max=float(dataset.watch_times.max()),
-        duration_min=int(uniq[0]),
-        duration_max=int(uniq[-1]),
         group_counts={int(k): int(c) for k, c in zip(uniq, counts)},
     )
 
@@ -207,11 +203,6 @@ def long_view_labels(watch_times, durations) -> np.ndarray:
     d = np.asarray(durations)
     short = d <= LONG_VIEW_CUTOFF_S
     return np.where(short, w >= d - COMPLETE_PLAY_TOL, w > LONG_VIEW_CUTOFF_S).astype(np.int64)
-
-
-def derive_interest_label(interaction: Interaction) -> int:
-    """The long_view label of one row."""
-    return int(long_view_labels(interaction.watch_time_s, interaction.duration_s))
 
 
 def chronological_split_indices(dataset: Dataset, fractions) -> tuple:
@@ -324,6 +315,19 @@ def ingest_csv(path, schema: FeatureSchema | None = None) -> Dataset:
     column with a blank cell is dropped.
     """
     schema = schema or FeatureSchema()
+    header, rows, lines, size_error = _read_rows(path, [*BASE_COLUMNS, *schema.feature_fields])
+    dataset = _parse_columns(header, rows, lines, schema)  # an earlier bad row wins
+    if size_error:
+        raise size_error
+    return dataset
+
+
+def _read_rows(path, required):
+    """(header, non-blank rows, their line numbers, pending error) of a CSV
+    file. The rows stop before the first one whose field count differs from
+    the header's, and the pending error is the MalformedRow for it (else
+    None). Blank lines are skipped but counted. Raises MissingColumn for an
+    absent `required` column and MalformedRow for an empty file."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -331,21 +335,47 @@ def ingest_csv(path, schema: FeatureSchema | None = None) -> Dataset:
         except StopIteration:
             raise MalformedRow(0, "file is empty")
         rows = list(reader)
-    for c in [*BASE_COLUMNS, *schema.feature_fields]:
+    for c in required:
         if c not in header:
             raise MissingColumn(c)
-    # blank lines are skipped but still count toward line numbers
     sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     lines = np.flatnonzero(sizes) + 2
     if lines.size < len(rows):
         rows = list(filter(None, rows))
         sizes = sizes[sizes > 0]
     wrong = np.flatnonzero(sizes != len(header))
-    if wrong.size:
-        i = int(wrong[0])
-        _parse_columns(header, rows[:i], lines, schema)  # an earlier bad row wins
-        raise MalformedRow(int(lines[i]), f"expected {len(header)} fields, got {sizes[i]}")
-    return _parse_columns(header, rows, lines, schema)
+    if not wrong.size:
+        return header, rows, lines, None
+    i = int(wrong[0])
+    return header, rows[:i], lines, MalformedRow(int(lines[i]),
+                                                 f"expected {len(header)} fields, got {sizes[i]}")
+
+
+def read_float_columns(path, names, whole=()) -> list:
+    """The `names` columns of a CSV file as float64 arrays, in that order.
+
+    Raises MissingColumn for an absent column, and MalformedRow naming the
+    line of the first row with the wrong number of fields or with a cell
+    that is not a finite number (a whole number in the `whole` columns).
+    """
+    header, rows, lines, size_error = _read_rows(path, names)
+    columns = {name: list(map(itemgetter(header.index(name)), rows)) for name in names}
+    out, hits = [], []
+    for name in names:
+        values, bad = _parse_floats(columns[name])
+        bad |= ~np.isfinite(values)
+        if name in whole:
+            bad |= values != np.round(values)
+        if bad.any():
+            hits.append((int(np.argmax(bad)), name))
+        out.append(values)
+    if hits:
+        i, name = min(hits)
+        raise MalformedRow(int(lines[i]), f"{name} not a {'whole' if name in whole else 'finite'}"
+                                          f" number: {columns[name][i]!r}")
+    if size_error:
+        raise size_error
+    return out
 
 
 def csv_columns(dataset: Dataset, schema: FeatureSchema | None = None):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset
+from .data_model import Dataset, read_float_columns
 from .errors import EmptyCurve, GroupTooSmall, NoFittableGroups
 
 
@@ -139,7 +139,6 @@ class BiasNoiseCurves:
     w_minus: np.ndarray
     weight_plus: np.ndarray
     counts: np.ndarray
-    window: int
     fitted: np.ndarray = field(default=None)  # False where interpolated
     repaired: np.ndarray = field(default=None)  # True where w- was pushed below w+
 
@@ -172,25 +171,15 @@ class BiasNoiseCurves:
                 ])
 
     @classmethod
-    def from_csv(cls, path, window: int = 0) -> "BiasNoiseCurves":
-        rows = []
-        with open(path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                rows.append(row)
-        if not rows:
+    def from_csv(cls, path) -> "BiasNoiseCurves":
+        """Curves from a to_csv file, sorted by duration."""
+        columns = read_float_columns(path, cls.CSV_HEADER, whole=("d", "count", "fitted"))
+        if columns[0].size == 0:
             raise EmptyCurve(f"no curve rows in {path}")
-        rows.sort(key=lambda r: int(r["d"]))
-        return cls(
-            durations=np.array([int(r["d"]) for r in rows], dtype=np.int64),
-            w_plus_raw=np.array([float(r["w_plus_raw"]) for r in rows]),
-            w_minus_raw=np.array([float(r["w_minus_raw"]) for r in rows]),
-            w_plus=np.array([float(r["w_plus_smooth"]) for r in rows]),
-            w_minus=np.array([float(r["w_minus_smooth"]) for r in rows]),
-            weight_plus=np.array([float(r["weight_plus"]) for r in rows]),
-            counts=np.array([int(r["count"]) for r in rows], dtype=np.int64),
-            window=window,
-            fitted=np.array([bool(int(r["fitted"])) for r in rows]),
-        )
+        order = np.argsort(columns[0], kind="stable")
+        d, wp_raw, wm_raw, wp, wm, wgt, counts, fitted = (c[order] for c in columns)
+        return cls(d.astype(np.int64), wp_raw, wm_raw, wp, wm, wgt, counts.astype(np.int64),
+                   fitted != 0)
 
 
 def _interp_missing(keys, values, fitted_mask):
@@ -259,7 +248,6 @@ def smooth_curves(raw: dict, window: int, group_counts: dict | None = None) -> B
         w_minus=wm,
         weight_plus=wgt,
         counts=counts,
-        window=window,
         fitted=fitted,
         repaired=repaired,
     )

@@ -3,7 +3,6 @@ duration-range breakdowns and the improve-percentage statistic."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +124,6 @@ class RangeMetrics:
     n_rows: int
     gauc: float | None
     ndcg: dict
-    improve_pct: float | None = None
 
 
 @dataclass
@@ -137,41 +135,13 @@ class EvalReport:
     n_users_skipped: int
     ranges: list = field(default_factory=list)
 
-    def to_json(self, path) -> None:
-        payload = {
-            "method": self.method,
-            "gauc": self.gauc,
-            "ndcg_at": {str(k): v for k, v in self.ndcg_at.items()},
-            "n_users_evaluated": self.n_users_evaluated,
-            "n_users_skipped": self.n_users_skipped,
-            "ranges": [
-                {
-                    "duration_lo": r.duration_lo,
-                    "duration_hi": r.duration_hi,
-                    "n_rows": r.n_rows,
-                    "gauc": r.gauc,
-                    "ndcg": {str(k): v for k, v in r.ndcg.items()},
-                    "improve_pct": r.improve_pct,
-                }
-                for r in self.ranges
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
 
-
-def duration_breakdown(scores, labels, dataset: Dataset, n_ranges: int, ks=(1, 3, 5)):
+def _breakdown(scores, pos, codes, n_users, d, n_ranges, ks):
     """Metrics inside equal-frequency duration ranges.
 
     Ranges come from duration quantiles of the evaluated rows; each row falls
     in exactly one range. A range where no user is evaluable reports None.
     """
-    scores, pos = _scores_and_positives(scores, labels, len(dataset))
-    codes, n_users = group_codes(dataset.user_codes)
-    return _breakdown(scores, pos, codes, n_users, dataset.durations, n_ranges, ks)
-
-
-def _breakdown(scores, pos, codes, n_users, d, n_ranges, ks):
     if n_ranges < 1:
         raise ValueError("n_ranges must be >= 1")
     edges = np.unique(np.quantile(d, np.linspace(0, 1, n_ranges + 1)))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset
-from .errors import CurveOrderViolation, MissingColumn, OutOfRangeDuration
+from .data_model import Dataset, read_float_columns
+from .errors import CurveOrderViolation, OutOfRangeDuration
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class SynthConfig:
         wp, wm = self.bias_curve(grid), self.noise_curve(grid)
         if np.any(wm < 0) or np.any(wm >= wp):
             raise CurveOrderViolation(
-                "need 0 <= noise curve < bias curve over the whole duration range"
+                "need 0 <= noise_curve < bias_curve over the whole duration_range"
             )
 
 
@@ -248,11 +248,4 @@ def write_ground_truth_csv(truth: GroundTruth, path) -> None:
 
 
 def read_ground_truth_csv(path) -> GroundTruth:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        columns = list(zip(*filter(None, reader))) or [()] * len(header)
-    for c in GROUND_TRUTH_COLUMNS:
-        if c not in header:
-            raise MissingColumn(c)
-    return GroundTruth(*(columns[header.index(c)] for c in GROUND_TRUTH_COLUMNS))
+    return GroundTruth(*read_float_columns(path, GROUND_TRUTH_COLUMNS, whole=("r_sample",)))

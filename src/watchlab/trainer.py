@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -11,7 +10,6 @@ import numpy as np
 from .data_model import Dataset
 from .errors import NonFiniteLoss
 
-CHECKPOINT_VERSION = 2
 UNKNOWN = None  # value of a field's unknown token; no id string equals it
 
 
@@ -114,7 +112,6 @@ class FMModel:
 
     def __init__(self, vocab: Vocabulary, k: int, seed: int = 0):
         self.vocab = vocab
-        self.k = k
         rng = np.random.default_rng(seed)
         n = len(vocab)
         self.bias = 0.0
@@ -138,35 +135,6 @@ class FMModel:
         self.bias, linear, emb = p
         self.linear = linear.copy()
         self.embeddings = emb.copy()
-
-    def save(self, path) -> None:
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "k": self.k,
-            "fields": list(self.vocab.fields),
-            "tokens": [[fld, val] for (fld, val) in self.vocab.token_to_idx],
-            "bias": self.bias,
-            "linear": self.linear.tolist(),
-            "embeddings": self.embeddings.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f)
-
-    @classmethod
-    def load(cls, path) -> "FMModel":
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-        if payload.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-        vocab = Vocabulary(
-            payload["fields"],
-            {(fld, val): i for i, (fld, val) in enumerate(payload["tokens"])},
-        )
-        model = cls(vocab, payload["k"])
-        model.bias = float(payload["bias"])
-        model.linear = np.array(payload["linear"])
-        model.embeddings = np.array(payload["embeddings"])
-        return model
 
 
 def fm_score_bruteforce(model: FMModel, idx_row) -> float:

@@ -214,6 +214,27 @@ class TestTrainEval:
         seeds_for = [r["seed"] for r in rows if r["method"] == "d2co_a"]
         assert seeds_for == ["0", "1", "mean", "std"]
 
+    def test_seed_flag_overrides_config_seeds(self, pipeline_dir):
+        cfg_path, out = pipeline_dir
+        config = json.loads(cfg_path.read_text())
+        config["seeds"] = [0, 1]
+        cfg2 = cfg_path.parent / "config_seeds.json"
+        cfg2.write_text(json.dumps(config))
+        result = invoke("train-eval", "--config", str(cfg2), "--seed", "5", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        with open(out / "report.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["seed"] for r in rows] == ["5"] * 5
+        assert json.loads((out / "manifest.json").read_text())["notes"]["seeds"] == [5]
+
+    def test_empty_seeds_exits_2(self, pipeline_dir):
+        cfg_path, out = pipeline_dir
+        cfg = write_config(cfg_path.parent / "config_noseeds.json", seeds=[])
+        result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert "configuration error: seeds" in result.output
+        assert not (out / "report.csv").exists()
+
     def test_sweep_grid(self, pipeline_dir):
         cfg_path, out = pipeline_dir
         config = json.loads(cfg_path.read_text())
@@ -296,6 +317,7 @@ BAD_CONFIGS = [
     ("generate", "generate", "seed", 3),
     ("train-eval", "split", "fractions", [0.5, 0.5, 0.5]),
     ("train-eval", "evaluation", "ndcg_k", "abc"),
+    ("generate", "generate", "noise_curve", {"family": "constant", "c": 1000.0}),
 ]
 
 
@@ -322,3 +344,74 @@ def test_readme_config_block_matches_dataclass_defaults():
     assert _section(TrainConfig, config, "trainer", seed=0) == TrainConfig()
     params = _section(CorrectionParams, config, "correction", skip=("methods",), method="pcr")
     assert dataclasses.replace(params, alpha=None) == CorrectionParams("pcr")
+
+
+@pytest.mark.parametrize("sweep, key", [
+    ({"window": ["x"]}, "sweep.window"),
+    ({"window": [1, -1]}, "sweep.window"),
+    ({"alpha": [-0.01, 0]}, "sweep.alpha"),
+    ({"alpha": "-0.01"}, "sweep.alpha"),
+    ({"windows": [1]}, "sweep.windows"),
+    ([1, 2], "sweep"),
+])
+def test_bad_sweep_exits_2_before_training(tmp_path, corrected_run, sweep, key):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    cfg = write_config(tmp_path / "config.json", sweep=sweep)
+    result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert key in result.output.split("configuration error: ", 1)[1]
+    assert not (out / "report.csv").exists()
+
+
+def _truncate_last_row(lines):
+    return lines[:-1] + [lines[-1][:8]]
+
+
+def _bad_label(lines):
+    prefix, _, method = lines[1].rsplit(",", 2)
+    return [lines[0], f"{prefix},abc,{method}", *lines[2:]]
+
+
+def _nan_label(lines):
+    prefix, _, method = lines[1].rsplit(",", 2)
+    return [lines[0], lines[1], f"{prefix},nan,{method}", *lines[3:]]
+
+
+def _bad_truth_cell(lines):
+    return [*lines[:2], "x" + lines[2][lines[2].index(","):], *lines[3:]]
+
+
+def _drop_second_column(lines):
+    return [",".join(c for i, c in enumerate(line.split(",")) if i != 1) for line in lines]
+
+
+# (subcommand, sidecar file, edit of its lines, expected message)
+BAD_SIDECARS = [
+    ("train-eval", "labeled_d2co_a.csv", _truncate_last_row, "error: row 4001: expected "),
+    ("train-eval", "labeled_d2co_a.csv", _bad_label,
+     "error: row 2: label not a finite number: 'abc'"),
+    ("train-eval", "labeled_pcr.csv", _nan_label, "error: row 3: label not a finite number: 'nan'"),
+    ("train-eval", "labeled_d2co_s.csv", lambda ls: ls + ls[-1:], "error: 4001 labels in "),
+    ("train-eval", "labeled_d2co_s.csv", lambda ls: ls[:-1], "error: 3999 labels in "),
+    ("train-eval", "ground_truth.csv", _bad_truth_cell,
+     "error: row 3: p_interest not a finite number: 'x'"),
+    ("correct", "ground_truth.csv", _bad_truth_cell,
+     "error: row 3: p_interest not a finite number: 'x'"),
+    ("report", "curves.csv", _drop_second_column, "error: missing column: w_plus_raw"),
+]
+
+
+@pytest.mark.parametrize("command, name, edit, message", BAD_SIDECARS)
+def test_bad_sidecar_exits_1(tmp_path, corrected_run, command, name, edit, message):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    path = out / name
+    path.write_text("".join(edit(path.read_text(encoding="utf-8").splitlines(True))),
+                    encoding="utf-8")
+    cfg = write_config(tmp_path / "config.json")
+    result = invoke(command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output

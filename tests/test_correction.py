@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from watchlab.correction import (
     CorrectedDataset,
@@ -22,8 +25,8 @@ from watchlab.correction import (
     sensitivity_scontrolled_numeric,
 )
 from watchlab.data_model import Dataset, FeatureSchema, Interaction, write_csv
-from watchlab.errors import CurveCollapse, LengthMismatch, OutOfInterval
-from watchlab.estimator import smooth_curves
+from watchlab.errors import CurveCollapse, LengthMismatch, NumericOverflow, OutOfInterval
+from watchlab.estimator import GroupEstimate, smooth_curves
 from tests.test_estimator import make_raw
 
 
@@ -57,6 +60,16 @@ class TestWtg:
         phi1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         assert label_wtg(12.0, 10.0, 2.0) == pytest.approx(phi1, abs=1e-12)
         assert phi1 == pytest.approx(0.8413447460685429)
+
+    def test_matches_ndtr(self):
+        z = np.linspace(-40.0, 40.0, 800_001)
+        assert np.abs(label_wtg(z, 0.0, 1.0) - ndtr(z)).max() <= 4.5e-16
+        w = np.random.default_rng(0).normal(7.0, 8.0, 100_000)
+        assert np.abs(label_wtg(w, 7.0, 2.5) - ndtr((w - 7.0) / 2.5)).max() <= 4.5e-16
+
+    def test_exactly_half_at_zero_and_for_zero_sigma(self):
+        assert label_wtg(np.array([3.0, -1.0, 0.0]), np.array([3.0, 2.0, 5.0]),
+                         np.array([1.0, 0.0, 0.0])).tolist() == [0.5] * 3
 
 
 class TestD2q:
@@ -133,6 +146,12 @@ class TestD2coSensitivityLabel:
         lo = label_d2co_sensitivity(6.0, 10.0, 2.0, +0.05)
         hi = label_d2co_sensitivity(6.0, 10.0, 2.0, -0.05)
         assert hi > lo
+
+    @pytest.mark.parametrize("alpha", [5e-324, -5e-324])
+    def test_underflowing_alpha_raises_instead_of_nan(self, alpha):
+        # |alpha| * (w+ - w-) rounds to zero, so the ratio would be 0/0
+        with pytest.raises(NumericOverflow):
+            label_d2co_sensitivity([2.0, 2.1], 2.5, 2.0, alpha)
 
     def test_monotone_in_w_for_both_signs(self):
         w = np.linspace(2.0, 10.0, 200)
@@ -316,4 +335,36 @@ class TestLabeledCsv:
     def test_labels_read_back_exactly(self, tmp_path):
         labeled = self.labeled()
         labeled.to_csv(tmp_path / "l.csv", FeatureSchema(feature_fields=("tab",)))
-        assert read_labels_csv(tmp_path / "l.csv").tolist() == labeled.labels.tolist()
+        assert (read_labels_csv(tmp_path / "l.csv", len(labeled.dataset)).tolist()
+                == labeled.labels.tolist())
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(1, 300),
+                       st.tuples(st.floats(0.0, 200.0, **finite), st.floats(1e-3, 200.0, **finite),
+                                 st.integers(1, 1000)),
+                       min_size=1, max_size=8),
+       st.integers(0, 3),
+       st.lists(st.tuples(st.integers(1, 320), st.floats(0.0, 500.0, **finite)),
+                min_size=1, max_size=60),
+       st.one_of(st.floats(-1.0, -1e-300, **finite), st.floats(1e-300, 1.0, **finite)))
+def test_d2co_labels_in_unit_interval_and_monotone_in_w(groups, window, rows, alpha):
+    """On random curves, watch times and alpha, d2co labels lie in [0,1] and
+    never decrease in w within a duration. |alpha| stays >= 1e-300, because a
+    smaller one can make alpha * (w+ - w-) underflow to zero, which raises
+    (test_underflowing_alpha_raises_instead_of_nan)."""
+    raw = {d: GroupEstimate(d=d, w_plus_hat=wm + gap, w_minus_hat=wm, var_plus=1.0,
+                            var_minus=1.0, weight_plus=0.5, count=c, converged=True, loglik=0.0)
+           for d, (wm, gap, c) in groups.items()}
+    curves = smooth_curves(raw, window)
+    d, w = (np.array(c) for c in zip(*rows))
+    ds = Dataset(np.arange(d.size).astype(str), np.zeros(d.size, str), w, d)
+    order = np.lexsort((w, d))
+    same_d = d[order][1:] == d[order][:-1]
+    for method in ("d2co_a", "d2co_s"):
+        labels = apply_method(ds, CorrectionParams(method, curves=curves, alpha=alpha)).labels
+        assert ((labels >= 0.0) & (labels <= 1.0)).all(), method
+        assert (np.diff(labels[order])[same_d] >= 0.0).all(), method

@@ -8,8 +8,8 @@ from watchlab.data_model import (
     FeatureSchema,
     Interaction,
     compute_stats,
-    derive_interest_label,
     ingest_csv,
+    long_view_labels,
     split_chronological,
     write_csv,
 )
@@ -96,12 +96,11 @@ class TestInterestLabel:
         (14.0, 15, 0),
     ])
     def test_rule(self, w, d, expected):
-        assert derive_interest_label(Interaction("u", "i", w, d)) == expected
+        assert long_view_labels([w], [d]).tolist() == [expected]
 
     def test_monotone_in_watch_time(self):
         for d in (5, 18, 19, 60):
-            labels = [derive_interest_label(Interaction("u", "i", w, d))
-                      for w in np.linspace(0, 2 * d, 100)]
+            labels = long_view_labels(np.linspace(0, 2 * d, 100), np.full(100, d)).tolist()
             assert labels == sorted(labels)
 
 

@@ -169,10 +169,17 @@ def test_cli_import_leaves_scipy_stats_out():
 
 
 def test_cli_import_leaves_scipy_out():
+    """Neither the CLI import nor the WTG labels, the one former scipy user,
+    load any scipy module."""
     env = dict(os.environ)
     src = str(Path(watchlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = ("import sys, watchlab.cli; "
+    code = ("import sys, watchlab.cli\n"
+            "from watchlab import SynthConfig, generate\n"
+            "from watchlab.correction import CorrectionParams, apply_method\n"
+            "ds, _ = generate(SynthConfig(n_rows=2000))\n"
+            "for m in ('wtg', 'wtg_denoise'):\n"
+            "    assert 0 < apply_method(ds, CorrectionParams(m)).labels.max() <= 1\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
