@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The same pipeline as demos 01-04, driven entirely through the CLI.
 # Each stage reads one JSON config, writes its artifacts plus a manifest
-# (config hash + input hashes) into the run directory, and later stages
-# pick up where earlier ones left off.
+# (config hash + hashes of the files it wrote) into the run directory, and
+# later stages pick up where earlier ones left off.
 set -euo pipefail
 
 run=$(mktemp -d)

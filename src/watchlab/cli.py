@@ -1,8 +1,9 @@
 """Command-line pipeline: generate -> correct -> train-eval -> report.
 
 Each subcommand reads a JSON config file, writes its outputs plus a manifest
-(config hash, input file hashes, package version) into the output directory,
-and exits 0 on success, 2 on configuration errors, 1 on runtime errors.
+(config hash, hashes of the files the stage wrote, package version) into the
+output directory, and exits 0 on success, 2 on configuration errors, 1 on
+runtime errors.
 """
 
 from __future__ import annotations
@@ -207,9 +208,8 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
 
     outputs = {"curves.csv": curves_path}
     for p in params:
-        labeled = apply_method(dataset, p)
         path = out_dir / f"labeled_{p.method}.csv"
-        labeled.to_csv(path, _schema(config))
+        apply_method(dataset, p).to_csv(path)
         outputs[path.name] = path
 
     notes = {}
@@ -268,13 +268,13 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     truth = read_ground_truth_csv(truth_path) if truth_path.exists() else None
     oracle = oracle_labels(dataset, truth).astype(np.float64)
 
-    labels_by_method = {"watch_time": None, "oracle": oracle}
+    watch_time = apply_method(dataset, CorrectionParams("watch_time")).labels
+    labels_by_method = {"watch_time": watch_time, "oracle": oracle}
     for m in methods:
         path = out_dir / f"labeled_{m}.csv"
         if not path.exists():
-            raise ConfigError(f"labeled dataset missing (run `correct` first): {path}")
+            raise ConfigError(f"label file missing (run `correct` first): {path}")
         labels_by_method[m] = read_labels_csv(path, len(dataset))
-    labels_by_method["watch_time"] = dataset.watch_times / dataset.watch_times.max()
 
     try:
         splits = chronological_split_indices(dataset, fractions)
@@ -437,7 +437,7 @@ def _command(name, fn, help_text):
 cmd_generate = _command("generate", run_generate,
                         "Write a synthetic dataset plus its ground-truth sidecar.")
 cmd_correct = _command("correct", run_correct,
-                       "Fit bias/noise curves and write labeled datasets.")
+                       "Fit bias/noise curves and write label files.")
 cmd_train_eval = _command("train-eval", run_train_eval,
                           "Train one FM per method and write evaluation reports.")
 cmd_report = _command("report", run_report,

@@ -4,14 +4,12 @@ denoise post-processing, and the error/sensitivity diagnostics."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .data_model import Dataset, csv_columns, read_float_columns
+from .data_model import Dataset, read_float_columns
 from .errors import (
     CurveCollapse,
     DegenerateDenominator,
@@ -111,7 +109,8 @@ def label_d2co_sensitivity(w, w_plus, w_minus, alpha: float, clip: bool = True):
 
     Computed anchored at w- for alpha<0 and at w+ for alpha>0 so every
     exponent stays non-positive for in-interval w; expm1 keeps the small-|a|
-    limit consistent with the affine correction.
+    limit consistent with the affine correction (for alpha>0 on the rows with
+    e2 > -1, where exp(e1) - exp(e2) would cancel).
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero; use label_d2co_affine instead")
@@ -126,7 +125,12 @@ def label_d2co_sensitivity(w, w_plus, w_minus, alpha: float, clip: bool = True):
     if np.any(np.maximum(e1, e2) > _EXP_LIMIT) or np.any(e2 == 0):
         raise NumericOverflow("alpha * watch time out of stable range")
     if alpha > 0:
-        r = (np.exp(e1) - np.exp(e2)) / (-np.expm1(e2))
+        w, wm, e1, e2 = np.broadcast_arrays(w, wm, e1, e2)
+        small = e2 > -1
+        num = np.empty(e2.shape)
+        num[small] = np.exp(e2[small]) * np.expm1(alpha * (w[small] - wm[small]))
+        num[~small] = np.exp(e1[~small]) - np.exp(e2[~small])
+        r = num / (-np.expm1(e2))
     else:
         r = np.expm1(e1) / np.expm1(e2)
     return np.clip(r, 0.0, 1.0) if clip else r
@@ -196,18 +200,14 @@ class CorrectionParams:
 
 @dataclass
 class CorrectedDataset:
-    dataset: Dataset
     labels: np.ndarray
-    method: str
 
-    def to_csv(self, path, schema=None) -> None:
-        """The dataset's CSV with `label` and `method` columns appended."""
-        header, columns = csv_columns(self.dataset, schema)
+    def to_csv(self, path) -> None:
+        """A `label` column, one exact repr float per row of the labeled log."""
         labels = np.asarray(self.labels, dtype=np.float64).tolist()
         with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow([*header, "label", "method"])
-            writer.writerows(zip(*columns, labels, repeat(self.method)))
+            f.write("label\n")
+            f.writelines(map("{!r}\n".format, labels))
 
 
 def read_labels_csv(path, n_rows: int) -> np.ndarray:
@@ -247,4 +247,4 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
 
     if method.endswith("_denoise"):
         labels = denoise_postprocess(labels, dataset, params.denoise_threshold_s)
-    return CorrectedDataset(dataset=dataset, labels=labels, method=method)
+    return CorrectedDataset(labels=labels)

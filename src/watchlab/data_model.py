@@ -210,7 +210,8 @@ def chronological_split_indices(dataset: Dataset, fractions) -> tuple:
 
     Ties keep their original order (stable sort), so re-running on the same
     file gives the same split. Returned so that row-aligned sidecars (labels,
-    ground truth) can be sliced consistently with the datasets.
+    ground truth) can be sliced consistently with the datasets. Raises
+    ValueError when a part would be empty.
     """
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
@@ -224,7 +225,10 @@ def chronological_split_indices(dataset: Dataset, fractions) -> tuple:
     n = len(dataset)
     cut1 = int(round(fractions[0] * n))
     cut2 = int(round((fractions[0] + fractions[1]) * n))
-    return order[:cut1], order[cut1:cut2], order[cut2:]
+    parts = order[:cut1], order[cut1:cut2], order[cut2:]
+    if any(p.size == 0 for p in parts):
+        raise ValueError(f"fractions {fractions} leave a part of {n} rows empty")
+    return parts
 
 
 def split_chronological(dataset: Dataset, fractions) -> tuple:
@@ -378,8 +382,8 @@ def read_float_columns(path, names, whole=()) -> list:
     return out
 
 
-def csv_columns(dataset: Dataset, schema: FeatureSchema | None = None):
-    """Header and per-column value lists in the layout ingest_csv reads."""
+def write_csv(dataset: Dataset, path, schema: FeatureSchema | None = None) -> None:
+    """Write a Dataset in the same format ingest_csv reads."""
     fields = (schema or FeatureSchema()).feature_fields
     named = {"user_id": dataset.user_table[dataset.user_codes],
              "item_id": dataset.item_table[dataset.item_codes],
@@ -387,13 +391,7 @@ def csv_columns(dataset: Dataset, schema: FeatureSchema | None = None):
              "timestamp": dataset.timestamps, "true_interest": dataset.true_interest,
              **{f: dataset.features.get(f, np.full(len(dataset), "")) for f in fields}}
     header = [name for name, column in named.items() if column is not None]
-    return header, [named[name].tolist() for name in header]
-
-
-def write_csv(dataset: Dataset, path, schema: FeatureSchema | None = None) -> None:
-    """Write a Dataset in the same format ingest_csv reads."""
-    header, columns = csv_columns(dataset, schema)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(zip(*columns))
+        writer.writerows(zip(*(named[name].tolist() for name in header)))

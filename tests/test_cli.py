@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from watchlab.cli import _section, main
-from watchlab.correction import CorrectionParams
+from watchlab.cli import _section, fit_curves, main
+from watchlab.correction import CorrectionParams, apply_method, read_labels_csv
+from watchlab.data_model import FeatureSchema, ingest_csv
 from watchlab.estimator import GmmOptions
 from watchlab.synthgen import SynthConfig
 from watchlab.trainer import TrainConfig
@@ -115,10 +116,10 @@ class TestCorrect:
         for m in ("pcr", "d2co_a", "d2co_s"):
             path = out / f"labeled_{m}.csv"
             with open(path) as f:
-                rows = list(csv.DictReader(f))
+                header, *rows = list(csv.reader(f))
+            assert header == ["label"]
             assert len(rows) == 4000
-            assert rows[0]["method"] == m
-            assert 0.0 <= float(rows[0]["label"]) <= 1.0
+            assert 0.0 <= float(rows[0][0]) <= 1.0
 
     def test_manifest_reports_curve_error(self, pipeline_dir):
         _, out = pipeline_dir
@@ -250,6 +251,30 @@ class TestTrainEval:
             ("1", "-0.02"), ("1", "-0.01"), ("2", "-0.02"), ("2", "-0.01"),
         }
 
+    def test_feature_field_through_correct_and_train_eval(self, tmp_path):
+        cfg = write_config(tmp_path / "config.json", feature_fields=["tab"])
+        out = tmp_path / "run"
+        assert invoke("generate", "--config", str(cfg), "--out", str(out)).exit_code == 0
+        data = out / "data.csv"
+        with open(data, newline="") as f:
+            header, *rows = list(csv.reader(f))
+        with open(data, "w", newline="") as f:
+            csv.writer(f).writerows([header + ["tab"]]
+                                    + [r + [f"t{i % 3}"] for i, r in enumerate(rows)])
+        for cmd in ("correct", "train-eval"):
+            result = invoke(cmd, "--config", str(cfg), "--out", str(out))
+            assert result.exit_code == 0, result.output
+        config = json.loads(cfg.read_text())
+        dataset = ingest_csv(data, FeatureSchema(feature_fields=("tab",)))
+        assert dataset.features["tab"][:3].tolist() == ["t0", "t1", "t2"]
+        curves = fit_curves(dataset, config)
+        for m in config["correction"]["methods"]:
+            path = out / f"labeled_{m}.csv"
+            assert path.read_text().split("\n", 1)[0] == "label"
+            params = CorrectionParams(m, curves=curves, alpha=config["correction"]["alpha"])
+            assert (read_labels_csv(path, len(dataset)).tolist()
+                    == apply_method(dataset, params).labels.tolist())
+
     def test_missing_labels_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
         out = tmp_path / "run"
@@ -318,6 +343,7 @@ BAD_CONFIGS = [
     ("train-eval", "split", "fractions", [0.5, 0.5, 0.5]),
     ("train-eval", "evaluation", "ndcg_k", "abc"),
     ("generate", "generate", "noise_curve", {"family": "constant", "c": 1000.0}),
+    ("train-eval", "split", "fractions", [0.0001, 0.5, 0.4999]),
 ]
 
 
@@ -366,17 +392,16 @@ def test_bad_sweep_exits_2_before_training(tmp_path, corrected_run, sweep, key):
 
 
 def _truncate_last_row(lines):
-    return lines[:-1] + [lines[-1][:8]]
+    # a cut float still parses in a one-column file, so the damage is a stray field
+    return lines[:-1] + [lines[-1].rstrip("\r\n") + ",0\n"]
 
 
 def _bad_label(lines):
-    prefix, _, method = lines[1].rsplit(",", 2)
-    return [lines[0], f"{prefix},abc,{method}", *lines[2:]]
+    return [lines[0], "abc\n", *lines[2:]]
 
 
 def _nan_label(lines):
-    prefix, _, method = lines[1].rsplit(",", 2)
-    return [lines[0], lines[1], f"{prefix},nan,{method}", *lines[3:]]
+    return [lines[0], lines[1], "nan\n", *lines[3:]]
 
 
 def _bad_truth_cell(lines):

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from watchlab.correction import (
     sensitivity_affine,
     sensitivity_scontrolled_numeric,
 )
-from watchlab.data_model import Dataset, FeatureSchema, Interaction, write_csv
+from watchlab.data_model import Dataset, Interaction
 from watchlab.errors import CurveCollapse, LengthMismatch, NumericOverflow, OutOfInterval
 from watchlab.estimator import GroupEstimate, smooth_curves
 from tests.test_estimator import make_raw
@@ -141,6 +142,15 @@ class TestD2coSensitivityLabel:
         a = label_d2co_affine(w, wp, wm)
         s = label_d2co_sensitivity(w, wp, wm, 1e-8)
         assert np.abs(a - s).max() < 1e-6
+
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-16, 1e-12])
+    def test_tiny_positive_alpha_matches_affine(self, alpha):
+        # exp(e1) - exp(e2) cancels to 0 when both exponents round to 1
+        w = np.linspace(2.0, 10.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = label_d2co_sensitivity(w, 10.0, 2.0, alpha)
+        assert np.abs(s - label_d2co_affine(w, 10.0, 2.0)).max() <= 1e-12
 
     def test_sign_of_alpha_orders_results(self):
         lo = label_d2co_sensitivity(6.0, 10.0, 2.0, +0.05)
@@ -301,42 +311,20 @@ class TestWtgGroups:
         assert apply_method(ds, CorrectionParams("wtg")).labels[:3].tolist() == [0.5] * 3
 
 
-def reference_to_csv(labeled, path, schema=None):
-    """The earlier CorrectedDataset.to_csv: write the data, read it back,
-    append label and method to every row and write it all again."""
-    write_csv(labeled.dataset, path, schema)
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    rows[0].extend(["label", "method"])
-    for i, row in enumerate(rows[1:]):
-        row.extend([repr(float(labeled.labels[i])), labeled.method])
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerows(rows)
-
-
 class TestLabeledCsv:
-    def labeled(self):
-        from watchlab import SynthConfig, generate
+    labeled = CorrectedDataset(labels=np.random.default_rng(0).uniform(0, 1, 500) ** 3)
 
-        ds, _ = generate(SynthConfig(n_rows=500, seed=8))
-        tabs = np.array(["a,b", 'say "hi"', "ünï", "line\nbreak", ""])[np.arange(len(ds)) % 5]
-        ds = Dataset(ds.user_ids, ds.item_ids, ds.watch_times, ds.durations, ds.timestamps,
-                     ds.true_interest, {"tab": tabs})
-        labels = np.random.default_rng(0).uniform(0, 1, len(ds)) ** 3
-        return CorrectedDataset(dataset=ds, labels=labels, method="d2co_s")
-
-    @pytest.mark.parametrize("schema", [None, FeatureSchema(feature_fields=("tab",))])
-    def test_bytes_match_write_read_rewrite(self, tmp_path, schema):
-        labeled = self.labeled()
-        labeled.to_csv(tmp_path / "new.csv", schema)
-        reference_to_csv(labeled, tmp_path / "old.csv", schema)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    def test_bytes_are_label_header_and_repr_lines(self, tmp_path):
+        self.labeled.to_csv(tmp_path / "l.csv")
+        expected = "label\n" + "".join(f"{float(x)!r}\n" for x in self.labeled.labels)
+        assert (tmp_path / "l.csv").read_bytes() == expected.encode()
+        with open(tmp_path / "l.csv", newline="", encoding="utf-8") as f:
+            assert [float(r["label"]) for r in csv.DictReader(f)] == self.labeled.labels.tolist()
 
     def test_labels_read_back_exactly(self, tmp_path):
-        labeled = self.labeled()
-        labeled.to_csv(tmp_path / "l.csv", FeatureSchema(feature_fields=("tab",)))
-        assert (read_labels_csv(tmp_path / "l.csv", len(labeled.dataset)).tolist()
-                == labeled.labels.tolist())
+        self.labeled.to_csv(tmp_path / "l.csv")
+        assert (read_labels_csv(tmp_path / "l.csv", 500).tolist()
+                == self.labeled.labels.tolist())
 
 
 finite = dict(allow_nan=False, allow_infinity=False)

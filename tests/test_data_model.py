@@ -81,6 +81,13 @@ class TestSplit:
         got = [r.user_id for part in (tr, va, te) for r in part]
         assert got == [f"u{i}" for i in range(6)]
 
+    @pytest.mark.parametrize("fractions", [(0.001, 0.5, 0.499), (0.5, 0.001, 0.499),
+                                           (0.5, 0.499, 0.001)])
+    def test_empty_part_rejected(self, fractions):
+        ds = make_rows([1] * 10, [5] * 10, timestamps=list(range(10)))
+        with pytest.raises(ValueError, match="empty"):
+            split_chronological(ds, fractions)
+
     def test_missing_timestamps(self):
         with pytest.raises(MissingTimestamps):
             split_chronological(make_rows([1], [5]), (0.4, 0.3, 0.3))
