@@ -84,6 +84,8 @@ def _curve_from_config(spec, key) -> Curve:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError(f"{key} must be {{'family': ..., params...}}, got {spec!r}")
     curve = Curve(spec["family"], {k: v for k, v in spec.items() if k != "family"})
+    for name, value in curve.params.items():
+        _json_list(float, value if isinstance(value, list) else [value], f"{key}.{name}")
     try:
         curve(1.0)  # an unknown family or a missing parameter fails here
     except (KeyError, TypeError, ValueError) as exc:
@@ -108,6 +110,8 @@ def _json_value(hint, value, key):
     accepted, what = _JSON_TYPES[hint]
     if isinstance(value, bool) is not (hint is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if hint is float and not abs(value) <= sys.float_info.max:  # NaN, Infinity, 1e999
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return hint(value)
 
 

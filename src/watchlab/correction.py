@@ -196,6 +196,8 @@ class CorrectionParams:
             raise ValueError(f"{self.method} needs fitted bias/noise curves")
         if self.method == "d2co_s" and not self.alpha:
             raise ValueError("d2co_s needs a nonzero alpha")
+        if self.n_bins < 1:
+            raise ValueError("n_bins must be >= 1")
 
 
 @dataclass

@@ -23,10 +23,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning_rate must be >= 0, batch_size and epochs >= 1")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
+        if (not 0 <= self.learning_rate < math.inf
+                or min(self.batch_size, self.epochs, self.embedding_dim) < 1):
+            raise ValueError("learning_rate must be finite and >= 0, and batch_size, epochs "
+                             "and embedding_dim >= 1")
 
 
 class Vocabulary:
@@ -178,13 +178,12 @@ class TrainHistory:
 
 
 class _Adam:
-    """Dense Adam over the scalar bias and the parameter tables, updated in place.
+    """Lazy Adam over the scalar bias and the parameter tables, updated in place.
 
-    A step takes each table's gradient on the batch's rows only. Every row's
-    moments still decay and every row still moves, with the same arithmetic
-    as a full-table gradient that is zero off the batch: the rows left out
-    skip only an added zero, which changes nothing unless a moment has
-    decayed to -0.0.
+    A step updates only the batch's rows: their moments decay and take the
+    gradient, and they move. Every other row keeps its parameters and both
+    moments exactly, as in PyTorch's SparseAdam. The bias correction uses the
+    global step count. The scalar bias takes a plain Adam step every batch.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -193,12 +192,15 @@ class _Adam:
         self.lr = lr
         self.t = 0
         self.bias_m = self.bias_v = 0.0
-        # per table: the table, its two moments and two scratch buffers
-        self.state = [(p, np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p))
-                      for p in tables]
+        self.moments = [(np.zeros_like(p), np.zeros_like(p)) for p in tables]
+        # each table and its moments as vectors of opaque rows, which numpy
+        # gathers and scatters several times faster than the rows of a 2-d array
+        self.row_vectors = [(p.dtype, [a.view((np.void, p[0].nbytes)).reshape(len(p))
+                                       for a in (p, m, v)])
+                            for p, (m, v) in zip(tables, self.moments)]
 
     def step(self, bias: float, g_bias: float, rows, grads) -> float:
-        """Update the tables in place from their gradients on `rows` (one
+        """Update the tables' `rows` in place from their gradients (one
         gradient row per entry of `rows`); return the updated bias."""
         self.t += 1
         c1 = 1 - self.b1 ** self.t
@@ -206,18 +208,16 @@ class _Adam:
         self.bias_m = self.b1 * self.bias_m + (1 - self.b1) * g_bias
         self.bias_v = self.b2 * self.bias_v + (1 - self.b2) * g_bias * g_bias
         bias -= self.lr * (self.bias_m / c1) / (math.sqrt(self.bias_v / c2) + self.eps)
-        for (p, m, v, a, b), g in zip(self.state, grads):
+        for (dtype, arrays), g in zip(self.row_vectors, grads):
+            gathered = [a.take(rows) for a in arrays]
+            p, m, v = (x.view(dtype).reshape(g.shape) for x in gathered)
             m *= self.b1
-            m[rows] += (1 - self.b1) * g
+            m += (1 - self.b1) * g
             v *= self.b2
-            v[rows] += (1 - self.b2) * g * g
-            np.divide(m, c1, out=a)
-            a *= self.lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p -= a
+            v += (1 - self.b2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            for a, x in zip(arrays, gathered):
+                a[rows] = x
         return bias
 
 
@@ -236,16 +236,12 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
         raise ValueError("train labels not aligned with train rows")
     idx = encode(model.vocab, train_set)
     val_idx = encode(model.vocab, val_set)
-    val_y = np.asarray(val_labels)
-    val_users = val_set.user_codes
 
     rng = np.random.default_rng(config.seed)
     opt = _Adam([model.linear, model.embeddings], config.learning_rate)
     n_fields, k = idx.shape[1], model.embeddings.shape[1]
-    history = TrainHistory()
+    history = TrainHistory(best_val_gauc=-np.inf)
     best = model.params()
-    best_gauc = -np.inf
-    stall = 0
     n = len(train_set)
 
     for epoch in range(config.epochs):
@@ -274,18 +270,14 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
             model.bias = opt.step(model.bias, float(g.sum()), rows, [g_linear, g_emb])
 
         history.train_loss.append(epoch_loss / n)
-        vg = gauc(model.score(val_idx), val_y, val_users)
+        vg = gauc(model.score(val_idx), np.asarray(val_labels), val_set.user_codes)
         history.val_gauc.append(vg)
-        if vg > best_gauc:
-            best_gauc = vg
+        if vg > history.best_val_gauc:
+            history.best_val_gauc = vg
             best = model.params()
             history.best_epoch = epoch
-            stall = 0
-        else:
-            stall += 1
-            if stall > config.patience:
-                break
+        elif epoch - history.best_epoch > config.patience:
+            break
 
     model.set_params(best)
-    history.best_val_gauc = best_gauc
     return history

@@ -344,6 +344,16 @@ BAD_CONFIGS = [
     ("train-eval", "evaluation", "ndcg_k", "abc"),
     ("generate", "generate", "noise_curve", {"family": "constant", "c": 1000.0}),
     ("train-eval", "split", "fractions", [0.0001, 0.5, 0.4999]),
+    ("correct", "correction", "alpha", float("nan")),
+    ("train-eval", "trainer", "learning_rate", float("inf")),
+    ("correct", "estimator", "var_floor", float("nan")),
+    ("generate", "generate", "noise_std_plus", float("nan")),
+    ("generate", "generate", "bias_curve", {"family": "power_law", "a": float("nan"),
+                                            "gamma": 0.9}),
+    ("generate", "generate", "bias_curve", {"family": "table", "durations": [1, 300],
+                                            "values": [30.0, float("inf")]}),
+    ("correct", "correction", "n_bins", 0),
+    ("correct", "correction", "n_bins", -3),
 ]
 
 
@@ -359,6 +369,19 @@ def test_bad_config_exits_2(tmp_path, corrected_run, command, section, key, valu
     assert isinstance(result.exception, SystemExit)
     message = result.output.split("configuration error: ", 1)[1]
     assert section in message and (key is None or key in message), message
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+def test_overflowing_number_literal_exits_2(tmp_path, corrected_run, literal):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    cfg = write_config(tmp_path / "config.json")
+    text = cfg.read_text().replace('"alpha": -0.01', f'"alpha": {literal}')
+    assert literal in text
+    cfg.write_text(text)
+    result = invoke("correct", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert "correction.alpha" in result.output.split("configuration error: ", 1)[1]
 
 
 def test_readme_config_block_matches_dataclass_defaults():
