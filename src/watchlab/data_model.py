@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .errors import (
     MissingColumn,
     MissingTimestamps,
 )
+from .ranking import string_codes
 
 # long_view rule: a short video counts as interesting only when fully played,
 # a long one when watched past this many seconds.
@@ -74,9 +75,8 @@ class Dataset:
 
     def __init__(self, user_ids, item_ids, watch_times, durations, timestamps=None,
                  true_interest=None, features=None):
-        self._set(*np.unique(np.asarray(user_ids, dtype=str), return_inverse=True),
-                  *np.unique(np.asarray(item_ids, dtype=str), return_inverse=True),
-                  watch_times, durations, timestamps, true_interest, features)
+        self._set(*string_codes(user_ids), *string_codes(item_ids), watch_times, durations,
+                  timestamps, true_interest, features)
 
     @classmethod
     def from_codes(cls, user_table, user_codes, item_table, item_codes, watch_times, durations,
@@ -255,18 +255,17 @@ def _parse_floats(column):
         return np.array(np.where(bad, "nan", column), dtype=np.float64), bad
 
 
-def _parse_columns(header, rows, lines, schema):
-    """Typed columns of rows that all have len(header) fields; raises
-    MalformedRow for the first bad row, with the message of the first check
-    that row fails."""
+def _parse_columns(header, cols, lines, schema):
+    """Typed columns of a log whose string columns are `cols`, in header
+    order; raises MalformedRow for the first bad row, with the message of the
+    first check that row fails."""
     header_idx = {name: i for i, name in enumerate(header)}
-    cols = list(zip(*rows)) if rows else [()] * len(header)
 
     def col(name):
         return cols[header_idx[name]]
 
     checks = []  # (bad-row mask, message for row i), in the order a row is checked
-    missing = np.zeros(len(rows), dtype=bool)
+    missing = np.zeros(len(col("user_id")), dtype=bool)
     for c in BASE_COLUMNS:
         if "" in col(c):
             missing |= np.array(col(c)) == ""
@@ -319,40 +318,83 @@ def ingest_csv(path, schema: FeatureSchema | None = None) -> Dataset:
     column with a blank cell is dropped.
     """
     schema = schema or FeatureSchema()
-    header, rows, lines, size_error = _read_rows(path, [*BASE_COLUMNS, *schema.feature_fields])
-    dataset = _parse_columns(header, rows, lines, schema)  # an earlier bad row wins
+    header, cols, lines, size_error = _read_columns(path, [*BASE_COLUMNS, *schema.feature_fields])
+    dataset = _parse_columns(header, cols, lines, schema)  # an earlier bad row wins
     if size_error:
         raise size_error
     return dataset
 
 
-def _read_rows(path, required):
-    """(header, non-blank rows, their line numbers, pending error) of a CSV
-    file. The rows stop before the first one whose field count differs from
-    the header's, and the pending error is the MalformedRow for it (else
-    None). Blank lines are skipped but counted. Raises MissingColumn for an
-    absent `required` column and MalformedRow for an empty file."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(0, "file is empty")
-        rows = list(reader)
-    for c in required:
-        if c not in header:
-            raise MissingColumn(c)
+def _split_columns(raw: bytes):
+    """(header, string columns) of a CSV file's bytes from one split of the
+    whole text, or None unless the text has no quote, no bare CR and no blank
+    line and every line has the header's field count. In such a text every
+    line is one record and every comma a field boundary, so the result is
+    what csv.reader gives."""
+    if b'"' in raw:
+        return None
+    body = raw.replace(b"\r\n", b"\n")
+    if body.endswith(b"\n"):
+        body = body[:-1]
+    if (not body or b"\r" in body or b"\n\n" in body or body.startswith(b"\n")
+            or body.endswith(b"\n")):
+        return None
+    # UTF-8 has no ASCII byte inside a multi-byte character
+    a = np.frombuffer(body, dtype=np.uint8)
+    commas = np.flatnonzero(a == ord(","))
+    per_line = np.diff(np.searchsorted(commas, np.flatnonzero(a == ord("\n"))),
+                       prepend=0, append=commas.size)
+    if np.any(per_line != per_line[0]):
+        return None
+    k = int(per_line[0]) + 1
+    fields = body.decode("utf-8").replace("\n", ",").split(",")
+    return fields[:k], [fields[k + j::k] for j in range(k)]
+
+
+def _csv_reader_columns(raw: bytes):
+    """(header, string columns of the non-blank rows, their line numbers,
+    pending error) of a CSV file's bytes, read by csv.reader. The rows stop
+    before the first one whose field count differs from the header's, and
+    the pending error is the MalformedRow for it (else None). Blank lines are
+    skipped but counted. Raises MalformedRow for an empty file."""
+    reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedRow(0, "file is empty")
+    rows = list(reader)
     sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     lines = np.flatnonzero(sizes) + 2
     if lines.size < len(rows):
         rows = list(filter(None, rows))
         sizes = sizes[sizes > 0]
     wrong = np.flatnonzero(sizes != len(header))
-    if not wrong.size:
-        return header, rows, lines, None
-    i = int(wrong[0])
-    return header, rows[:i], lines, MalformedRow(int(lines[i]),
-                                                 f"expected {len(header)} fields, got {sizes[i]}")
+    error = None
+    if wrong.size:
+        i = int(wrong[0])
+        rows = rows[:i]
+        error = MalformedRow(int(lines[i]), f"expected {len(header)} fields, got {sizes[i]}")
+    cols = [list(c) for c in zip(*rows)] if rows else [[] for _ in header]
+    return header, cols, lines, error
+
+
+def _read_columns(path, required):
+    """(header, string columns, line number of each row, pending error) of a
+    CSV file, as _csv_reader_columns gives them; a plain file takes the
+    one-split path of _split_columns. Raises MissingColumn for an absent
+    `required` column."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    split = _split_columns(raw)
+    if split is None:
+        header, cols, lines, error = _csv_reader_columns(raw)
+    else:
+        (header, cols), error = split, None
+        lines = np.arange(2, len(cols[0]) + 2)
+    for c in required:
+        if c not in header:
+            raise MissingColumn(c)
+    return header, cols, lines, error
 
 
 def read_float_columns(path, names, whole=()) -> list:
@@ -362,8 +404,8 @@ def read_float_columns(path, names, whole=()) -> list:
     line of the first row with the wrong number of fields or with a cell
     that is not a finite number (a whole number in the `whole` columns).
     """
-    header, rows, lines, size_error = _read_rows(path, names)
-    columns = {name: list(map(itemgetter(header.index(name)), rows)) for name in names}
+    header, cols, lines, size_error = _read_columns(path, names)
+    columns = {name: cols[header.index(name)] for name in names}
     out, hits = [], []
     for name in names:
         values, bad = _parse_floats(columns[name])
@@ -382,16 +424,52 @@ def read_float_columns(path, names, whole=()) -> list:
     return out
 
 
+def _quote(cell: str) -> str:
+    """A cell as csv.writer's minimal quoting writes it."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cells(column: np.ndarray) -> list:
+    """The CSV cells of a column: repr of floats, str of ints, quoted strings;
+    an object column holds its cells already."""
+    kind = column.dtype.kind
+    if kind == "O":
+        return column.tolist()
+    return list(map(repr if kind == "f" else str if kind in "iub" else _quote, column.tolist()))
+
+
+WRITE_CHUNK_ROWS = 1 << 16  # rows formatted and joined at a time, which bounds memory
+
+
+def write_columns(path, header, columns) -> None:
+    """Write equally long numpy columns under `header`, each cell as _cells
+    formats it, with the bytes csv.writer gives for the same rows of two or
+    more cells. Whole column slices are formatted and joined at a time."""
+    k, n = len(header), len(columns[0])
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(map(_quote, header)) + "\r\n")
+        for lo in range(0, n, WRITE_CHUNK_ROWS):
+            m = min(WRITE_CHUNK_ROWS, n - lo)
+            text = [None] * (2 * k * m)
+            for j, column in enumerate(columns):
+                text[2 * j::2 * k] = _cells(column[lo:lo + m])
+                text[2 * j + 1::2 * k] = ["\r\n" if j == k - 1 else ","] * m
+            f.write("".join(text))
+
+
 def write_csv(dataset: Dataset, path, schema: FeatureSchema | None = None) -> None:
     """Write a Dataset in the same format ingest_csv reads."""
     fields = (schema or FeatureSchema()).feature_fields
-    named = {"user_id": dataset.user_table[dataset.user_codes],
-             "item_id": dataset.item_table[dataset.item_codes],
+
+    def ids(table, codes):  # quoted once per distinct id
+        return np.array(_cells(table), dtype=object)[codes]
+
+    named = {"user_id": ids(dataset.user_table, dataset.user_codes),
+             "item_id": ids(dataset.item_table, dataset.item_codes),
              "duration_s": dataset.durations, "watch_time_s": dataset.watch_times,
              "timestamp": dataset.timestamps, "true_interest": dataset.true_interest,
              **{f: dataset.features.get(f, np.full(len(dataset), "")) for f in fields}}
     header = [name for name, column in named.items() if column is not None]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(zip(*(named[name].tolist() for name in header)))
+    write_columns(path, header, [named[name] for name in header])

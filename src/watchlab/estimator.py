@@ -3,12 +3,11 @@ frequency-weighted moving average over the fitted mean sequences."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, read_float_columns
+from .data_model import Dataset, read_float_columns, write_columns
 from .errors import EmptyCurve, GroupTooSmall, NoFittableGroups
 
 
@@ -120,9 +119,10 @@ def fit_all_groups(dataset: Dataset, options: GmmOptions | None = None) -> dict:
         raise NoFittableGroups("empty dataset")
     w = dataset.watch_times
     d = dataset.durations
-    uniq, inverse = np.unique(d, return_inverse=True)
-    groups = [(int(uniq[k]), w[inverse == k]) for k in range(uniq.size)
-              if (inverse == k).sum() >= options.min_group_size]
+    order = np.argsort(d, kind="stable")  # keeps row order inside each group
+    uniq, first = np.unique(d[order], return_index=True)
+    groups = [(int(dk), x) for dk, x in zip(uniq, np.split(w[order], first[1:]))
+              if x.size >= options.min_group_size]
     if not groups:
         raise NoFittableGroups("no duration group reaches min_group_size")
     return {dk: fit_group_gmm(x, options, d=dk) for dk, x in groups}
@@ -155,20 +155,14 @@ class BiasNoiseCurves:
                   "w_minus_smooth", "weight_plus", "count", "fitted"]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(self.CSV_HEADER)
-            for i, d in enumerate(self.durations):
-                writer.writerow([
-                    int(d),
-                    repr(float(self.w_plus_raw[i])),
-                    repr(float(self.w_minus_raw[i])),
-                    repr(float(self.w_plus[i])),
-                    repr(float(self.w_minus[i])),
-                    repr(float(self.weight_plus[i])),
-                    int(self.counts[i]),
-                    int(bool(self.fitted[i])) if self.fitted is not None else 1,
-                ])
+        fitted = np.ones(self.durations.size) if self.fitted is None else self.fitted
+        floats = (self.w_plus_raw, self.w_minus_raw, self.w_plus, self.w_minus, self.weight_plus)
+        write_columns(path, self.CSV_HEADER, [
+            np.asarray(self.durations, dtype=np.int64),
+            *(np.asarray(c, dtype=np.float64) for c in floats),
+            np.asarray(self.counts, dtype=np.int64),
+            (np.asarray(fitted) != 0).astype(np.int64),
+        ])
 
     @classmethod
     def from_csv(cls, path) -> "BiasNoiseCurves":

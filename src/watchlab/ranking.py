@@ -7,14 +7,45 @@ from __future__ import annotations
 import numpy as np
 
 
+def _hashed_codes(keys: list):
+    """np.unique(np.asarray(keys, dtype=str), return_inverse=True) when every
+    key is a str, else None. Only the distinct keys are sorted; each key then
+    takes its code from a dict."""
+    distinct = list(set(keys))
+    if not set(map(type, distinct)) <= {str}:
+        return None
+    table, inverse = np.unique(np.array(distinct, dtype=str), return_inverse=True)
+    code = dict(zip(distinct, inverse.tolist()))
+    return table, np.fromiter(map(code.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def string_codes(keys) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted table of the distinct keys, int64 code of each key into it),
+    equal to np.unique(np.asarray(keys, dtype=str), return_inverse=True)."""
+    dtype = None
+    if isinstance(keys, np.ndarray):
+        dtype = keys.dtype if keys.dtype.kind == "U" else None
+        keys = keys.reshape(-1).tolist()
+    coded = _hashed_codes(keys)
+    if coded is None:
+        table, codes = np.unique(np.asarray(keys, dtype=str), return_inverse=True)
+        return table, codes.reshape(-1)
+    table, codes = coded
+    return np.asarray(table, dtype=dtype), codes  # a str array keeps its width
+
+
 def group_codes(keys) -> tuple[np.ndarray, int]:
     """Integer code of each row's key, numbered in sorted key order, and the
     number of distinct keys."""
     keys = np.asarray(keys)
-    if keys.dtype == object:
-        # a typed array sorts far faster than Python objects; tolist() lets
-        # numpy pick str or int so keys keep their natural order
-        keys = np.array(keys.tolist())
+    if keys.dtype.kind in "OU":
+        items = keys.reshape(-1).tolist()
+        coded = _hashed_codes(items)
+        if coded is not None:
+            return coded[1], coded[0].size
+        # mixed objects: tolist() lets numpy pick str or int, so keys keep
+        # their natural order
+        keys = np.array(items)
     uniq, codes = np.unique(keys, return_inverse=True)
     return codes.reshape(-1), uniq.size
 

@@ -10,12 +10,11 @@ disengaged one on the noisy-watching curve.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, read_float_columns
+from .data_model import Dataset, read_float_columns, write_columns
 from .errors import CurveOrderViolation, OutOfRangeDuration
 
 
@@ -75,9 +74,9 @@ class SynthConfig:
             raise ValueError(f"bad duration_range {self.duration_range}")
         grid = np.arange(d_lo, d_hi + 1)
         wp, wm = self.bias_curve(grid), self.noise_curve(grid)
-        if np.any(wm < 0) or np.any(wm >= wp):
+        if not np.all((0 <= wm) & (wm < wp) & np.isfinite(wp)):
             raise CurveOrderViolation(
-                "need 0 <= noise_curve < bias_curve over the whole duration_range"
+                "need finite 0 <= noise_curve < bias_curve over the whole duration_range"
             )
 
 
@@ -241,10 +240,7 @@ GROUND_TRUTH_COLUMNS = ["p_interest", "r_sample", "w_plus_d", "w_minus_d"]
 
 
 def write_ground_truth_csv(truth: GroundTruth, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(GROUND_TRUTH_COLUMNS)
-        writer.writerows(zip(*(c.tolist() for c in truth._columns())))
+    write_columns(path, GROUND_TRUTH_COLUMNS, truth._columns())
 
 
 def read_ground_truth_csv(path) -> GroundTruth:

@@ -9,6 +9,7 @@ import numpy as np
 
 from .data_model import Dataset
 from .errors import NonFiniteLoss
+from .ranking import string_codes
 
 UNKNOWN = None  # value of a field's unknown token; no id string equals it
 
@@ -75,8 +76,7 @@ def _field_columns(dataset: Dataset):
     yield "user_id", dataset.user_table, dataset.user_codes
     yield "item_id", dataset.item_table, dataset.item_codes
     for fld, column in dataset.features.items():
-        table, codes = np.unique(column, return_inverse=True)
-        yield fld, table, codes
+        yield fld, *string_codes(column)
 
 
 def build_vocab(train: Dataset) -> Vocabulary:

@@ -1,15 +1,29 @@
-"""CSV round trip of arbitrary logs, and write_csv's bytes against the
-row-by-row writer it replaced, which is kept here as the reference."""
+"""CSV round trip of arbitrary logs; write_csv's bytes against the
+row-by-row writer it replaced, which is kept here as the reference; the
+one-split reader against csv.reader; and the hashed id coder against
+np.unique."""
 
 import csv
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from watchlab import data_model
+from watchlab.correction import CorrectedDataset, read_labels_csv
 from watchlab.data_model import BASE_COLUMNS, Dataset, FeatureSchema, ingest_csv, write_csv
+from watchlab.errors import MalformedRow
+from watchlab.estimator import BiasNoiseCurves, fit_all_groups, smooth_curves
+from watchlab.ranking import group_codes, string_codes
+from watchlab.synthgen import (
+    SynthConfig,
+    generate,
+    read_ground_truth_csv,
+    write_ground_truth_csv,
+)
 
 # any text but NUL and lone surrogates, which a UTF-8 file cannot hold
 text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
@@ -104,3 +118,116 @@ def test_empty_log_header_lists_only_its_columns():
         assert path.read_bytes() == b"user_id,item_id,duration_s,watch_time_s\r\n"
         write_csv(Dataset([], [], [], [], timestamps=[]), path)
         assert ingest_csv(path).timestamps.tolist() == []
+
+
+@st.composite
+def csv_texts(draw):
+    """Raw CSV bytes: plain text half the time, else with quoted and unquoted
+    commas, quotes, CRs and newlines in cells, CR-only line ends, blank
+    lines and ragged rows; any number of data rows (none: header only) and
+    an optional final line end."""
+    plain = draw(st.booleans())
+    chars = ["a", "1", " ", ".", "é", "日"] + ([] if plain else [",", '"', "\r", "\n", "\r\n"])
+    cell = st.lists(st.sampled_from(chars), max_size=4).map("".join)
+    k = draw(st.integers(1, 4))
+    width = st.just(k) if plain else st.sampled_from([k, k, k, 0, 1, k + 1])
+    rows = [draw(st.lists(cell, min_size=k, max_size=k))]
+    rows += [draw(st.lists(cell, min_size=m, max_size=m))
+             for m in draw(st.lists(width, max_size=6))]
+    ends = st.sampled_from(["\n", "\r\n"] + ([] if plain else ["\r", "\n\n", "\r\n\r\n"]))
+    quote = st.just(False) if plain else st.booleans()
+    text = ""
+    for row in rows:
+        text += ",".join('"' + c.replace('"', '""') + '"' if draw(quote) else c for c in row)
+        text += draw(ends)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+def outcome(read, raw):
+    """What a reader makes of raw bytes: its header, columns and line numbers
+    and pending error, or the MalformedRow it raises."""
+    try:
+        header, cols, lines, error = read(raw)
+    except MalformedRow as exc:
+        return ("raised", exc.line, str(exc))
+    return header, cols, lines.tolist(), error and (error.line, str(error))
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_texts())
+@example(b"")
+@example(b"a,b")
+@example(b"a,b\r\n1,2\r\n")
+@example(b"a,b\n1,2\n\n")
+@example(b"a,b\r1,2\r")
+def test_one_split_reader_agrees_with_csv_reader(raw):
+    reference = outcome(data_model._csv_reader_columns, raw)
+    split = data_model._split_columns(raw)
+    if split is not None:
+        header, cols = split
+        assert reference == (header, cols, list(range(2, len(cols[0]) + 2)), None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "any.csv"
+        path.write_bytes(raw)
+        assert outcome(lambda _: data_model._read_columns(path, ()), raw) == reference
+
+
+def test_written_files_take_the_one_split_path(tmp_path, monkeypatch):
+    dataset, truth = generate(SynthConfig(n_rows=2000, seed=3))
+    curves = smooth_curves(fit_all_groups(dataset), window=2)
+    labels = CorrectedDataset(dataset.watch_times / dataset.watch_times.max())
+    write_csv(dataset, tmp_path / "data.csv")
+    write_ground_truth_csv(truth, tmp_path / "truth.csv")
+    curves.to_csv(tmp_path / "curves.csv")
+    labels.to_csv(tmp_path / "labels.csv")
+
+    def no_csv_reader(raw):
+        raise AssertionError("plain file fell back to csv.reader")
+
+    monkeypatch.setattr(data_model, "_csv_reader_columns", no_csv_reader)
+    assert columns(ingest_csv(tmp_path / "data.csv")) == columns(dataset)
+    assert read_ground_truth_csv(tmp_path / "truth.csv") == truth
+    assert np.array_equal(BiasNoiseCurves.from_csv(tmp_path / "curves.csv").w_plus, curves.w_plus)
+    assert np.array_equal(read_labels_csv(tmp_path / "labels.csv", len(dataset)), labels.labels)
+
+
+def test_chunked_write_matches_row_writer(tmp_path, monkeypatch):
+    dataset, truth = generate(SynthConfig(n_rows=50, seed=4))
+    monkeypatch.setattr(data_model, "WRITE_CHUNK_ROWS", 7)  # 50 rows: 7 full chunks and 1 row
+    write_csv(dataset, tmp_path / "new.csv")
+    reference_write_csv(dataset, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    write_ground_truth_csv(truth, tmp_path / "truth.csv")
+    with open(tmp_path / "truth_old.csv", "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([["p_interest", "r_sample", "w_plus_d", "w_minus_d"],
+                                 *(list(r) for r in zip(*(c.tolist() for c in truth._columns())))])
+    assert (tmp_path / "truth.csv").read_bytes() == (tmp_path / "truth_old.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.sampled_from(["a", "b", "é", "日", "\x00"]), max_size=3), max_size=8))
+@example([])
+@example([""])
+@example(["", "a", ""])
+@example(["only"])
+@example(["é", "e", "日本", "z", "e"])
+@example(["a", "a\x00", "a\x00\x00", "\x00", ""])
+def test_string_codes_equal_np_unique(keys):
+    ref_table, ref_codes = np.unique(np.asarray(keys, dtype=str), return_inverse=True)
+    for given_keys in (keys, np.asarray(keys, dtype=str), np.asarray(keys, dtype=object)):
+        table, codes = string_codes(given_keys)
+        assert table.dtype == ref_table.dtype and table.tolist() == ref_table.tolist()
+        assert codes.dtype == np.int64 and codes.tolist() == ref_codes.tolist()
+        group, n_groups = group_codes(np.asarray(given_keys))
+        assert group.tolist() == ref_codes.tolist() and n_groups == ref_table.size
+
+
+@pytest.mark.parametrize("keys", [[3, 1, 2, 1], ["b", 1, "a"]])
+def test_group_codes_of_non_string_objects_keep_numpy_order(keys):
+    objects = np.asarray(keys, dtype=object)
+    uniq, codes = np.unique(np.array(keys), return_inverse=True)
+    assert group_codes(objects)[0].tolist() == codes.tolist()
+    assert string_codes(objects)[1].tolist() == np.unique(
+        np.asarray(keys, dtype=str), return_inverse=True)[1].tolist()

@@ -13,6 +13,7 @@ from watchlab.estimator import (
     fit_group_gmm,
     smooth_curves,
 )
+from watchlab.synthgen import SynthConfig, generate
 
 
 def mixture_sample(rng, n, w_minus, w_plus, weight_plus, s_minus=1.0, s_plus=4.0):
@@ -82,6 +83,18 @@ class TestFitAllGroups:
         ds = dataset_with_groups({10: 1000, 15: 10, 20: 1000})
         fits = fit_all_groups(ds)
         assert set(fits) == {10, 20}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_group_mask_reference(self, seed):
+        ds, _ = generate(SynthConfig(n_rows=6000, duration_range=(5, 120), seed=seed))
+        options = GmmOptions()
+        w, d = ds.watch_times, ds.durations
+        reference = {int(k): fit_group_gmm(w[d == k], options, d=int(k)) for k in np.unique(d)
+                     if (d == k).sum() >= options.min_group_size}
+        fits = fit_all_groups(ds, options)
+        assert 0 < len(fits) < np.unique(d).size  # some groups are too thin
+        assert list(fits) == list(reference)
+        assert fits == reference
 
 
 def make_raw(counts, plus, minus=None):

@@ -44,6 +44,16 @@ def test_curve_order_enforced():
         generate(cfg)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("curves", [
+    lambda v: {"bias_curve": Curve("power_law", {"a": v, "gamma": 0.9})},
+    lambda v: {"noise_curve": Curve("saturating", {"c": v, "tau": 60.0})},
+], ids=["bias_curve", "noise_curve"])
+def test_non_finite_curve_parameter_rejected(curves, value):
+    with pytest.raises(CurveOrderViolation):
+        generate(SynthConfig(n_rows=50, **curves(value)))
+
+
 def test_same_seed_identical():
     cfg = SynthConfig(n_rows=500, seed=11)
     ds1, t1 = generate(cfg)
