@@ -356,13 +356,14 @@ def _csv_reader_columns(raw: bytes):
     pending error) of a CSV file's bytes, read by csv.reader. The rows stop
     before the first one whose field count differs from the header's, and
     the pending error is the MalformedRow for it (else None). Blank lines are
-    skipped but counted. Raises MalformedRow for an empty file."""
+    skipped but counted. Raises MalformedRow for an empty file or a csv.Error."""
     reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow(0, "file is empty")
-    rows = list(reader)
+        header, *rows = reader
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+    except ValueError:  # not even a header row to unpack
+        raise MalformedRow(0, "file is empty") from None
     sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     lines = np.flatnonzero(sizes) + 2
     if lines.size < len(rows):
@@ -385,12 +386,16 @@ def _read_columns(path, required):
     `required` column."""
     with open(path, "rb") as f:
         raw = f.read()
-    split = _split_columns(raw)
-    if split is None:
-        header, cols, lines, error = _csv_reader_columns(raw)
-    else:
-        (header, cols), error = split, None
-        lines = np.arange(2, len(cols[0]) + 2)
+    try:
+        split = _split_columns(raw)
+        if split is None:
+            header, cols, lines, error = _csv_reader_columns(raw)
+        else:
+            (header, cols), error = split, None
+            lines = np.arange(2, len(cols[0]) + 2)
+    except UnicodeDecodeError as exc:  # exc.object's CRLF -> LF keeps raw's line count
+        raise MalformedRow(exc.object.count(b"\n", 0, exc.start) + 1,
+                           f"not valid UTF-8: byte {exc.object[exc.start]:#04x}") from None
     for c in required:
         if c not in header:
             raise MissingColumn(c)

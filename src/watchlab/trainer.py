@@ -11,8 +11,6 @@ from .data_model import Dataset
 from .errors import NonFiniteLoss
 from .ranking import string_codes
 
-UNKNOWN = None  # value of a field's unknown token; no id string equals it
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -33,38 +31,29 @@ class TrainConfig:
 class Vocabulary:
     """Token index over (field, value) pairs with one unknown token per field.
 
-    `lookup` searches per-field sorted copies of `token_to_idx`, made on first
-    use, so the mapping is not to be changed after that.
+    `columns` maps each field, in token order, to the values seen in training
+    as a sorted string array, each value's token index, and the field's
+    unknown token.
     """
 
-    def __init__(self, fields, token_to_idx):
-        self.fields = tuple(fields)
-        self.token_to_idx = dict(token_to_idx)
-        self._sorted = {}
+    def __init__(self, columns):
+        self.columns = dict(columns)
+        self.fields = tuple(self.columns)
 
     def __len__(self):
-        return len(self.token_to_idx)
+        return sum(tokens.size + 1 for _, tokens, _ in self.columns.values())
 
     def index(self, fld, value) -> int:
-        return self.token_to_idx.get((fld, value), self.token_to_idx[(fld, UNKNOWN)])
-
-    def _sorted_tokens(self, fld):
-        """(the field's values as a sorted string array, their token indices),
-        built on the field's first lookup."""
-        if fld not in self._sorted:
-            items = [(v, i) for (f, v), i in self.token_to_idx.items()
-                     if f == fld and v is not UNKNOWN]
-            values = np.array([v for v, _ in items], dtype=str)
-            order = np.argsort(values, kind="stable")
-            tokens = np.array([i for _, i in items], dtype=np.int64)
-            self._sorted[fld] = values[order], tokens[order]
-        return self._sorted[fld]
+        """Token index of one value; the field's unknown token where the value
+        is not a seen id string."""
+        if not isinstance(value, str):
+            return self.columns[fld][2]
+        return int(self.lookup(fld, [value])[0])
 
     def lookup(self, fld, values) -> np.ndarray:
         """Token index of each value (an id string); the field's unknown token
         where unseen."""
-        unknown = self.token_to_idx[(fld, UNKNOWN)]
-        keys, tokens = self._sorted_tokens(fld)
+        keys, tokens, unknown = self.columns[fld]
         values = np.asarray(values, dtype=str)
         pos = np.searchsorted(keys, values).clip(max=keys.size - 1)
         return np.where(keys[pos] == values, tokens[pos], unknown)
@@ -82,25 +71,28 @@ def _field_columns(dataset: Dataset):
 def build_vocab(train: Dataset) -> Vocabulary:
     """One token per (field, value) seen in training plus per-field unknowns.
 
-    A field's tokens follow the order in which its values first appear.
+    A field's tokens follow the order in which its values first appear, and
+    its unknown token comes after them.
     """
     if len(train) == 0:
         raise ValueError("cannot build a vocabulary from an empty dataset")
-    fields = []
-    token_to_idx = {}
+    columns, n = {}, 0
     for fld, table, codes in _field_columns(train):
-        seen, first = np.unique(codes, return_index=True)
-        for value in table[seen[np.argsort(first)]].tolist():
-            token_to_idx[(fld, value)] = len(token_to_idx)
-        token_to_idx[(fld, UNKNOWN)] = len(token_to_idx)
-        fields.append(fld)
-    return Vocabulary(fields, token_to_idx)
+        rows = np.arange(codes.size)
+        first = np.full(table.size, codes.size)
+        np.minimum.at(first, codes, rows)
+        seen = np.flatnonzero(first < codes.size)
+        # a value's token counts the first appearances up to and including its own
+        appeared = np.cumsum(first[codes] == rows)
+        columns[fld] = (table[seen], n - 1 + appeared[first[seen]], n + seen.size)
+        n += seen.size + 1
+    return Vocabulary(columns)
 
 
 def encode(vocab: Vocabulary, dataset: Dataset) -> np.ndarray:
     """Token index matrix, one row per interaction, one column per field."""
     out = np.empty((len(dataset), len(vocab.fields)), dtype=np.int64)
-    out[:] = [vocab.token_to_idx[(fld, UNKNOWN)] for fld in vocab.fields]
+    out[:] = [unknown for _, _, unknown in vocab.columns.values()]
     for fld, table, codes in _field_columns(dataset):
         if fld in vocab.fields:
             out[:, vocab.fields.index(fld)] = vocab.lookup(fld, table)[codes]
@@ -118,12 +110,17 @@ class FMModel:
         self.linear = np.zeros(n)
         self.embeddings = rng.normal(0.0, 0.01, (n, k))
 
-    def score(self, idx: np.ndarray) -> np.ndarray:
-        """Logits for a token-index matrix via the sum-of-squares identity."""
-        V = self.embeddings[idx]  # (n, m, k)
+    def forward(self, idx: np.ndarray):
+        """(logits, gathered embeddings V (n, m, k), their sum over fields s
+        (n, k)) for a token-index matrix, via the sum-of-squares identity."""
+        V = self.embeddings[idx]
         s = V.sum(axis=1)
         pair = 0.5 * ((s ** 2).sum(axis=1) - (V ** 2).sum(axis=(1, 2)))
-        return self.bias + self.linear[idx].sum(axis=1) + pair
+        return self.bias + self.linear[idx].sum(axis=1) + pair, V, s
+
+    def score(self, idx: np.ndarray) -> np.ndarray:
+        """Logits for a token-index matrix."""
+        return self.forward(idx)[0]
 
     def score_interactions(self, dataset: Dataset) -> np.ndarray:
         return self.score(encode(self.vocab, dataset))
@@ -250,7 +247,7 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             bi = idx[batch]
-            logits = model.score(bi)
+            logits, V, s = model.forward(bi)
             loss = bce_loss(logits, y[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss became {loss} at epoch {epoch}")
@@ -261,8 +258,6 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
             # (row, field) order as a full-table np.add.at would add them
             rows, inv = np.unique(bi.ravel(), return_inverse=True)
             g_linear = np.bincount(inv, weights=np.repeat(g, n_fields), minlength=rows.size)
-            V = model.embeddings[bi]
-            s = V.sum(axis=1)
             terms = g[:, None, None] * (s[:, None, :] - V)
             cells = (inv[:, None] * k + np.arange(k)).ravel()  # (row, column) of each term
             g_emb = np.bincount(cells, weights=terms.ravel(),

@@ -167,6 +167,20 @@ class TestCorrect:
         assert isinstance(result.exception, SystemExit)
         assert f"error: row 3: {reason}" in result.output
 
+    @pytest.mark.parametrize("cell, reason", [
+        (b"u\xff1", "not valid UTF-8"),
+        (b'"' + b"u" * 200_000 + b'"', "field larger than field limit"),
+    ], ids=["not_utf8", "over_field_limit"])
+    def test_unreadable_cell_exits_1(self, tmp_path, cell, reason):
+        data = tmp_path / "log.csv"
+        data.write_bytes(b"user_id,item_id,duration_s,watch_time_s\na,x,10,3\n"
+                         + cell + b",y,20,9\n")
+        cfg = write_config(tmp_path / "config.json", dataset_csv=str(data))
+        result = invoke("correct", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: row 3: {reason}" in result.output
+
     def test_short_ground_truth_exits_1(self, pipeline_dir):
         cfg_path, out = pipeline_dir
         short = out / "short_truth.csv"

@@ -190,6 +190,25 @@ class TestCsv:
             ingest_csv(path)
         assert info.value.line == line
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("quote", [b"", b'"'], ids=["one_split", "csv_reader"])
+    def test_invalid_utf8_names_its_line(self, tmp_path, end, quote):
+        path = tmp_path / "d.csv"
+        lines = [b"user_id,item_id,duration_s,watch_time_s", b"a,x,10,3",
+                 quote + b"b" + quote + b",y,10,3", b"u\xff1,z,10,3", b"c,x,10,3"]
+        path.write_bytes(end.join(lines) + end)
+        with pytest.raises(MalformedRow, match="not valid UTF-8") as info:
+            ingest_csv(path)
+        assert info.value.line == 4
+
+    def test_csv_reader_error_names_its_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s\na,x,10,3\n"
+                        f'"{"u" * 200_000}",y,10,3\nc,x,10,3\n')
+        with pytest.raises(MalformedRow, match="field larger than field limit") as info:
+            ingest_csv(path)
+        assert info.value.line == 3
+
     def test_optional_columns_parsed(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("user_id,item_id,duration_s,watch_time_s,timestamp,true_interest\n"

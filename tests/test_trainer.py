@@ -7,12 +7,12 @@ from watchlab.data_model import Dataset, Interaction
 from watchlab.errors import NonFiniteLoss
 from watchlab.evaluation import gauc
 from watchlab.trainer import (
-    UNKNOWN,
     FMModel,
     TrainConfig,
     TrainHistory,
     Vocabulary,
     _Adam,
+    _field_columns,
     bce_grad,
     bce_loss,
     build_vocab,
@@ -20,6 +20,48 @@ from watchlab.trainer import (
     fm_score_bruteforce,
     train,
 )
+
+
+UNKNOWN = None  # value of a field's unknown token in the reference; no id string equals it
+
+
+def reference_build_vocab(train):
+    """The earlier dict-building build_vocab: {(field, value): token}, the
+    tokens of each field in order of first appearance, then its unknown."""
+    token_to_idx = {}
+    for fld, table, codes in _field_columns(train):
+        seen, first = np.unique(codes, return_index=True)
+        for value in table[seen[np.argsort(first)]].tolist():
+            token_to_idx[(fld, value)] = len(token_to_idx)
+        token_to_idx[(fld, UNKNOWN)] = len(token_to_idx)
+    return token_to_idx
+
+
+def dict_walk(ref, fld, values):
+    """Token of each value in a reference vocabulary: one dict.get per value."""
+    unknown = ref[(fld, UNKNOWN)]
+    return np.array([ref.get((fld, v), unknown) for v in values], dtype=np.int64)
+
+
+def dict_walk_encode(ref, dataset):
+    cols = {"user_id": dataset.user_ids, "item_id": dataset.item_ids, **dataset.features}
+    fields = list(dict.fromkeys(fld for fld, _ in ref))
+    return np.stack([dict_walk(ref, fld, cols[fld].tolist()) for fld in fields], axis=1)
+
+
+def assert_same_vocab(vocab, ref, datasets, unseen=("<unk>", "never-seen")):
+    """vocab gives the reference's size, fields, tokens and encodings, and
+    the field's unknown token for each `unseen` value not in the reference."""
+    assert len(vocab) == len(ref)
+    assert vocab.fields == tuple(dict.fromkeys(fld for fld, _ in ref))
+    for (fld, value), token in ref.items():
+        assert vocab.index(fld, value) == token
+    for fld in vocab.fields:
+        values = [v for f, v in ref if f == fld and v is not UNKNOWN] + list(unseen)
+        assert vocab.lookup(fld, values).tolist() == dict_walk(ref, fld, values).tolist()
+        assert [vocab.index(fld, v) for v in values] == dict_walk(ref, fld, values).tolist()
+    for ds in datasets:
+        assert encode(vocab, ds).tolist() == dict_walk_encode(ref, ds).tolist()
 
 
 def pair_dataset(pairs, labels=None):
@@ -58,15 +100,32 @@ class TestVocabulary:
         assert vocab.fields == ("user_id", "item_id", "tab")
         assert len(vocab) == 6
 
+    def test_tokens_follow_first_appearance_not_sorted_order(self):
+        ds = Dataset.from_rows([Interaction(u, i, 1.0, 10, features=(("tab", t),))
+                                for u, i, t in [("c", "y", "2"), ("a", "z", "1"),
+                                                ("c", "x", "2"), ("b", "y", "0")]])
+        vocab = build_vocab(ds)
+        assert [vocab.index("user_id", u) for u in ["a", "b", "c", "zz"]] == [1, 2, 0, 3]
+        assert [vocab.index("item_id", i) for i in ["x", "y", "z", "zz"]] == [6, 4, 5, 7]
+        assert [vocab.index("tab", t) for t in ["0", "1", "2", "zz"]] == [10, 9, 8, 11]
+        assert_same_vocab(vocab, reference_build_vocab(ds), [ds])
+        # a subset keeps the full id tables; values it never saw get no token
+        part = ds.subset([2, 3])
+        vocab = build_vocab(part)
+        assert [vocab.index("user_id", u) for u in ["a", "b", "c"]] == [2, 1, 0]
+        assert len(vocab) == 9  # 2 users, 2 items and 2 tabs, each field with its unknown
+        assert_same_vocab(vocab, reference_build_vocab(part), [part, ds])
+
     def test_unk_value_gets_its_own_token(self):
         ds = Dataset.from_rows([Interaction("<unk>", "x", 1.0, 10),
                                 Interaction("b", "y", 1.0, 10)])
-        vocab = build_vocab(ds)
-        assert sorted(vocab.token_to_idx.values()) == list(range(len(vocab))) == list(range(6))
+        vocab, ref = build_vocab(ds), reference_build_vocab(ds)
+        assert sorted(ref.values()) == list(range(len(vocab))) == list(range(6))
+        unseen = Dataset.from_rows([Interaction("never-seen", "x", 1.0, 10)])
+        assert_same_vocab(vocab, ref, [ds, unseen])
         unk_user = vocab.index("user_id", "<unk>")
         assert unk_user != vocab.index("user_id", "never-seen")
         assert vocab.index("item_id", "x") not in (unk_user, vocab.index("user_id", "never-seen"))
-        unseen = Dataset.from_rows([Interaction("never-seen", "x", 1.0, 10)])
         assert encode(vocab, unseen)[0].tolist() == [vocab.index("user_id", "zzz"),
                                                     vocab.index("item_id", "x")]
 
@@ -215,18 +274,6 @@ ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="
               min_size=1, max_size=6)
 
 
-def dict_walk(vocab, fld, values):
-    """The earlier Vocabulary.lookup: one dict.get per value."""
-    unknown = vocab.token_to_idx[(fld, UNKNOWN)]
-    return np.array([vocab.token_to_idx.get((fld, v), unknown) for v in values],
-                    dtype=np.int64)
-
-
-def dict_walk_encode(vocab, dataset):
-    cols = {"user_id": dataset.user_ids, "item_id": dataset.item_ids, **dataset.features}
-    return np.stack([dict_walk(vocab, fld, cols[fld].tolist()) for fld in vocab.fields], axis=1)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(ids, ids, st.sampled_from(["a", "b", "<unk>"])), min_size=1,
                 max_size=20),
@@ -237,12 +284,11 @@ def test_lookup_matches_dict_walk(seen, other):
                                   for u, i, t in rows])
 
     train_set, other_set = log(seen), log(other)
-    vocab = build_vocab(train_set)
-    for ds in (train_set, other_set):
-        assert np.array_equal(encode(vocab, ds), dict_walk_encode(vocab, ds))
+    vocab, ref = build_vocab(train_set), reference_build_vocab(train_set)
+    assert_same_vocab(vocab, ref, [train_set, other_set])
     for fld, column in zip(vocab.fields, zip(*(seen + other))):
         values = list(column) + ["<unk>", "never-seen"]
-        assert np.array_equal(vocab.lookup(fld, values), dict_walk(vocab, fld, values))
+        assert np.array_equal(vocab.lookup(fld, values), dict_walk(ref, fld, values))
 
 
 class _LazyAdam:
