@@ -39,7 +39,7 @@ config = {"trainer": {"epochs": 20, "patience": 3}}
 reports = {}
 for method, lab in labels.items():
     scores = train_and_score(dataset, lab, splits, oracle, config, seed=0)
-    reports[method] = evaluate(scores, test_y, test_set, method, ks=(1, 3, 5))
+    reports[method] = evaluate(scores, test_y, test_set, method, ks=(1, 3, 5), n_ranges=3)
     r = reports[method]
     print(f"{method:12s} GAUC {r.gauc:.4f}  "
           + "  ".join(f"nDCG@{k} {v:.4f}" for k, v in r.ndcg_at.items()))

@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .data_model import (  # noqa: F401
     Dataset,
     DatasetStats,
-    FeatureSchema,
-    Interaction,
     compute_stats,
     ingest_csv,
     split_chronological,

@@ -8,7 +8,6 @@ runtime errors.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import sys
@@ -27,10 +26,10 @@ from .correction import (
     read_labels_csv,
 )
 from .data_model import (
-    FeatureSchema,
     chronological_split_indices,
     compute_stats,
     ingest_csv,
+    write_columns,
     write_csv,
 )
 from .errors import ConfigError, CurveOrderViolation, LengthMismatch, WatchlabError
@@ -161,8 +160,19 @@ def _dataset_path(config, out_dir: Path) -> Path:
     return Path(p) if p else out_dir / "data.csv"
 
 
-def _schema(config) -> FeatureSchema:
-    return FeatureSchema(feature_fields=tuple(config.get("feature_fields", ())))
+def _feature_fields(config) -> tuple:
+    return tuple(config.get("feature_fields", ()))
+
+
+def _write_rows(path, header, rows, dtypes) -> None:
+    """Write `rows` through write_columns, column j as an array of dtypes[j]."""
+    columns = list(zip(*rows)) or [()] * len(header)
+    write_columns(path, header, [np.array(c, dtype=t) for c, t in zip(columns, dtypes)])
+
+
+def _cell(value) -> str:
+    """A metric as its report cell: blank where no user could be scored."""
+    return "" if value is None else repr(float(value))
 
 
 def run_generate(config: dict, seed=None, out=None) -> Path:
@@ -202,7 +212,7 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
     data_path = _dataset_path(config, out_dir)
     if not data_path.exists():
         raise ConfigError(f"input dataset not found: {data_path}")
-    dataset = ingest_csv(data_path, _schema(config))
+    dataset = ingest_csv(data_path, _feature_fields(config))
     methods = _correction_methods(config)
     curves = fit_curves(dataset, config)
     params = [_section(CorrectionParams, config, "correction", skip=("methods",),
@@ -264,7 +274,7 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
              _json_list(int, config.get("seeds", [config.get("seed", 0)]), "seeds"))
     if not seeds:
         raise ConfigError("seeds must list at least one seed")
-    dataset = ingest_csv(data_path, _schema(config))
+    dataset = ingest_csv(data_path, _feature_fields(config))
     methods = _correction_methods(config)
     run_methods = list(dict.fromkeys(["watch_time", *methods, "oracle"]))
 
@@ -294,46 +304,32 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
             scores = train_and_score(dataset, labels_by_method[m], splits, oracle, config, s)
             per_seed[m].append(evaluate(scores, test_oracle, test_set, m, ks, n_ranges))
 
-    report_path = out_dir / "report.csv"
-    with open(report_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "seed", "gauc"] + [f"ndcg@{k}" for k in ks])
+    metrics = {m: [[rep.gauc, *(rep.ndcg_at[k] for k in ks)] for rep in per_seed[m]]
+               for m in run_methods}
+    rows = [(m, str(s), *v) for m in run_methods for s, v in zip(seeds, metrics[m])]
+    if len(seeds) > 1:
         for m in run_methods:
-            for s, rep in zip(seeds, per_seed[m]):
-                writer.writerow([m, s, repr(float(rep.gauc))]
-                                + [repr(float(rep.ndcg_at[k])) for k in ks])
-        if len(seeds) > 1:
-            for m in run_methods:
-                gs = [rep.gauc for rep in per_seed[m]]
-                writer.writerow([m, "mean", repr(float(np.mean(gs)))] + [
-                    repr(float(np.mean([rep.ndcg_at[k] for rep in per_seed[m]]))) for k in ks
-                ])
-                writer.writerow([m, "std", repr(float(np.std(gs)))] + [
-                    repr(float(np.std([rep.ndcg_at[k] for rep in per_seed[m]]))) for k in ks
-                ])
+            columns = list(zip(*metrics[m]))
+            rows += [(m, "mean", *map(np.mean, columns)), (m, "std", *map(np.std, columns))]
+    report_path = out_dir / "report.csv"
+    _write_rows(report_path, ["method", "seed", "gauc", *(f"ndcg@{k}" for k in ks)], rows,
+                [str, str] + [np.float64] * (1 + len(ks)))
 
     # Table-3-shaped duration-range breakdown with improve percentage
+    rows = []
+    for m in run_methods:
+        for j, (s, rep) in enumerate(zip(seeds, per_seed[m])):
+            for rng, wt, orc in zip(rep.ranges, per_seed["watch_time"][j].ranges,
+                                    per_seed["oracle"][j].ranges):
+                imp = None
+                if None not in (rng.gauc, wt.gauc, orc.gauc) and orc.gauc != wt.gauc:
+                    imp = improve_percentage(rng.gauc, wt.gauc, orc.gauc)
+                rows.append((m, s, rng.duration_lo, rng.duration_hi, rng.n_rows,
+                             *map(_cell, (rng.gauc, rng.ndcg[ks[0]], imp))))
     breakdown_path = out_dir / "breakdown.csv"
-    with open(breakdown_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "seed", "range_lo", "range_hi", "n_rows", "gauc",
-                         f"ndcg@{ks[0]}", "improve_pct"])
-        for m in run_methods:
-            for s, rep in zip(seeds, per_seed[m]):
-                wt = per_seed["watch_time"][seeds.index(s)]
-                orc = per_seed["oracle"][seeds.index(s)]
-                for i, rng in enumerate(rep.ranges):
-                    imp = ""
-                    v_wt = wt.ranges[i].gauc
-                    v_or = orc.ranges[i].gauc
-                    if rng.gauc is not None and v_wt is not None and v_or is not None and v_or != v_wt:
-                        imp = repr(float(improve_percentage(rng.gauc, v_wt, v_or)))
-                    writer.writerow([
-                        m, s, repr(rng.duration_lo), repr(rng.duration_hi), rng.n_rows,
-                        "" if rng.gauc is None else repr(float(rng.gauc)),
-                        "" if rng.ndcg[ks[0]] is None else repr(float(rng.ndcg[ks[0]])),
-                        imp,
-                    ])
+    _write_rows(breakdown_path, ["method", "seed", "range_lo", "range_hi", "n_rows", "gauc",
+                                 f"ndcg@{ks[0]}", "improve_pct"], rows,
+                [str, np.int64, np.float64, np.float64, np.int64, str, str, str])
 
     outputs = {"report.csv": report_path, "breakdown.csv": breakdown_path}
 
@@ -369,17 +365,15 @@ def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, windows, 
     opts = _section(GmmOptions, config, "estimator")
     raw = fit_all_groups(dataset, opts)
     counts = compute_stats(dataset).group_counts
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["window", "alpha", "gauc"])
-        for T in windows:
-            curves = smooth_curves(raw, T, counts)
-            for a in alphas:
-                params = CorrectionParams(method="d2co_s", curves=curves, alpha=a)
-                labels = apply_method(dataset, params).labels
-                scores = train_and_score(dataset, labels, splits, oracle, config, seed)
-                g = gauc(scores, test_oracle, test_set.user_codes)
-                writer.writerow([T, repr(float(a)), repr(float(g))])
+    rows = []
+    for T in windows:
+        curves = smooth_curves(raw, T, counts)
+        for a in alphas:
+            params = CorrectionParams(method="d2co_s", curves=curves, alpha=a)
+            labels = apply_method(dataset, params).labels
+            scores = train_and_score(dataset, labels, splits, oracle, config, seed)
+            rows.append((T, a, gauc(scores, test_oracle, test_set.user_codes)))
+    _write_rows(path, ["window", "alpha", "gauc"], rows, [np.int64, np.float64, np.float64])
 
 
 def run_report(config: dict, seed=None, out=None) -> Path:
@@ -391,14 +385,11 @@ def run_report(config: dict, seed=None, out=None) -> Path:
     if not data_path.exists():
         raise ConfigError(f"input dataset not found: {data_path}")
     curves = BiasNoiseCurves.from_csv(curves_path)
-    stats = compute_stats(ingest_csv(data_path, _schema(config)))
+    stats = compute_stats(ingest_csv(data_path, _feature_fields(config)))
     bias_err, noise_err = error_decomposition(curves, stats.w_max)
     err_path = out_dir / "error_curves.csv"
-    with open(err_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["d", "bias_err", "noise_err"])
-        for i, d in enumerate(curves.durations):
-            writer.writerow([int(d), repr(float(bias_err[i])), repr(float(noise_err[i]))])
+    write_columns(err_path, ["d", "bias_err", "noise_err"],
+                  [curves.durations, bias_err, noise_err])
 
     outputs = {"error_curves.csv": err_path}
     notes = {}

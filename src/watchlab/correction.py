@@ -136,7 +136,7 @@ def label_d2co_sensitivity(w, w_plus, w_minus, alpha: float, clip: bool = True):
     return np.clip(r, 0.0, 1.0) if clip else r
 
 
-def denoise_postprocess(labels, dataset: Dataset, threshold_s: float = 5.0):
+def denoise_postprocess(labels, dataset: Dataset, threshold_s: float):
     """Zero the label wherever watch time is strictly below the threshold."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape[0] != len(dataset):

@@ -1,10 +1,9 @@
-"""Interaction log as numpy columns, splitting, CSV I/O and interest labeling."""
+"""Watch log as numpy columns, splitting, CSV I/O and interest labeling."""
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,36 +25,6 @@ BASE_COLUMNS = ["user_id", "item_id", "duration_s", "watch_time_s"]
 INT64_LIMIT = 2.0 ** 63  # integer columns hold values below this in magnitude
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """One log row: who watched what, for how long, out of what duration.
-
-    A view of one Dataset row, or a hand-built row for Dataset.from_rows.
-    """
-
-    user_id: str
-    item_id: str
-    watch_time_s: float
-    duration_s: int
-    features: tuple = ()  # ordered (field_name, value) pairs
-    timestamp: int | None = None
-    true_interest: int | None = None
-
-    def __post_init__(self):
-        w, d = self.watch_time_s, self.duration_s
-        if not math.isfinite(w) or w < 0:
-            raise ValueError(f"watch_time_s must be finite and >= 0, got {w}")
-        if not math.isfinite(d) or d < 1:
-            raise ValueError(f"duration_s must be finite and >= 1, got {d}")
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Declared extra categorical feature columns for a CSV file."""
-
-    feature_fields: tuple = ()
-
-
 def _check(bad: np.ndarray, what: str, values) -> None:
     if bad.any():
         i = int(np.argmax(bad))
@@ -70,7 +39,6 @@ class Dataset:
     order users exactly as their id strings do; `watch_times` is float64,
     `durations` int64, `timestamps` and `true_interest` are int64 or None,
     and `features` maps each declared feature field to a string column.
-    Integer indexing and iteration yield Interaction views.
     """
 
     def __init__(self, user_ids, item_ids, watch_times, durations, timestamps=None,
@@ -86,23 +54,6 @@ class Dataset:
         ds._set(user_table, user_codes, item_table, item_codes, watch_times, durations,
                 timestamps, true_interest, features)
         return ds
-
-    @classmethod
-    def from_rows(cls, interactions) -> "Dataset":
-        """Columns from hand-built Interaction rows.
-
-        Every row must declare the same feature fields. A timestamp or
-        true-interest column is kept only when every row has a value.
-        """
-        rows = list(interactions)
-        fields = [f for f, _ in rows[0].features] if rows else []
-        if any([f for f, _ in r.features] != fields for r in rows):
-            raise ValueError("every row must declare the same feature fields")
-        u, i, w, d, ts, interest, *feats = list(zip(*(
-            (r.user_id, r.item_id, r.watch_time_s, r.duration_s, r.timestamp, r.true_interest,
-             *(v for _, v in r.features)) for r in rows))) or [()] * 6
-        return cls(u, i, w, d, None if None in ts else ts,
-                   None if None in interest else interest, dict(zip(fields, feats)))
 
     def _set(self, user_table, user_codes, item_table, item_codes, watch_times, durations,
              timestamps, true_interest, features):
@@ -134,24 +85,6 @@ class Dataset:
 
     def __len__(self):
         return self.watch_times.size
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.subset(np.arange(len(self))[i])
-        i = range(len(self))[i]
-        ts, interest = self.timestamps, self.true_interest
-        return Interaction(
-            user_id=str(self.user_table[self.user_codes[i]]),
-            item_id=str(self.item_table[self.item_codes[i]]),
-            watch_time_s=float(self.watch_times[i]),
-            duration_s=int(self.durations[i]),
-            features=tuple((f, str(c[i])) for f, c in self.features.items()),
-            timestamp=None if ts is None else int(ts[i]),
-            true_interest=None if interest is None else int(interest[i]),
-        )
 
     @property
     def user_ids(self) -> np.ndarray:
@@ -255,7 +188,7 @@ def _parse_floats(column):
         return np.array(np.where(bad, "nan", column), dtype=np.float64), bad
 
 
-def _parse_columns(header, cols, lines, schema):
+def _parse_columns(header, cols, lines, feature_fields):
     """Typed columns of a log whose string columns are `cols`, in header
     order; raises MalformedRow for the first bad row, with the message of the
     first check that row fails."""
@@ -305,21 +238,20 @@ def _parse_columns(header, cols, lines, schema):
         raise MalformedRow(int(lines[i]), checks[k][1](i))
     return Dataset(col("user_id"), col("item_id"), w, d,
                    timestamps=None if ts is None else ts.astype(np.int64),
-                   true_interest=interest, features={f: col(f) for f in schema.feature_fields})
+                   true_interest=interest, features={f: col(f) for f in feature_fields})
 
 
-def ingest_csv(path, schema: FeatureSchema | None = None) -> Dataset:
+def ingest_csv(path, feature_fields=()) -> Dataset:
     """Read a UTF-8 comma-separated log file into a Dataset.
 
-    Required columns: user_id, item_id, duration_s, watch_time_s. Optional:
-    timestamp, true_interest, plus the schema's declared feature columns.
+    Required columns: user_id, item_id, duration_s, watch_time_s, plus the
+    declared `feature_fields`. Optional: timestamp, true_interest.
     Durations are quantized to integer seconds. Watch times above duration
     are kept as-is (replays are real data). A timestamp or true_interest
     column with a blank cell is dropped.
     """
-    schema = schema or FeatureSchema()
-    header, cols, lines, size_error = _read_columns(path, [*BASE_COLUMNS, *schema.feature_fields])
-    dataset = _parse_columns(header, cols, lines, schema)  # an earlier bad row wins
+    header, cols, lines, size_error = _read_columns(path, [*BASE_COLUMNS, *feature_fields])
+    dataset = _parse_columns(header, cols, lines, feature_fields)  # an earlier bad row wins
     if size_error:
         raise size_error
     return dataset
@@ -352,20 +284,25 @@ def _split_columns(raw: bytes):
 
 
 def _csv_reader_columns(raw: bytes):
-    """(header, string columns of the non-blank rows, their line numbers,
-    pending error) of a CSV file's bytes, read by csv.reader. The rows stop
-    before the first one whose field count differs from the header's, and
-    the pending error is the MalformedRow for it (else None). Blank lines are
-    skipped but counted. Raises MalformedRow for an empty file or a csv.Error."""
+    """(header, string columns of the non-blank rows, the line each of them
+    starts on, pending error) of a CSV file's bytes, read by csv.reader. The
+    rows stop before the first one whose field count differs from the
+    header's, and the pending error is the MalformedRow for it (else None).
+    Blank lines and line breaks inside quoted cells are counted. Raises
+    MalformedRow for an empty file or a csv.Error."""
     reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+    rows, ends = [], [0]  # ends[k]: the last line of the first k records
     try:
-        header, *rows = reader
+        for row in reader:
+            rows.append(row)
+            ends.append(reader.line_num)
     except csv.Error as exc:
         raise MalformedRow(reader.line_num, str(exc)) from None
-    except ValueError:  # not even a header row to unpack
-        raise MalformedRow(0, "file is empty") from None
+    if not rows:
+        raise MalformedRow(0, "file is empty")
+    header, *rows = rows
     sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    lines = np.flatnonzero(sizes) + 2
+    lines = np.array(ends[1:-1], dtype=np.int64)[sizes > 0] + 1
     if lines.size < len(rows):
         rows = list(filter(None, rows))
         sizes = sizes[sizes > 0]
@@ -464,9 +401,9 @@ def write_columns(path, header, columns) -> None:
             f.write("".join(text))
 
 
-def write_csv(dataset: Dataset, path, schema: FeatureSchema | None = None) -> None:
-    """Write a Dataset in the same format ingest_csv reads."""
-    fields = (schema or FeatureSchema()).feature_fields
+def write_csv(dataset: Dataset, path) -> None:
+    """Write a Dataset, every feature column included, in the format
+    ingest_csv reads."""
 
     def ids(table, codes):  # quoted once per distinct id
         return np.array(_cells(table), dtype=object)[codes]
@@ -475,6 +412,6 @@ def write_csv(dataset: Dataset, path, schema: FeatureSchema | None = None) -> No
              "item_id": ids(dataset.item_table, dataset.item_codes),
              "duration_s": dataset.durations, "watch_time_s": dataset.watch_times,
              "timestamp": dataset.timestamps, "true_interest": dataset.true_interest,
-             **{f: dataset.features.get(f, np.full(len(dataset), "")) for f in fields}}
+             **dataset.features}
     header = [name for name, column in named.items() if column is not None]
     write_columns(path, header, [named[name] for name in header])

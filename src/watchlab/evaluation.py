@@ -169,8 +169,7 @@ def _breakdown(scores, pos, codes, n_users, d, n_ranges, ks):
     return out
 
 
-def evaluate(scores, labels, dataset: Dataset, method: str, ks=(1, 3, 5),
-             n_ranges: int = 3) -> EvalReport:
+def evaluate(scores, labels, dataset: Dataset, method: str, ks, n_ranges: int) -> EvalReport:
     """Full report: global GAUC/nDCG plus the duration-range breakdown.
 
     The user codes are computed once and sliced for each duration range.

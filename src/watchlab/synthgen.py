@@ -80,21 +80,10 @@ class SynthConfig:
             )
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
-    """A view of one row of GroundTruth."""
-
-    p_interest: float
-    r_sample: int
-    w_plus_d: float
-    w_minus_d: float
-
-
 class GroundTruth:
     """Row-aligned latent truth of a synthetic log, as numpy columns: the
     interest probability, the sampled interest and both curves at the row's
-    duration. Indexing with an integer and iteration yield
-    GroundTruthRecord views."""
+    duration."""
 
     def __init__(self, p_interest, r_sample, w_plus_d, w_minus_d):
         self.p_interest = np.asarray(p_interest, dtype=np.float64)
@@ -109,14 +98,6 @@ class GroundTruth:
 
     def __len__(self):
         return self.p_interest.size
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]
-        return GroundTruthRecord(float(self.p_interest[i]), int(self.r_sample[i]),
-                                 float(self.w_plus_d[i]), float(self.w_minus_d[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, GroundTruth):

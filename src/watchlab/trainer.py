@@ -43,13 +43,6 @@ class Vocabulary:
     def __len__(self):
         return sum(tokens.size + 1 for _, tokens, _ in self.columns.values())
 
-    def index(self, fld, value) -> int:
-        """Token index of one value; the field's unknown token where the value
-        is not a seen id string."""
-        if not isinstance(value, str):
-            return self.columns[fld][2]
-        return int(self.lookup(fld, [value])[0])
-
     def lookup(self, fld, values) -> np.ndarray:
         """Token index of each value (an id string); the field's unknown token
         where unseen."""

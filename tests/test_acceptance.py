@@ -47,9 +47,9 @@ def test_criterion_01_exact_recovery(capsys):
     t0 = time.perf_counter()
     ds, truth = wl.generate(wl.SynthConfig(n_rows=10_000, seed=0))
     eds = expected_watch_dataset(ds, truth)
-    wp = np.array([t.w_plus_d for t in truth])
-    wm = np.array([t.w_minus_d for t in truth])
-    p = np.array([t.p_interest for t in truth])
+    wp = truth.w_plus_d
+    wm = truth.w_minus_d
+    p = truth.p_interest
     labels = label_d2co_affine(eds.watch_times, wp, wm)
     err = float(np.abs(labels - p).max())
     elapsed = time.perf_counter() - t0
@@ -153,7 +153,7 @@ def test_criterion_06_rank_equivalence(capsys):
                          noise_curve=wl.Curve("linear", {"c": 0.1}), seed=5)
     ds, truth = wl.generate(cfg)
     eds = expected_watch_dataset(ds, truth)
-    p = np.array([t.p_interest for t in truth])
+    p = truth.p_interest
     tau_a1 = tau(apply_method(eds, CorrectionParams("pcr")).labels, p)
 
     # matched-moments / shared-ranking regimes: every duration group carries
@@ -164,12 +164,12 @@ def test_criterion_06_rank_equivalence(capsys):
     ds2, truth2 = matched_interest_dataset(
         pm, durs, wl.Curve("power_law", {"a": 0.8, "gamma": 0.9}),
         wl.Curve("saturating", {"c": 12.0, "tau": 60.0}))
-    p2 = np.array([t.p_interest for t in truth2])
+    p2 = truth2.p_interest
     tau_a2 = tau(apply_method(ds2, CorrectionParams("wtg")).labels, p2)
 
     ds3, truth3 = matched_interest_dataset(
         pm, durs, wl.Curve("constant", {"c": 30.0}), wl.Curve("constant", {"c": 3.0}))
-    p3 = np.array([t.p_interest for t in truth3])
+    p3 = truth3.p_interest
     tau_a3 = tau(apply_method(ds3, CorrectionParams("d2q", n_bins=len(durs))).labels, p3)
 
     # violation regime: default config (duration-coupled interest, nonlinear
@@ -177,7 +177,7 @@ def test_criterion_06_rank_equivalence(capsys):
     taus = {m: [] for m in ("d2co_a", "pcr", "wtg", "d2q")}
     for seed in range(5):
         dsv, truthv = wl.generate(wl.SynthConfig(n_rows=20_000, seed=seed))
-        pv = np.array([t.p_interest for t in truthv])
+        pv = truthv.p_interest
         raw = wl.fit_all_groups(dsv)
         counts = wl.compute_stats(dsv).group_counts
         curves = wl.smooth_curves(raw, 2, counts)

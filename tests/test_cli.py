@@ -6,12 +6,13 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from watchlab.cli import _section, fit_curves, main
 from watchlab.correction import CorrectionParams, apply_method, read_labels_csv
-from watchlab.data_model import FeatureSchema, ingest_csv
+from watchlab.data_model import ingest_csv
 from watchlab.estimator import GmmOptions
 from watchlab.synthgen import SynthConfig
 from watchlab.trainer import TrainConfig
@@ -216,6 +217,23 @@ class TestTrainEval:
         assert {"method", "range_lo", "range_hi", "gauc", "improve_pct"} <= set(rows[0])
         assert {r["method"] for r in rows} == {"watch_time", "pcr", "d2co_a", "d2co_s", "oracle"}
 
+    def test_breakdown_leaves_unscored_cells_blank(self, tmp_path):
+        cfg = write_config(tmp_path / "config.json", evaluation={"n_ranges": 12},
+                           generate={"n_rows": 500, "n_users": 60, "n_items": 40,
+                                     "duration_range": [5, 60]},
+                           estimator={"min_group_size": 5, "window": 1})
+        out = tmp_path / "run"
+        for cmd in ("generate", "correct", "train-eval"):
+            result = invoke(cmd, "--config", str(cfg), "--out", str(out))
+            assert result.exit_code == 0, result.output
+        with open(out / "breakdown.csv") as f:
+            rows = list(csv.DictReader(f))
+        blank = [r for r in rows if r["gauc"] == ""]
+        assert blank and all(r["improve_pct"] == "" for r in blank)
+        for r in rows:
+            for key in ("gauc", "ndcg@1", "improve_pct"):
+                assert r[key] == "" or repr(float(r[key])) == r[key]
+
     def test_multi_seed_appends_mean_std(self, pipeline_dir):
         cfg_path, out = pipeline_dir
         config = json.loads(cfg_path.read_text())
@@ -226,8 +244,12 @@ class TestTrainEval:
         assert result.exit_code == 0, result.output
         with open(out / "report.csv") as f:
             rows = list(csv.DictReader(f))
-        seeds_for = [r["seed"] for r in rows if r["method"] == "d2co_a"]
-        assert seeds_for == ["0", "1", "mean", "std"]
+        d2co = [r for r in rows if r["method"] == "d2co_a"]
+        assert [r["seed"] for r in d2co] == ["0", "1", "mean", "std"]
+        for key in ("gauc", "ndcg@1", "ndcg@3", "ndcg@5"):
+            values = [float(r[key]) for r in d2co[:2]]
+            assert [r[key] for r in d2co[2:]] == [repr(float(np.mean(values))),
+                                                 repr(float(np.std(values)))]
 
     def test_seed_flag_overrides_config_seeds(self, pipeline_dir):
         cfg_path, out = pipeline_dir
@@ -279,7 +301,7 @@ class TestTrainEval:
             result = invoke(cmd, "--config", str(cfg), "--out", str(out))
             assert result.exit_code == 0, result.output
         config = json.loads(cfg.read_text())
-        dataset = ingest_csv(data, FeatureSchema(feature_fields=("tab",)))
+        dataset = ingest_csv(data, feature_fields=("tab",))
         assert dataset.features["tab"][:3].tolist() == ["t0", "t1", "t2"]
         curves = fit_curves(dataset, config)
         for m in config["correction"]["methods"]:

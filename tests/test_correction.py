@@ -25,17 +25,16 @@ from watchlab.correction import (
     sensitivity_affine,
     sensitivity_scontrolled_numeric,
 )
-from watchlab.data_model import Dataset, Interaction
+from watchlab.data_model import Dataset
 from watchlab.errors import CurveCollapse, LengthMismatch, NumericOverflow, OutOfInterval
 from watchlab.estimator import GroupEstimate, smooth_curves
 from tests.test_estimator import make_raw
 
 
 def simple_dataset(watch_times, durations):
-    return Dataset.from_rows(
-        Interaction(f"u{i}", f"i{i}", float(w), int(d), timestamp=i)
-        for i, (w, d) in enumerate(zip(watch_times, durations))
-    )
+    ids = range(len(watch_times))
+    return Dataset([f"u{i}" for i in ids], [f"i{i}" for i in ids], watch_times, durations,
+                   timestamps=ids)
 
 
 class TestPcr:

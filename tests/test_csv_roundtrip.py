@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from watchlab import data_model
 from watchlab.correction import CorrectedDataset, read_labels_csv
-from watchlab.data_model import BASE_COLUMNS, Dataset, FeatureSchema, ingest_csv, write_csv
+from watchlab.data_model import BASE_COLUMNS, Dataset, ingest_csv, write_csv
 from watchlab.errors import MalformedRow
 from watchlab.estimator import BiasNoiseCurves, fit_all_groups, smooth_curves
 from watchlab.ranking import group_codes, string_codes
@@ -31,34 +31,34 @@ text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=
 ids = text.filter(bool)
 
 
-def reference_write_csv(dataset, path, schema=None):
-    """The earlier write_csv: one writerow per Interaction."""
-    schema = schema or FeatureSchema()
-    has_ts = all(r.timestamp is not None for r in dataset)
-    has_interest = all(r.true_interest is not None for r in dataset)
+def reference_write_csv(dataset, path):
+    """The earlier write_csv: one writerow per row, each cell formatted on
+    its own."""
+    fields = tuple(dataset.features)
+    ts, interest = dataset.timestamps, dataset.true_interest
     header = list(BASE_COLUMNS)
-    if has_ts:
+    if ts is not None:
         header.append("timestamp")
-    if has_interest:
+    if interest is not None:
         header.append("true_interest")
-    header.extend(schema.feature_fields)
+    header.extend(fields)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        for r in dataset:
-            feats = dict(r.features)
-            row = [r.user_id, r.item_id, repr(r.duration_s), repr(r.watch_time_s)]
-            if has_ts:
-                row.append(repr(r.timestamp))
-            if has_interest:
-                row.append(repr(r.true_interest))
-            row.extend(feats.get(fname, "") for fname in schema.feature_fields)
+        for i, (user_id, item_id) in enumerate(zip(dataset.user_ids, dataset.item_ids)):
+            row = [user_id, item_id, repr(int(dataset.durations[i])),
+                   repr(float(dataset.watch_times[i]))]
+            if ts is not None:
+                row.append(repr(int(ts[i])))
+            if interest is not None:
+                row.append(repr(int(interest[i])))
+            row.extend(str(dataset.features[fname][i]) for fname in fields)
             writer.writerow(row)
 
 
 @st.composite
-def logs(draw, min_rows=0):
-    n = draw(st.integers(min_rows, 12))
+def logs(draw):
+    n = draw(st.integers(0, 12))
     column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))  # noqa: E731
     fields = ("genre", "tab")[:draw(st.integers(0, 2))]
     dataset = Dataset(
@@ -69,7 +69,7 @@ def logs(draw, min_rows=0):
         true_interest=column(st.integers(0, 1)) if draw(st.booleans()) else None,
         features={f: column(text) for f in fields},
     )
-    return dataset, FeatureSchema(feature_fields=fields)
+    return dataset
 
 
 def columns(ds):
@@ -83,23 +83,19 @@ def columns(ds):
 
 @settings(max_examples=300, deadline=None)
 @given(logs())
-def test_write_then_ingest_gives_back_the_columns(log):
-    dataset, schema = log
+def test_write_then_ingest_gives_back_the_columns(dataset):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.csv"
-        write_csv(dataset, path, schema)
-        assert columns(ingest_csv(path, schema)) == columns(dataset)
+        write_csv(dataset, path)
+        assert columns(ingest_csv(path, tuple(dataset.features))) == columns(dataset)
 
 
-# An empty log is left to the test below: the row writer gave it timestamp
-# and true_interest headers whether or not the dataset had those columns.
 @settings(max_examples=300, deadline=None)
-@given(logs(min_rows=1))
-def test_write_csv_bytes_match_row_writer(log):
-    dataset, schema = log
+@given(logs())
+def test_write_csv_bytes_match_row_writer(dataset):
     with tempfile.TemporaryDirectory() as tmp:
-        write_csv(dataset, Path(tmp) / "new.csv", schema)
-        reference_write_csv(dataset, Path(tmp) / "old.csv", schema)
+        write_csv(dataset, Path(tmp) / "new.csv")
+        reference_write_csv(dataset, Path(tmp) / "old.csv")
         assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "old.csv").read_bytes()
 
 

@@ -5,8 +5,6 @@ import pytest
 
 from watchlab.data_model import (
     Dataset,
-    FeatureSchema,
-    Interaction,
     compute_stats,
     ingest_csv,
     long_view_labels,
@@ -22,34 +20,9 @@ from watchlab.errors import (
 
 
 def make_rows(watch_times, durations, timestamps=None):
-    rows = []
-    for i, (w, d) in enumerate(zip(watch_times, durations)):
-        rows.append(Interaction(
-            user_id=f"u{i}", item_id=f"i{i}", watch_time_s=w, duration_s=d,
-            timestamp=timestamps[i] if timestamps else None,
-        ))
-    return Dataset.from_rows(rows)
-
-
-class TestInteraction:
-    def test_negative_watch_rejected(self):
-        with pytest.raises(ValueError):
-            Interaction("u", "i", watch_time_s=-1.0, duration_s=10)
-
-    def test_zero_duration_rejected(self):
-        with pytest.raises(ValueError):
-            Interaction("u", "i", watch_time_s=1.0, duration_s=0)
-
-    @pytest.mark.parametrize("w, d", [
-        (math.nan, 10), (math.inf, 10), (-math.inf, 10), (1.0, math.inf), (1.0, math.nan),
-    ])
-    def test_non_finite_rejected(self, w, d):
-        with pytest.raises(ValueError, match="finite"):
-            Interaction("u", "i", watch_time_s=w, duration_s=d)
-
-    def test_replay_above_duration_kept(self):
-        r = Interaction("u", "i", watch_time_s=25.0, duration_s=10)
-        assert r.watch_time_s == 25.0
+    ids = range(len(watch_times))
+    return Dataset([f"u{i}" for i in ids], [f"i{i}" for i in ids], watch_times, durations,
+                   timestamps=timestamps)
 
 
 class TestComputeStats:
@@ -66,7 +39,7 @@ class TestComputeStats:
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
-            compute_stats(Dataset.from_rows([]))
+            compute_stats(Dataset([], [], [], []))
 
 
 class TestSplit:
@@ -78,7 +51,7 @@ class TestSplit:
     def test_equal_timestamps_stable(self):
         ds = make_rows([1] * 6, [5] * 6, timestamps=[7] * 6)
         tr, va, te = split_chronological(ds, (0.5, 0.25, 0.25))
-        got = [r.user_id for part in (tr, va, te) for r in part]
+        got = [u for part in (tr, va, te) for u in part.user_ids]
         assert got == [f"u{i}" for i in range(6)]
 
     @pytest.mark.parametrize("fractions", [(0.001, 0.5, 0.499), (0.5, 0.001, 0.499),
@@ -118,7 +91,7 @@ class TestCsv:
         write_csv(ds, path)
         back = ingest_csv(path)
         assert compute_stats(back) == compute_stats(ds)
-        assert [r.watch_time_s for r in back] == [r.watch_time_s for r in ds]
+        assert back.watch_times.tolist() == ds.watch_times.tolist()
 
     def test_three_valid_rows(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -190,6 +163,18 @@ class TestCsv:
             ingest_csv(path)
         assert info.value.line == line
 
+    @pytest.mark.parametrize("body, line, message", [
+        ('"a\nb",x,10,3\nc,y,ten,3\n', 4, "duration_s not numeric: 'ten'"),
+        ('"a\nb",x,10,3\nc,y,"te\nn",3\nd,z,ten,3\n', 4, "duration_s not numeric: 'te\\nn'"),
+        ('"a\nb",x,10,3\n\n"c\r\nd",y,10\n', 5, "expected 4 fields, got 3"),
+    ], ids=["after_multiline", "inside_multiline", "field_count"])
+    def test_quoted_line_breaks_count_as_lines(self, tmp_path, body, line, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"user_id,item_id,duration_s,watch_time_s\n" + body.encode())
+        with pytest.raises(MalformedRow) as info:
+            ingest_csv(path)
+        assert str(info.value) == f"row {line}: {message}"
+
     @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("quote", [b"", b'"'], ids=["one_split", "csv_reader"])
     def test_invalid_utf8_names_its_line(self, tmp_path, end, quote):
@@ -223,8 +208,8 @@ class TestCsv:
         path.write_text(
             "user_id,item_id,duration_s,watch_time_s,tab\na,x,10,3,2\n"
         )
-        ds = ingest_csv(path, FeatureSchema(feature_fields=("tab",)))
-        assert ds[0].features == (("tab", "2"),)
+        ds = ingest_csv(path, feature_fields=("tab",))
+        assert {f: c.tolist() for f, c in ds.features.items()} == {"tab": ["2"]}
 
 
 class TestColumns:
@@ -237,6 +222,8 @@ class TestColumns:
         ([1.0, 2.0], [10, 0], "row 1: duration_s not an int64 >= 1: 0.0"),
         ([1.0, 2.0], [10, 10.5], "row 1: duration_s not an int64 >= 1: 10.5"),
         ([1.0, 2.0], [10, 1e19], "row 1: duration_s not an int64 >= 1: 1e\\+19"),
+        ([1.0, -math.inf], [10, 10], "row 1: watch_time_s not finite: -inf"),
+        ([1.0, 2.0], [10, math.inf], "row 1: duration_s not finite: inf"),
     ])
     def test_bad_numbers_name_the_row(self, w, d, message):
         with pytest.raises(ValueError, match=message):
@@ -251,6 +238,9 @@ class TestColumns:
         assert ds.user_ids.tolist() == ["u2", "u10", "u2"]
         assert ds.timestamps is None and ds.true_interest is None
 
+    def test_replay_above_duration_kept(self):
+        assert Dataset(["u"], ["i"], [25.0], [10]).watch_times.tolist() == [25.0]
+
     def test_unsorted_table_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             Dataset.from_codes(["b", "a"], [0, 1], ["x"], [0, 0], [1.0, 2.0], [5, 5])
@@ -260,17 +250,6 @@ class TestColumns:
         sub = ds.subset([2, 0])
         assert sub.watch_times.tolist() == [9.0, 3.0]
         assert sub.timestamps.tolist() == [7, 5]
-        assert sub[0] == Interaction("u2", "i2", 9.0, 30, timestamp=7)
-        assert [r.user_id for r in ds[1:]] == ["u1", "u2"]
-        assert list(Dataset.from_rows(ds)) == list(ds)
-
-    def test_from_rows_needs_one_feature_layout(self):
-        rows = [Interaction("a", "x", 1.0, 10, features=(("tab", "1"),)),
-                Interaction("b", "y", 1.0, 10)]
-        with pytest.raises(ValueError, match="feature fields"):
-            Dataset.from_rows(rows)
-
-    def test_from_rows_keeps_partial_columns_out(self):
-        ds = Dataset.from_rows([Interaction("a", "x", 1.0, 10, timestamp=3),
-                                Interaction("b", "y", 1.0, 10)])
-        assert ds.timestamps is None
+        assert (sub.user_ids.tolist(), sub.item_ids.tolist(), sub.durations.tolist()) == (
+            ["u2", "u0"], ["i2", "i0"], [30, 10])
+        assert sub.true_interest is None and sub.features == {}

@@ -3,7 +3,6 @@ import csv
 import numpy as np
 import pytest
 
-from watchlab.data_model import Dataset, Interaction
 from watchlab.errors import EmptyCurve, GroupTooSmall, NoFittableGroups
 from watchlab.estimator import (
     BiasNoiseCurves,
@@ -14,6 +13,8 @@ from watchlab.estimator import (
     smooth_curves,
 )
 from watchlab.synthgen import SynthConfig, generate
+
+from rows import rows_dataset
 
 
 def mixture_sample(rng, n, w_minus, w_plus, weight_plus, s_minus=1.0, s_plus=4.0):
@@ -65,8 +66,8 @@ def dataset_with_groups(spec, seed=0):
         x = mixture_sample(rng, n, 0.1 * d + 1, 0.8 * d + 5, 0.6, 0.5, 1.0)
         x = np.abs(x)
         for i, w in enumerate(x):
-            rows.append(Interaction(f"u{i%17}", f"i{i}", float(w), int(d)))
-    return Dataset.from_rows(rows)
+            rows.append((f"u{i%17}", f"i{i}", float(w), int(d)))
+    return rows_dataset(rows)
 
 
 class TestFitAllGroups:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from watchlab.data_model import Dataset, Interaction
 from watchlab.errors import (
     DegenerateDenominator,
     LengthMismatch,
@@ -18,6 +17,8 @@ from watchlab.evaluation import (
 )
 import watchlab.evaluation
 from watchlab.synthgen import GroundTruth
+
+from rows import rows_dataset
 
 
 class TestGauc:
@@ -158,8 +159,8 @@ def tiny_dataset():
         ("a", 10, 10.0, 1), ("a", 10, 2.0, 0), ("a", 40, 30.0, 1),
         ("b", 40, 5.0, 0), ("b", 40, 39.0, 1), ("b", 10, 1.0, 0),
     ]):
-        rows.append(Interaction(u, f"i{i}", w, d, timestamp=i, true_interest=y))
-    return Dataset.from_rows(rows)
+        rows.append((u, f"i{i}", w, d, i, y))
+    return rows_dataset(rows, "timestamp", "true_interest")
 
 
 class TestOracleLabels:
@@ -173,10 +174,10 @@ class TestOracleLabels:
         assert oracle_labels(tiny_dataset()).tolist() == [1, 0, 1, 0, 1, 0]
 
     def test_long_view_fallback(self):
-        ds = Dataset.from_rows([
-            Interaction("a", "x", 10.0, 10),   # complete play, short video
-            Interaction("a", "y", 17.0, 60),   # below the threshold
-            Interaction("a", "z", 25.0, 60),   # above the threshold
+        ds = rows_dataset([
+            ("a", "x", 10.0, 10),   # complete play, short video
+            ("a", "y", 17.0, 60),   # below the threshold
+            ("a", "z", 25.0, 60),   # above the threshold
         ])
         assert oracle_labels(ds).tolist() == [1, 0, 1]
 
@@ -190,24 +191,25 @@ class TestBreakdownAndReport:
         ds = tiny_dataset()
         scores = ds.watch_times
         labels = oracle_labels(ds)
-        (r,) = evaluate(scores, labels, ds, "watch_time", n_ranges=1).ranges
+        (r,) = evaluate(scores, labels, ds, "watch_time", ks=(1, 3, 5), n_ranges=1).ranges
         assert r.n_rows == len(ds)
         assert r.gauc == pytest.approx(gauc(scores, labels, ds.user_ids))
 
     def test_ranges_partition_rows(self):
         ds = tiny_dataset()
-        out = evaluate(ds.watch_times, oracle_labels(ds), ds, "watch_time", n_ranges=2).ranges
+        out = evaluate(ds.watch_times, oracle_labels(ds), ds, "watch_time", ks=(1, 3, 5),
+                       n_ranges=2).ranges
         assert sum(r.n_rows for r in out) == len(ds)
 
     def test_unevaluable_range_reports_none(self):
-        rows = [
-            Interaction("a", "x", 5.0, 10, true_interest=1),
-            Interaction("a", "y", 1.0, 10, true_interest=1),
-            Interaction("a", "z", 9.0, 100, true_interest=1),
-            Interaction("a", "w", 2.0, 100, true_interest=0),
-        ]
-        ds = Dataset.from_rows(rows)
-        out = evaluate(ds.watch_times, oracle_labels(ds), ds, "watch_time", n_ranges=2).ranges
+        ds = rows_dataset([
+            ("a", "x", 5.0, 10, 1),
+            ("a", "y", 1.0, 10, 1),
+            ("a", "z", 9.0, 100, 1),
+            ("a", "w", 2.0, 100, 0),
+        ], "true_interest")
+        out = evaluate(ds.watch_times, oracle_labels(ds), ds, "watch_time", ks=(1, 3, 5),
+                       n_ranges=2).ranges
         assert out[0].gauc is None
         assert out[1].gauc == 1.0
 

@@ -14,10 +14,11 @@ from scipy.stats import rankdata
 
 import watchlab
 from watchlab.correction import build_duration_bins, label_d2q
-from watchlab.data_model import Dataset, Interaction
 from watchlab.errors import NoEvaluableUsers
 from watchlab.evaluation import gauc, ndcg_at_k
 from watchlab.ranking import average_ranks, group_codes
+
+from rows import rows_dataset
 
 
 def _user_slices(user_ids):
@@ -140,7 +141,7 @@ def test_ndcg_matches_reference(log, k):
                 min_size=1, max_size=80),
        st.integers(1, 8))
 def test_d2q_matches_reference(rows, n_bins):
-    ds = Dataset.from_rows(Interaction(f"u{i}", f"i{i}", w, d) for i, (w, d) in enumerate(rows))
+    ds = rows_dataset((f"u{i}", f"i{i}", w, d) for i, (w, d) in enumerate(rows))
     bins = build_duration_bins(ds, n_bins)
     assert label_d2q(ds, bins).tolist() == reference_d2q(ds, bins).tolist()
 

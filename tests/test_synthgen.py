@@ -72,9 +72,8 @@ def test_expected_watch_matches_mixture():
     """With noise switched to its expectation, w equals p*w+ + (1-p)*w-."""
     ds, truth = generate(SynthConfig(n_rows=300, seed=4))
     eds = expected_watch_dataset(ds, truth)
-    for r, t in zip(eds, truth):
-        expected = t.p_interest * t.w_plus_d + (1 - t.p_interest) * t.w_minus_d
-        assert r.watch_time_s == pytest.approx(expected)
+    p = truth.p_interest
+    assert eds.watch_times == pytest.approx(p * truth.w_plus_d + (1 - p) * truth.w_minus_d)
 
 
 def test_empirical_mean_matches_decomposition():
@@ -84,8 +83,8 @@ def test_empirical_mean_matches_decomposition():
         duration_interest_coupling=0.0, seed=9,
     )
     ds, truth = generate(cfg)
-    p = truth[0].p_interest
-    expected = p * truth[0].w_plus_d + (1 - p) * truth[0].w_minus_d
+    p = truth.p_interest[0]
+    expected = p * truth.w_plus_d[0] + (1 - p) * truth.w_minus_d[0]
     assert ds.watch_times.mean() == pytest.approx(expected, rel=0.02)
 
 
@@ -100,9 +99,9 @@ def test_pcr_regime_rank_order():
     )
     ds, truth = generate(cfg)
     eds = expected_watch_dataset(ds, truth)
-    engaged = [i for i, t in enumerate(truth) if t.r_sample == 1]
+    engaged = np.flatnonzero(truth.r_sample == 1)
     pcr = eds.watch_times[engaged] / eds.durations[engaged]
-    p = np.array([truth[i].p_interest for i in engaged])
+    p = truth.p_interest[engaged]
     tau = kendalltau(pcr, p).statistic
     assert tau > 0.9999
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from watchlab.data_model import Dataset, Interaction
+from watchlab.data_model import Dataset
 from watchlab.errors import NonFiniteLoss
 from watchlab.evaluation import gauc
 from watchlab.trainer import (
@@ -20,6 +20,8 @@ from watchlab.trainer import (
     fm_score_bruteforce,
     train,
 )
+
+from rows import rows_dataset
 
 
 UNKNOWN = None  # value of a field's unknown token in the reference; no id string equals it
@@ -49,27 +51,32 @@ def dict_walk_encode(ref, dataset):
     return np.stack([dict_walk(ref, fld, cols[fld].tolist()) for fld in fields], axis=1)
 
 
+def token(vocab, fld, value) -> int:
+    """Token index of one value, UNKNOWN for the field's unknown token."""
+    if value is UNKNOWN:
+        return vocab.columns[fld][2]
+    return int(vocab.lookup(fld, [value])[0])
+
+
 def assert_same_vocab(vocab, ref, datasets, unseen=("<unk>", "never-seen")):
     """vocab gives the reference's size, fields, tokens and encodings, and
     the field's unknown token for each `unseen` value not in the reference."""
     assert len(vocab) == len(ref)
     assert vocab.fields == tuple(dict.fromkeys(fld for fld, _ in ref))
-    for (fld, value), token in ref.items():
-        assert vocab.index(fld, value) == token
+    for (fld, value), tok in ref.items():
+        assert token(vocab, fld, value) == tok
     for fld in vocab.fields:
         values = [v for f, v in ref if f == fld and v is not UNKNOWN] + list(unseen)
         assert vocab.lookup(fld, values).tolist() == dict_walk(ref, fld, values).tolist()
-        assert [vocab.index(fld, v) for v in values] == dict_walk(ref, fld, values).tolist()
+        assert [token(vocab, fld, v) for v in values] == dict_walk(ref, fld, values).tolist()
     for ds in datasets:
         assert encode(vocab, ds).tolist() == dict_walk_encode(ref, ds).tolist()
 
 
 def pair_dataset(pairs, labels=None):
-    rows = []
-    for i, (u, v) in enumerate(pairs):
-        rows.append(Interaction(u, v, 1.0, 10, timestamp=i,
-                                true_interest=None if labels is None else labels[i]))
-    return Dataset.from_rows(rows)
+    users, items = zip(*pairs)
+    n = len(pairs)
+    return Dataset(users, items, [1.0] * n, [10] * n, timestamps=range(n), true_interest=labels)
 
 
 class TestVocabulary:
@@ -82,9 +89,9 @@ class TestVocabulary:
 
     def test_unknown_fallback(self):
         vocab = build_vocab(pair_dataset([("a", "x")]))
-        unseen = vocab.index("user_id", "zzz")
-        assert unseen == vocab.index("user_id", "also-unseen")
-        assert unseen != vocab.index("user_id", "a")
+        unseen = token(vocab, "user_id", "zzz")
+        assert unseen == token(vocab, "user_id", "also-unseen")
+        assert unseen != token(vocab, "user_id", "a")
 
     def test_encode_shape_and_determinism(self):
         ds = pair_dataset([("a", "x"), ("b", "x")])
@@ -95,39 +102,38 @@ class TestVocabulary:
         assert idx[0, 1] == idx[1, 1]  # shared item token
 
     def test_feature_fields_tokenized(self):
-        ds = Dataset.from_rows([Interaction("a", "x", 1.0, 10, features=(("tab", "2"),))])
+        ds = rows_dataset([("a", "x", 1.0, 10, "2")], "tab")
         vocab = build_vocab(ds)
         assert vocab.fields == ("user_id", "item_id", "tab")
         assert len(vocab) == 6
 
     def test_tokens_follow_first_appearance_not_sorted_order(self):
-        ds = Dataset.from_rows([Interaction(u, i, 1.0, 10, features=(("tab", t),))
-                                for u, i, t in [("c", "y", "2"), ("a", "z", "1"),
-                                                ("c", "x", "2"), ("b", "y", "0")]])
+        ds = rows_dataset([(u, i, 1.0, 10, t) for u, i, t in [("c", "y", "2"), ("a", "z", "1"),
+                                                             ("c", "x", "2"), ("b", "y", "0")]],
+                          "tab")
         vocab = build_vocab(ds)
-        assert [vocab.index("user_id", u) for u in ["a", "b", "c", "zz"]] == [1, 2, 0, 3]
-        assert [vocab.index("item_id", i) for i in ["x", "y", "z", "zz"]] == [6, 4, 5, 7]
-        assert [vocab.index("tab", t) for t in ["0", "1", "2", "zz"]] == [10, 9, 8, 11]
+        assert [token(vocab, "user_id", u) for u in ["a", "b", "c", "zz"]] == [1, 2, 0, 3]
+        assert [token(vocab, "item_id", i) for i in ["x", "y", "z", "zz"]] == [6, 4, 5, 7]
+        assert [token(vocab, "tab", t) for t in ["0", "1", "2", "zz"]] == [10, 9, 8, 11]
         assert_same_vocab(vocab, reference_build_vocab(ds), [ds])
         # a subset keeps the full id tables; values it never saw get no token
         part = ds.subset([2, 3])
         vocab = build_vocab(part)
-        assert [vocab.index("user_id", u) for u in ["a", "b", "c"]] == [2, 1, 0]
+        assert [token(vocab, "user_id", u) for u in ["a", "b", "c"]] == [2, 1, 0]
         assert len(vocab) == 9  # 2 users, 2 items and 2 tabs, each field with its unknown
         assert_same_vocab(vocab, reference_build_vocab(part), [part, ds])
 
     def test_unk_value_gets_its_own_token(self):
-        ds = Dataset.from_rows([Interaction("<unk>", "x", 1.0, 10),
-                                Interaction("b", "y", 1.0, 10)])
+        ds = rows_dataset([("<unk>", "x", 1.0, 10), ("b", "y", 1.0, 10)])
         vocab, ref = build_vocab(ds), reference_build_vocab(ds)
         assert sorted(ref.values()) == list(range(len(vocab))) == list(range(6))
-        unseen = Dataset.from_rows([Interaction("never-seen", "x", 1.0, 10)])
+        unseen = rows_dataset([("never-seen", "x", 1.0, 10)])
         assert_same_vocab(vocab, ref, [ds, unseen])
-        unk_user = vocab.index("user_id", "<unk>")
-        assert unk_user != vocab.index("user_id", "never-seen")
-        assert vocab.index("item_id", "x") not in (unk_user, vocab.index("user_id", "never-seen"))
-        assert encode(vocab, unseen)[0].tolist() == [vocab.index("user_id", "zzz"),
-                                                    vocab.index("item_id", "x")]
+        unk_user, never_seen = (token(vocab, "user_id", u) for u in ("<unk>", "never-seen"))
+        assert unk_user != never_seen
+        assert token(vocab, "item_id", "x") not in (unk_user, never_seen)
+        assert encode(vocab, unseen)[0].tolist() == [token(vocab, "user_id", "zzz"),
+                                                    token(vocab, "item_id", "x")]
 
 
 class TestFmScore:
@@ -143,23 +149,20 @@ class TestFmScore:
         model.bias = 0.7
         model.linear[:] = 0.0
         model.embeddings[:] = 0.0
-        model.linear[model.vocab.index("user_id", "a")] = 0.3
+        model.linear[token(model.vocab, "user_id", "a")] = 0.3
         assert model.score_interactions(ds)[0] == pytest.approx(1.0)
 
     def test_pair_dot_product(self):
         ds = pair_dataset([("a", "x")])
         model = FMModel(build_vocab(ds), k=2, seed=0)
         model.embeddings[:] = 0.0
-        model.embeddings[model.vocab.index("user_id", "a")] = [1.0, 2.0]
-        model.embeddings[model.vocab.index("item_id", "x")] = [1.0, 1.0]
+        model.embeddings[token(model.vocab, "user_id", "a")] = [1.0, 2.0]
+        model.embeddings[token(model.vocab, "item_id", "x")] = [1.0, 1.0]
         assert model.score_interactions(ds)[0] == pytest.approx(3.0)
 
     def test_identity_matches_bruteforce(self):
-        ds = Dataset.from_rows([
-            Interaction(f"u{i % 4}", f"i{i % 5}", 1.0, 10,
-                        features=(("tab", str(i % 3)),))
-            for i in range(30)
-        ])
+        ds = rows_dataset([(f"u{i % 4}", f"i{i % 5}", 1.0, 10, str(i % 3)) for i in range(30)],
+                          "tab")
         vocab = build_vocab(ds)
         model = FMModel(vocab, k=6, seed=3)
         model.bias = 0.2
@@ -210,9 +213,9 @@ def toy_training_setup(seed=0, n=400):
     for i in range(n):
         u, v = rng.integers(0, 8), rng.integers(0, 8)
         y = int((u < 4) == (v < 4))
-        rows.append(Interaction(f"u{u}", f"i{v}", 1.0, 10, timestamp=i, true_interest=y))
+        rows.append((f"u{u}", f"i{v}", 1.0, 10, i, y))
         labels.append(float(y))
-    ds = Dataset.from_rows(rows)
+    ds = rows_dataset(rows, "timestamp", "true_interest")
     return ds, np.array(labels)
 
 
@@ -280,8 +283,7 @@ ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="
        st.lists(st.tuples(ids, ids, st.sampled_from(["a", "c"])), min_size=1, max_size=20))
 def test_lookup_matches_dict_walk(seen, other):
     def log(rows):
-        return Dataset.from_rows([Interaction(u, i, 1.0, 10, features=(("tab", t),))
-                                  for u, i, t in rows])
+        return rows_dataset([(u, i, 1.0, 10, t) for u, i, t in rows], "tab")
 
     train_set, other_set = log(seen), log(other)
     vocab, ref = build_vocab(train_set), reference_build_vocab(train_set)
@@ -484,7 +486,7 @@ class TestTrainMatchesDenseReference:
         fits = train_both(ds, y, val, TrainConfig(learning_rate=0.02, batch_size=40, epochs=3,
                                                   patience=3))
         vocab = fits[0][0].vocab
-        unknowns = [vocab.index(fld, UNKNOWN) for fld in vocab.fields]
+        unknowns = [token(vocab, fld, UNKNOWN) for fld in vocab.fields]
         assert (encode(vocab, val) == unknowns).any(axis=0).all()
         assert_same_fit(fits)
 
