@@ -25,6 +25,28 @@ def make_rows(watch_times, durations, timestamps=None):
                    timestamps=timestamps)
 
 
+class TestInteraction:
+    """One interaction is a one-row Dataset; its numbers are checked on construction."""
+
+    def test_negative_watch_rejected(self):
+        with pytest.raises(ValueError):
+            Dataset(["u"], ["i"], [-1.0], [10])
+
+    def test_zero_duration_rejected(self):
+        with pytest.raises(ValueError):
+            Dataset(["u"], ["i"], [1.0], [0])
+
+    @pytest.mark.parametrize("w, d", [
+        (math.nan, 10), (math.inf, 10), (-math.inf, 10), (1.0, math.inf), (1.0, math.nan),
+    ])
+    def test_non_finite_rejected(self, w, d):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(["u"], ["i"], [w], [d])
+
+    def test_replay_above_duration_kept(self):
+        assert Dataset(["u"], ["i"], [25.0], [10]).watch_times.tolist() == [25.0]
+
+
 class TestComputeStats:
     def test_max_and_count(self):
         ds = make_rows([3, 7, 7], [10, 10, 20])
@@ -222,8 +244,6 @@ class TestColumns:
         ([1.0, 2.0], [10, 0], "row 1: duration_s not an int64 >= 1: 0.0"),
         ([1.0, 2.0], [10, 10.5], "row 1: duration_s not an int64 >= 1: 10.5"),
         ([1.0, 2.0], [10, 1e19], "row 1: duration_s not an int64 >= 1: 1e\\+19"),
-        ([1.0, -math.inf], [10, 10], "row 1: watch_time_s not finite: -inf"),
-        ([1.0, 2.0], [10, math.inf], "row 1: duration_s not finite: inf"),
     ])
     def test_bad_numbers_name_the_row(self, w, d, message):
         with pytest.raises(ValueError, match=message):
@@ -237,9 +257,6 @@ class TestColumns:
         assert ds.user_ids.dtype == object
         assert ds.user_ids.tolist() == ["u2", "u10", "u2"]
         assert ds.timestamps is None and ds.true_interest is None
-
-    def test_replay_above_duration_kept(self):
-        assert Dataset(["u"], ["i"], [25.0], [10]).watch_times.tolist() == [25.0]
 
     def test_unsorted_table_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
