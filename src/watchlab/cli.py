@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -84,7 +85,8 @@ def _curve_from_config(spec, key) -> Curve:
         raise ConfigError(f"{key} must be {{'family': ..., params...}}, got {spec!r}")
     curve = Curve(spec["family"], {k: v for k, v in spec.items() if k != "family"})
     for name, value in curve.params.items():
-        _json_list(float, value if isinstance(value, list) else [value], f"{key}.{name}")
+        _json_value(tuple[float, ...], value if isinstance(value, list) else [value],
+                    f"{key}.{name}")
     try:
         curve(1.0)  # an unknown family or a missing parameter fails here
     except (KeyError, TypeError, ValueError) as exc:
@@ -94,18 +96,23 @@ def _curve_from_config(spec, key) -> Curve:
 
 # field annotation -> (JSON types it accepts, how to say so)
 _JSON_TYPES = {bool: (bool, "true or false"), int: (int, "an integer"),
-               float: ((int, float), "a number"), tuple: (list, "a list")}
+               float: ((int, float), "a number"), str: (str, "a string"),
+               tuple: (list, "a list"), dict: (dict, "a JSON object")}
 
 
 def _json_value(hint, value, key):
-    """`value` converted to the annotation `hint` (a _JSON_TYPES key, Curve or
-    `X | None`); ConfigError when its JSON type does not fit."""
+    """`value` converted to the annotation `hint` (a _JSON_TYPES key, Curve,
+    `tuple[X, ...]` or `X | None`); ConfigError when its JSON type, or that
+    of one of its elements, does not fit."""
     if hint is Curve:
         return _curve_from_config(value, key)
     if type(None) in typing.get_args(hint):
         if value is None:
             return None
         hint = next(t for t in typing.get_args(hint) if t is not type(None))
+    if typing.get_origin(hint) is tuple:
+        element = typing.get_args(hint)[0]
+        return tuple(_json_value(element, v, key) for v in _json_value(tuple, value, key))
     accepted, what = _JSON_TYPES[hint]
     if isinstance(value, bool) is not (hint is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key} must be {what}, got {value!r}")
@@ -114,54 +121,89 @@ def _json_value(hint, value, key):
     return hint(value)
 
 
-def _json_list(hint, value, key) -> list:
-    return [_json_value(hint, v, key) for v in _json_value(tuple, value, key)]
+def _section(cls, config: dict, name: str | None, skip=(), **fixed):
+    """`cls` built from `config[name]` (from the top level of `config` when
+    `name` is None) plus the caller's `fixed` fields.
 
-
-def _mapping(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
-    return section
-
-
-def _section(cls, config: dict, name: str, skip=(), **fixed):
-    """`cls` built from `config[name]` plus the caller's `fixed` fields.
-
-    Absent keys take the dataclass defaults. A key that is not a field of
-    `cls` (other than the `skip` keys the caller reads itself), a fixed field,
-    a value of the wrong JSON type or one that `cls.validate` rejects raises
-    ConfigError.
+    Absent keys take the dataclass defaults. A section that is not a JSON
+    object, a key that is not a field of `cls` (other than the `skip` keys
+    read elsewhere), a fixed field, a value of the wrong JSON type or one
+    that `cls.validate` rejects raises ConfigError.
     """
+    section = config if name is None else _json_value(dict, config.get(name, {}), name)
+    prefix = "" if name is None else f"{name}."
     hints = typing.get_type_hints(cls)
     values = {}
-    for key, value in _mapping(config, name).items():
+    for key, value in section.items():
         if key in skip:
             continue
         if key not in hints or key in fixed:
-            raise ConfigError(f"unknown key {name}.{key}")
-        values[key] = _json_value(hints[key], value, f"{name}.{key}")
+            raise ConfigError(f"unknown key {prefix}{key}")
+        values[key] = _json_value(hints[key], value, prefix + key)
     try:
         obj = cls(**values, **fixed)
         obj.validate()
     except (TypeError, ValueError, CurveOrderViolation) as exc:
-        raise ConfigError(f"bad {name} section: {exc}")
+        raise ConfigError(str(exc) if name is None else f"bad {name} section: {exc}")
     return obj
 
 
-def _out_dir(config, out_override) -> Path:
-    out = Path(out_override or config.get("out_dir", "."))
+SECTIONS = ("generate", "estimator", "correction", "split", "trainer", "evaluation", "sweep")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The top-level keys of a config; each of SECTIONS is read on its own."""
+
+    seed: int = 0
+    seeds: tuple[int, ...] | None = None  # the seeds train-eval trains; None: (seed,)
+    out_dir: str = "."
+    dataset_csv: str | None = None  # None or "": <out>/data.csv
+    ground_truth_csv: str | None = None  # None or "": <out>/ground_truth.csv
+    feature_fields: tuple[str, ...] = ()  # extra categorical columns of the log
+
+    def validate(self) -> None:
+        if self.seeds == ():
+            raise ValueError("seeds must list at least one seed")
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    fractions: tuple[float, ...]  # train/val/test shares; required by train-eval
+
+    def validate(self) -> None:
+        pass  # chronological_split_indices judges the fractions
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    ndcg_k: tuple[int, ...] = (1, 3, 5)
+    n_ranges: int = 3  # equal-frequency duration ranges of breakdown.csv
+
+    def validate(self) -> None:
+        if not self.ndcg_k or min(self.ndcg_k) < 1 or self.n_ranges < 1:
+            raise ValueError("ndcg_k needs at least one k, and every k and n_ranges "
+                             "must be >= 1")
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """The window x alpha grid of the optional sweep; an empty section means no sweep."""
+
+    window: tuple[int, ...] = (1, 2, 3, 4, 5)
+    alpha: tuple[float, ...] = (-0.05, -0.03, -0.01)
+
+    def validate(self) -> None:
+        if min(self.window, default=0) < 0 or 0 in self.alpha:
+            raise ValueError("every sweep.window must be >= 0 and every sweep.alpha nonzero")
+
+
+def _run_config(config: dict, out_override) -> tuple[RunConfig, Path]:
+    """The top-level keys, and the output directory, created if missing."""
+    run = _section(RunConfig, config, None, skip=SECTIONS)
+    out = Path(out_override or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _dataset_path(config, out_dir: Path) -> Path:
-    p = config.get("dataset_csv")
-    return Path(p) if p else out_dir / "data.csv"
-
-
-def _feature_fields(config) -> tuple:
-    return tuple(config.get("feature_fields", ()))
+    return run, out
 
 
 def _write_rows(path, header, rows, dtypes) -> None:
@@ -176,10 +218,8 @@ def _cell(value) -> str:
 
 
 def run_generate(config: dict, seed=None, out=None) -> Path:
-    out_dir = _out_dir(config, out)
-    synth = _section(SynthConfig, config, "generate",
-                     seed=_json_value(int, config.get("seed", 0) if seed is None else seed,
-                                      "seed"))
+    run, out_dir = _run_config(config, out)
+    synth = _section(SynthConfig, config, "generate", seed=run.seed if seed is None else seed)
     dataset, truth = generate(synth)
     data_path = out_dir / "data.csv"
     truth_path = out_dir / "ground_truth.csv"
@@ -190,10 +230,13 @@ def run_generate(config: dict, seed=None, out=None) -> Path:
     return out_dir
 
 
-def _correction_methods(config) -> list:
-    methods = _mapping(config, "correction").get("methods", ["d2co_a", "d2co_s"])
-    if not (isinstance(methods, list) and methods and all(isinstance(m, str) for m in methods)):
-        raise ConfigError(f"correction.methods must be a non-empty list of names, got {methods!r}")
+def _correction_methods(config) -> tuple:
+    """correction.methods, the key the CorrectionParams read skips."""
+    section = _json_value(dict, config.get("correction", {}), "correction")
+    methods = _json_value(tuple[str, ...], section.get("methods", ["d2co_a", "d2co_s"]),
+                          "correction.methods")
+    if not methods:
+        raise ConfigError("correction.methods must list at least one method")
     for m in methods:
         if m not in METHOD_IDS:
             raise ConfigError(f"unknown correction method {m!r}")
@@ -208,11 +251,11 @@ def fit_curves(dataset, config) -> BiasNoiseCurves:
 
 
 def run_correct(config: dict, seed=None, out=None) -> Path:
-    out_dir = _out_dir(config, out)
-    data_path = _dataset_path(config, out_dir)
+    run, out_dir = _run_config(config, out)
+    data_path = Path(run.dataset_csv or out_dir / "data.csv")
     if not data_path.exists():
         raise ConfigError(f"input dataset not found: {data_path}")
-    dataset = ingest_csv(data_path, _feature_fields(config))
+    dataset = ingest_csv(data_path, run.feature_fields)
     methods = _correction_methods(config)
     curves = fit_curves(dataset, config)
     params = [_section(CorrectionParams, config, "correction", skip=("methods",),
@@ -227,7 +270,7 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
         outputs[path.name] = path
 
     notes = {}
-    truth_path = Path(config.get("ground_truth_csv", out_dir / "ground_truth.csv"))
+    truth_path = Path(run.ground_truth_csv or out_dir / "ground_truth.csv")
     if truth_path.exists():
         truth = read_ground_truth_csv(truth_path)
         if len(truth) != len(dataset):
@@ -258,27 +301,20 @@ def train_and_score(dataset, labels, splits, oracle, config, seed):
 
 
 def run_train_eval(config: dict, seed=None, out=None) -> Path:
-    out_dir = _out_dir(config, out)
-    data_path = _dataset_path(config, out_dir)
+    run, out_dir = _run_config(config, out)
+    data_path = Path(run.dataset_csv or out_dir / "data.csv")
     if not data_path.exists():
         raise ConfigError(f"input dataset not found: {data_path}")
-    fractions = _json_list(float, _mapping(config, "split").get("fractions"), "split.fractions")
-    evaluation = _mapping(config, "evaluation")
-    ks = _json_list(int, evaluation.get("ndcg_k", [1, 3, 5]), "evaluation.ndcg_k")
-    n_ranges = _json_value(int, evaluation.get("n_ranges", 3), "evaluation.n_ranges")
-    if not ks or min(ks) < 1 or n_ranges < 1:
-        raise ConfigError("evaluation.ndcg_k needs at least one k, and every k and "
-                          "evaluation.n_ranges must be >= 1")
-    grid = _sweep_grid(config)
-    seeds = ([seed] if seed is not None else
-             _json_list(int, config.get("seeds", [config.get("seed", 0)]), "seeds"))
-    if not seeds:
-        raise ConfigError("seeds must list at least one seed")
-    dataset = ingest_csv(data_path, _feature_fields(config))
+    split = _section(SplitConfig, config, "split")
+    evaluation = _section(EvalConfig, config, "evaluation")
+    ks, n_ranges = evaluation.ndcg_k, evaluation.n_ranges
+    sweep = _section(SweepConfig, config, "sweep")
+    seeds = [seed] if seed is not None else list(run.seeds or (run.seed,))
+    dataset = ingest_csv(data_path, run.feature_fields)
     methods = _correction_methods(config)
     run_methods = list(dict.fromkeys(["watch_time", *methods, "oracle"]))
 
-    truth_path = Path(config.get("ground_truth_csv", out_dir / "ground_truth.csv"))
+    truth_path = Path(run.ground_truth_csv or out_dir / "ground_truth.csv")
     truth = read_ground_truth_csv(truth_path) if truth_path.exists() else None
     oracle = oracle_labels(dataset, truth).astype(np.float64)
 
@@ -291,7 +327,7 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
         labels_by_method[m] = read_labels_csv(path, len(dataset))
 
     try:
-        splits = chronological_split_indices(dataset, fractions)
+        splits = chronological_split_indices(dataset, split.fractions)
     except ValueError as exc:
         raise ConfigError(f"split.fractions: {exc}")
     te_idx = splits[2]
@@ -333,9 +369,9 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
 
     outputs = {"report.csv": report_path, "breakdown.csv": breakdown_path}
 
-    if grid:
+    if config.get("sweep"):  # a checked object by now; {} means no sweep
         sweep_path = out_dir / "sweep_gauc.csv"
-        _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, *grid,
+        _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep,
                    seeds[0], sweep_path)
         outputs["sweep_gauc.csv"] = sweep_path
 
@@ -343,32 +379,17 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     return out_dir
 
 
-def _sweep_grid(config):
-    """(windows, alphas) of the optional sweep section, or None without one."""
-    sweep = _mapping(config, "sweep")
-    if not sweep:
-        return None
-    unknown = set(sweep) - {"window", "alpha"}
-    if unknown:
-        raise ConfigError(f"unknown key sweep.{min(unknown)}")
-    windows = _json_list(int, sweep.get("window", [1, 2, 3, 4, 5]), "sweep.window")
-    alphas = _json_list(float, sweep.get("alpha", [-0.05, -0.03, -0.01]), "sweep.alpha")
-    if min(windows, default=0) < 0 or 0 in alphas:
-        raise ConfigError("every sweep.window must be >= 0 and every sweep.alpha nonzero")
-    return windows, alphas
-
-
-def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, windows, alphas, seed,
-               path):
+def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep: SweepConfig,
+               seed, path):
     """GAUC grid over moving-average window x alpha for the exponential
     correction (first seed only)."""
     opts = _section(GmmOptions, config, "estimator")
     raw = fit_all_groups(dataset, opts)
     counts = compute_stats(dataset).group_counts
     rows = []
-    for T in windows:
+    for T in sweep.window:
         curves = smooth_curves(raw, T, counts)
-        for a in alphas:
+        for a in sweep.alpha:
             params = CorrectionParams(method="d2co_s", curves=curves, alpha=a)
             labels = apply_method(dataset, params).labels
             scores = train_and_score(dataset, labels, splits, oracle, config, seed)
@@ -377,15 +398,15 @@ def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, windows, 
 
 
 def run_report(config: dict, seed=None, out=None) -> Path:
-    out_dir = _out_dir(config, out)
+    run, out_dir = _run_config(config, out)
     curves_path = out_dir / "curves.csv"
     if not curves_path.exists():
         raise ConfigError(f"curves not found (run `correct` first): {curves_path}")
-    data_path = _dataset_path(config, out_dir)
+    data_path = Path(run.dataset_csv or out_dir / "data.csv")
     if not data_path.exists():
         raise ConfigError(f"input dataset not found: {data_path}")
     curves = BiasNoiseCurves.from_csv(curves_path)
-    stats = compute_stats(ingest_csv(data_path, _feature_fields(config)))
+    stats = compute_stats(ingest_csv(data_path, run.feature_fields))
     bias_err, noise_err = error_decomposition(curves, stats.w_max)
     err_path = out_dir / "error_curves.csv"
     write_columns(err_path, ["d", "bias_err", "noise_err"],

@@ -18,7 +18,7 @@ from .errors import (
     OutOfInterval,
 )
 from .estimator import BiasNoiseCurves
-from .ranking import average_ranks
+from .ranking import average_ranks, quantile_bins
 
 METHOD_IDS = (
     "watch_time",
@@ -54,27 +54,6 @@ def group_watch_stats(dataset: Dataset) -> tuple:
     return durations, group, ref + shift, sigma
 
 
-@dataclass
-class DurationBins:
-    """Equal-frequency duration bins: each row's bin and each bin's size."""
-
-    bin_of_row: np.ndarray
-    bin_sizes: np.ndarray
-
-
-def build_duration_bins(dataset: Dataset, n_bins: int) -> DurationBins:
-    """Split rows into duration quantile bins; rows sharing a duration always
-    share a bin, so very skewed duration histograms can yield fewer distinct
-    bins than requested."""
-    d = dataset.durations
-    qs = np.quantile(d, np.linspace(0, 1, n_bins + 1))
-    edges = np.unique(qs)
-    # right-closed bins: d <= edge goes to the earlier bin
-    bin_of_row = np.searchsorted(edges[1:-1], d, side="left")
-    sizes = np.bincount(bin_of_row, minlength=max(1, edges.size - 1))
-    return DurationBins(bin_of_row=bin_of_row, bin_sizes=sizes)
-
-
 def label_pcr(w, d):
     """Play-complete rate w/d (unclipped; replays can exceed 1)."""
     return np.asarray(w, dtype=np.float64) / np.asarray(d, dtype=np.float64)
@@ -88,11 +67,11 @@ def label_wtg(w, mu_w, sigma_w):
     return 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=np.float64)
 
 
-def label_d2q(dataset: Dataset, bins: DurationBins) -> np.ndarray:
+def label_d2q(dataset: Dataset, bin_of_row) -> np.ndarray:
     """Quantile label: (bin_size - rank)/bin_size with descending average
-    ranks of watch time inside each duration bin."""
-    size = bins.bin_sizes[bins.bin_of_row]
-    return (size - average_ranks(-dataset.watch_times, bins.bin_of_row)) / size
+    ranks of watch time inside each row's duration bin."""
+    size = np.bincount(bin_of_row)[bin_of_row]
+    return (size - average_ranks(-dataset.watch_times, bin_of_row)) / size
 
 
 def label_d2co_affine(w, w_plus, w_minus, clip: bool = True):
@@ -236,8 +215,7 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
         _, group, mu, sigma = group_watch_stats(dataset)
         labels = label_wtg(w, mu[group], sigma[group])
     elif base == "d2q":
-        bins = build_duration_bins(dataset, params.n_bins)
-        labels = label_d2q(dataset, bins)
+        labels = label_d2q(dataset, quantile_bins(d, params.n_bins)[1])
     elif base == "d2co_a":
         wp, wm = params.curves.value_at(d)
         labels = label_d2co_affine(w, wp, wm)

@@ -331,7 +331,9 @@ def _read_columns(path, required):
             (header, cols), error = split, None
             lines = np.arange(2, len(cols[0]) + 2)
     except UnicodeDecodeError as exc:  # exc.object's CRLF -> LF keeps raw's line count
-        raise MalformedRow(exc.object.count(b"\n", 0, exc.start) + 1,
+        head = exc.object[:exc.start]  # lines end at LF, CRLF or a bare CR, as in csv.reader
+        ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise MalformedRow(ends + 1,
                            f"not valid UTF-8: byte {exc.object[exc.start]:#04x}") from None
     for c in required:
         if c not in header:

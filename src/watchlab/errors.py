@@ -44,6 +44,13 @@ class NoFittableGroups(WatchlabError):
     pass
 
 
+class LikelihoodDecrease(WatchlabError):
+    def __init__(self, d: int, loglik: float, previous: float):
+        self.d = d
+        super().__init__(f"duration group {d}: EM log-likelihood fell from {previous!r} "
+                         f"to {loglik!r}")
+
+
 class EmptyCurve(WatchlabError):
     pass
 

@@ -3,12 +3,12 @@ frequency-weighted moving average over the fitted mean sequences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import Dataset, read_float_columns, write_columns
-from .errors import EmptyCurve, GroupTooSmall, NoFittableGroups
+from .errors import EmptyCurve, GroupTooSmall, LikelihoodDecrease, NoFittableGroups
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,9 @@ def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) ->
         log_norm = m + np.log(np.exp(log_comp - m).sum(axis=0))
         resp = np.exp(log_comp - log_norm)
         ll = float(log_norm.sum())
-        # likelihood must not decrease between iterations
-        assert ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)), (ll, prev_ll)
+        # the likelihood must not fall between iterations (1e-8 relative slack)
+        if not ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
+            raise LikelihoodDecrease(d, ll, prev_ll)
         if np.isfinite(prev_ll) and abs(ll - prev_ll) < options.tol * abs(prev_ll):
             converged = True
             break
@@ -139,8 +140,7 @@ class BiasNoiseCurves:
     w_minus: np.ndarray
     weight_plus: np.ndarray
     counts: np.ndarray
-    fitted: np.ndarray = field(default=None)  # False where interpolated
-    repaired: np.ndarray = field(default=None)  # True where w- was pushed below w+
+    fitted: np.ndarray  # False where interpolated
 
     def value_at(self, d):
         """Curve values for arbitrary durations: linear interpolation inside
@@ -155,13 +155,12 @@ class BiasNoiseCurves:
                   "w_minus_smooth", "weight_plus", "count", "fitted"]
 
     def to_csv(self, path) -> None:
-        fitted = np.ones(self.durations.size) if self.fitted is None else self.fitted
         floats = (self.w_plus_raw, self.w_minus_raw, self.w_plus, self.w_minus, self.weight_plus)
         write_columns(path, self.CSV_HEADER, [
             np.asarray(self.durations, dtype=np.int64),
             *(np.asarray(c, dtype=np.float64) for c in floats),
             np.asarray(self.counts, dtype=np.int64),
-            (np.asarray(fitted) != 0).astype(np.int64),
+            np.asarray(self.fitted, dtype=np.int64),
         ])
 
     @classmethod
@@ -243,5 +242,4 @@ def smooth_curves(raw: dict, window: int, group_counts: dict | None = None) -> B
         weight_plus=wgt,
         counts=counts,
         fitted=fitted,
-        repaired=repaired,
     )

@@ -15,7 +15,7 @@ from .errors import (
     NonBinaryLabels,
     NonFiniteScores,
 )
-from .ranking import average_ranks, group_codes, offsets_in_run, run_starts
+from .ranking import average_ranks, group_codes, offsets_in_run, quantile_bins, run_starts
 
 
 def _scores_and_positives(scores, labels, n_ids):
@@ -144,8 +144,7 @@ def _breakdown(scores, pos, codes, n_users, d, n_ranges, ks):
     """
     if n_ranges < 1:
         raise ValueError("n_ranges must be >= 1")
-    edges = np.unique(np.quantile(d, np.linspace(0, 1, n_ranges + 1)))
-    assign = np.searchsorted(edges[1:-1], d, side="left")
+    edges, assign = quantile_bins(d, n_ranges)
     out = []
     for b in range(max(1, edges.size - 1)):
         mask = assign == b

@@ -1,6 +1,7 @@
 """Segmented rank kernel shared by the GAUC/nDCG metrics and the D2Q label:
 group keys become integer codes, rows sort once by (code, value), and run
-starts mark where each group and each tie begins."""
+starts mark where each group and each tie begins. The equal-frequency bins
+of the D2Q label and of the duration-range breakdown are cut here too."""
 
 from __future__ import annotations
 
@@ -48,6 +49,14 @@ def group_codes(keys) -> tuple[np.ndarray, int]:
         keys = np.array(items)
     uniq, codes = np.unique(keys, return_inverse=True)
     return codes.reshape(-1), uniq.size
+
+
+def quantile_bins(values, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, bin of each value) of equal-frequency bins: the edges are the
+    distinct n_bins-quantiles and the bins are right-closed, so equal values
+    share a bin and a skewed histogram can give fewer bins than asked for."""
+    edges = np.unique(np.quantile(values, np.linspace(0, 1, n_bins + 1)))
+    return edges, np.searchsorted(edges[1:-1], values, side="left")
 
 
 def run_starts(a: np.ndarray) -> np.ndarray:

@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from watchlab.cli import _section, fit_curves, main
+from watchlab.cli import (
+    SECTIONS,
+    EvalConfig,
+    RunConfig,
+    SplitConfig,
+    SweepConfig,
+    _correction_methods,
+    _section,
+    fit_curves,
+    main,
+)
 from watchlab.correction import CorrectionParams, apply_method, read_labels_csv
 from watchlab.data_model import ingest_csv
 from watchlab.estimator import GmmOptions
@@ -359,7 +369,8 @@ def corrected_run(tmp_path_factory):
     return out
 
 
-# (subcommand, section, key, value); key None replaces the whole section
+# (subcommand, section, key, value); key None replaces the whole section, or
+# sets a top-level key when `section` names one
 BAD_CONFIGS = [
     ("correct", "estimator", "tol", "abc"),
     ("train-eval", "trainer", "learning_rate", "fast"),
@@ -390,6 +401,15 @@ BAD_CONFIGS = [
                                             "values": [30.0, float("inf")]}),
     ("correct", "correction", "n_bins", 0),
     ("correct", "correction", "n_bins", -3),
+    ("train-eval", "evaluation", "ndcg_K", [1]),
+    ("train-eval", "evaluation", "n_range", 3),
+    ("train-eval", "split", "fraction", [0.6, 0.2, 0.2]),
+    ("generate", "seeed", None, 3),
+    ("train-eval", "sweeps", None, {"window": [1]}),
+    ("correct", "dataset_csv", None, 7),
+    ("correct", "ground_truth_csv", None, 7),
+    ("correct", "feature_fields", None, "tab"),
+    ("correct", "feature_fields", None, [3]),
 ]
 
 
@@ -429,6 +449,13 @@ def test_readme_config_block_matches_dataclass_defaults():
     assert _section(TrainConfig, config, "trainer", seed=0) == TrainConfig()
     params = _section(CorrectionParams, config, "correction", skip=("methods",), method="pcr")
     assert dataclasses.replace(params, alpha=None) == CorrectionParams("pcr")
+    assert _correction_methods(config) == _correction_methods({})
+    assert _section(EvalConfig, config, "evaluation") == EvalConfig()
+    assert _section(SweepConfig, config, "sweep") == SweepConfig()
+    _section(SplitConfig, config, "split")  # no default: train-eval requires it
+    # the top-level values are examples, but every key must be known and shown
+    _section(RunConfig, config, None, skip=SECTIONS)
+    assert set(config) == {f.name for f in dataclasses.fields(RunConfig)} | set(SECTIONS)
 
 
 @pytest.mark.parametrize("sweep, key", [

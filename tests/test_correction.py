@@ -12,7 +12,6 @@ from watchlab.correction import (
     CorrectedDataset,
     CorrectionParams,
     apply_method,
-    build_duration_bins,
     denoise_postprocess,
     error_decomposition,
     group_watch_stats,
@@ -28,6 +27,7 @@ from watchlab.correction import (
 from watchlab.data_model import Dataset
 from watchlab.errors import CurveCollapse, LengthMismatch, NumericOverflow, OutOfInterval
 from watchlab.estimator import GroupEstimate, smooth_curves
+from watchlab.ranking import quantile_bins
 from tests.test_estimator import make_raw
 
 
@@ -76,23 +76,23 @@ class TestD2q:
     def test_top_and_bottom_rank(self):
         w = np.arange(100, dtype=float)
         ds = simple_dataset(w, [10] * 100)
-        bins = build_duration_bins(ds, 1)
-        labels = label_d2q(ds, bins)
+        labels = label_d2q(ds, quantile_bins(ds.durations, 1)[1])
         assert labels[w.argmax()] == pytest.approx(0.99)
         assert labels[w.argmin()] == 0.0
 
     def test_two_way_tie(self):
         # two tied at the top of a bin of 4: rank 1.5 each -> (4-1.5)/4
         ds = simple_dataset([9.0, 9.0, 5.0, 1.0], [10] * 4)
-        labels = label_d2q(ds, build_duration_bins(ds, 1))
+        labels = label_d2q(ds, quantile_bins(ds.durations, 1)[1])
         assert labels[0] == pytest.approx(0.625)
         assert labels[1] == pytest.approx(0.625)
 
     def test_rows_partition_bins(self):
         ds = simple_dataset(np.arange(300, dtype=float), [5] * 100 + [20] * 100 + [90] * 100)
-        bins = build_duration_bins(ds, 3)
-        assert bins.bin_sizes.sum() == 300
-        assert np.bincount(bins.bin_of_row).tolist() == bins.bin_sizes.tolist()
+        edges, bin_of_row = quantile_bins(ds.durations, 3)
+        sizes = np.bincount(bin_of_row, minlength=edges.size - 1)
+        assert sizes.sum() == 300
+        assert np.bincount(bin_of_row).tolist() == sizes.tolist()
 
 
 class TestDenoise:

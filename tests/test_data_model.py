@@ -197,7 +197,7 @@ class TestCsv:
             ingest_csv(path)
         assert str(info.value) == f"row {line}: {message}"
 
-    @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("quote", [b"", b'"'], ids=["one_split", "csv_reader"])
     def test_invalid_utf8_names_its_line(self, tmp_path, end, quote):
         path = tmp_path / "d.csv"

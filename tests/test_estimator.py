@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from watchlab.errors import EmptyCurve, GroupTooSmall, NoFittableGroups
+from watchlab import estimator
+from watchlab.errors import EmptyCurve, GroupTooSmall, LikelihoodDecrease, NoFittableGroups
 from watchlab.estimator import (
     BiasNoiseCurves,
     GmmOptions,
@@ -57,6 +58,15 @@ class TestFitGroupGmm:
         assert a.w_plus_hat == pytest.approx(b.w_plus_hat, rel=1e-6)
         assert a.w_minus_hat == pytest.approx(b.w_minus_hat, rel=1e-6)
 
+    def test_likelihood_drop_names_the_group(self, monkeypatch):
+        # every E-step scores the data lower than the one before
+        steps = iter(range(100))
+        monkeypatch.setattr(estimator, "_log_gauss",
+                            lambda x, mu, var: np.full((2, x.shape[1]), -float(next(steps))))
+        x = mixture_sample(np.random.default_rng(0), 200, 4.0, 30.0, 0.6)
+        with pytest.raises(LikelihoodDecrease, match="^duration group 7: "):
+            fit_group_gmm(x, d=7)
+
 
 def dataset_with_groups(spec, seed=0):
     """spec: {duration: n_rows}; each group is a separated mixture."""
@@ -97,6 +107,19 @@ class TestFitAllGroups:
         assert list(fits) == list(reference)
         assert fits == reference
 
+    def test_loglik_path_never_drops(self):
+        """The log-likelihood after k EM steps, k = 1..25, never falls by more
+        than the relative 1e-8 that fit_group_gmm tolerates."""
+        ds, _ = generate(SynthConfig(n_rows=6000, duration_range=(5, 120), seed=0))
+        paths = [fit_all_groups(ds, GmmOptions(tol=0.0, max_iter=k)) for k in range(1, 26)]
+        groups = [d for d, est in paths[0].items() if not est.degenerate]
+        assert groups
+        for d in groups:
+            lls = [fits[d].loglik for fits in paths]
+            assert lls[-1] > lls[0]
+            for prev, ll in zip(lls, lls[1:]):
+                assert ll >= prev - 1e-8 * max(1.0, abs(prev)), (d, prev, ll)
+
 
 def make_raw(counts, plus, minus=None):
     out = {}
@@ -136,7 +159,7 @@ class TestSmoothCurves:
         raw = make_raw({1: 10, 2: 10}, [10.0, 10.0], minus=[10.0, 12.0])
         curves = smooth_curves(raw, window=0)
         assert (curves.w_minus < curves.w_plus).all()
-        assert curves.repaired.any()
+        assert curves.w_minus.tolist() == (curves.w_plus * (1.0 - 1e-3)).tolist()
 
     def test_empty(self):
         with pytest.raises(EmptyCurve):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import watchlab
-from watchlab.correction import build_duration_bins, label_d2q
+from watchlab.correction import label_d2q
 from watchlab.errors import NoEvaluableUsers
 from watchlab.evaluation import gauc, ndcg_at_k
-from watchlab.ranking import average_ranks, group_codes
+from watchlab.ranking import average_ranks, group_codes, quantile_bins
 
 from rows import rows_dataset
 
@@ -74,11 +74,11 @@ def reference_ndcg(scores, labels, user_ids, k):
     return total / n_eval, n_eval, n_skip
 
 
-def reference_d2q(dataset, bins):
+def reference_d2q(dataset, bin_of_row):
     w = dataset.watch_times
     labels = np.empty(len(dataset))
-    for b in range(bins.bin_sizes.size):
-        mask = bins.bin_of_row == b
+    for b in range(bin_of_row.max() + 1):
+        mask = bin_of_row == b
         if not mask.any():
             continue
         size = mask.sum()
@@ -142,8 +142,8 @@ def test_ndcg_matches_reference(log, k):
        st.integers(1, 8))
 def test_d2q_matches_reference(rows, n_bins):
     ds = rows_dataset((f"u{i}", f"i{i}", w, d) for i, (w, d) in enumerate(rows))
-    bins = build_duration_bins(ds, n_bins)
-    assert label_d2q(ds, bins).tolist() == reference_d2q(ds, bins).tolist()
+    bin_of_row = quantile_bins(ds.durations, n_bins)[1]
+    assert label_d2q(ds, bin_of_row).tolist() == reference_d2q(ds, bin_of_row).tolist()
 
 
 def test_average_ranks_hand_example():
