@@ -8,6 +8,7 @@ runtime errors.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .correction import (
-    METHOD_IDS,
     CorrectionParams,
     apply_method,
     error_decomposition,
@@ -230,17 +230,16 @@ def run_generate(config: dict, seed=None, out=None) -> Path:
     return out_dir
 
 
-def _correction_methods(config) -> tuple:
-    """correction.methods, the key the CorrectionParams read skips."""
+def _correction_params(config) -> list:
+    """One CorrectionParams per entry of correction.methods. `curves` is fixed
+    to None, so a `correction.curves` key is unknown; the caller attaches them."""
     section = _json_value(dict, config.get("correction", {}), "correction")
     methods = _json_value(tuple[str, ...], section.get("methods", ["d2co_a", "d2co_s"]),
                           "correction.methods")
     if not methods:
         raise ConfigError("correction.methods must list at least one method")
-    for m in methods:
-        if m not in METHOD_IDS:
-            raise ConfigError(f"unknown correction method {m!r}")
-    return methods
+    return [_section(CorrectionParams, config, "correction", skip=("methods",), method=m,
+                     curves=None) for m in methods]
 
 
 def fit_curves(dataset, config) -> BiasNoiseCurves:
@@ -255,18 +254,16 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
     data_path = Path(run.dataset_csv or out_dir / "data.csv")
     if not data_path.exists():
         raise ConfigError(f"input dataset not found: {data_path}")
+    params = _correction_params(config)
     dataset = ingest_csv(data_path, run.feature_fields)
-    methods = _correction_methods(config)
     curves = fit_curves(dataset, config)
-    params = [_section(CorrectionParams, config, "correction", skip=("methods",),
-                       method=m, curves=curves) for m in methods]
     curves_path = out_dir / "curves.csv"
     curves.to_csv(curves_path)
 
     outputs = {"curves.csv": curves_path}
     for p in params:
         path = out_dir / f"labeled_{p.method}.csv"
-        apply_method(dataset, p).to_csv(path)
+        apply_method(dataset, dataclasses.replace(p, curves=curves)).to_csv(path)
         outputs[path.name] = path
 
     notes = {}
@@ -309,9 +306,10 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     evaluation = _section(EvalConfig, config, "evaluation")
     ks, n_ranges = evaluation.ndcg_k, evaluation.n_ranges
     sweep = _section(SweepConfig, config, "sweep")
+    methods = [p.method for p in _correction_params(config)]
+    opts = _section(GmmOptions, config, "estimator")
     seeds = [seed] if seed is not None else list(run.seeds or (run.seed,))
     dataset = ingest_csv(data_path, run.feature_fields)
-    methods = _correction_methods(config)
     run_methods = list(dict.fromkeys(["watch_time", *methods, "oracle"]))
 
     truth_path = Path(run.ground_truth_csv or out_dir / "ground_truth.csv")
@@ -371,7 +369,7 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
 
     if config.get("sweep"):  # a checked object by now; {} means no sweep
         sweep_path = out_dir / "sweep_gauc.csv"
-        _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep,
+        _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep, opts,
                    seeds[0], sweep_path)
         outputs["sweep_gauc.csv"] = sweep_path
 
@@ -380,10 +378,9 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
 
 
 def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep: SweepConfig,
-               seed, path):
+               opts: GmmOptions, seed, path):
     """GAUC grid over moving-average window x alpha for the exponential
     correction (first seed only)."""
-    opts = _section(GmmOptions, config, "estimator")
     raw = fit_all_groups(dataset, opts)
     counts = compute_stats(dataset).group_counts
     rows = []

@@ -171,8 +171,6 @@ class CorrectionParams:
     def validate(self) -> None:
         if self.method not in METHOD_IDS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHOD_IDS}")
-        if self.method in ("d2co_a", "d2co_s") and self.curves is None:
-            raise ValueError(f"{self.method} needs fitted bias/noise curves")
         if self.method == "d2co_s" and not self.alpha:
             raise ValueError("d2co_s needs a nonzero alpha")
         if self.n_bins < 1:
@@ -206,6 +204,8 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
     d = dataset.durations
     method = params.method
     base = method.replace("_denoise", "")
+    if base in ("d2co_a", "d2co_s") and params.curves is None:
+        raise ValueError(f"{method} needs fitted bias/noise curves")
 
     if base == "watch_time":
         labels = w / w.max()

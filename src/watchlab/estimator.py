@@ -26,7 +26,6 @@ class GmmOptions:
 
 @dataclass(frozen=True)
 class GroupEstimate:
-    d: int
     w_plus_hat: float
     w_minus_hat: float
     var_plus: float
@@ -60,7 +59,7 @@ def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) ->
     if np.all(x == x[0]):
         v = float(x[0])
         return GroupEstimate(
-            d=d, w_plus_hat=v, w_minus_hat=v,
+            w_plus_hat=v, w_minus_hat=v,
             var_plus=options.var_floor, var_minus=options.var_floor,
             weight_plus=0.5, count=n, converged=False, loglik=float("nan"),
             degenerate=True,
@@ -97,7 +96,6 @@ def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) ->
 
     hi, lo = (0, 1) if mu[0] >= mu[1] else (1, 0)
     return GroupEstimate(
-        d=d,
         w_plus_hat=float(mu[hi]),
         w_minus_hat=float(mu[lo]),
         var_plus=float(var[hi]),
@@ -175,18 +173,6 @@ class BiasNoiseCurves:
                    fitted != 0)
 
 
-def _interp_missing(keys, values, fitted_mask):
-    """Fill non-fitted keys from the nearest fitted neighbors (linear inside,
-    nearest outside)."""
-    out = np.array(values, dtype=np.float64)
-    if fitted_mask.all():
-        return out
-    xs = keys[fitted_mask].astype(np.float64)
-    ys = out[fitted_mask]
-    out[~fitted_mask] = np.interp(keys[~fitted_mask].astype(np.float64), xs, ys)
-    return out
-
-
 def smooth_curves(raw: dict, window: int, group_counts: dict | None = None) -> BiasNoiseCurves:
     """Frequency-weighted moving average over the sorted duration keys.
 
@@ -201,25 +187,15 @@ def smooth_curves(raw: dict, window: int, group_counts: dict | None = None) -> B
         raise EmptyCurve("no fitted groups to smooth")
     if window < 0:
         raise ValueError("window must be >= 0")
-    all_keys = set(raw)
-    if group_counts:
-        all_keys |= set(group_counts)
-    keys = np.array(sorted(all_keys), dtype=np.int64)
+    sizes = {**(group_counts or {}), **{k: e.count for k, e in raw.items()}}
+    keys, counts = np.array(sorted(sizes.items()), dtype=np.int64).T
     K = keys.size
-    fitted = np.array([k in raw for k in keys.tolist()])
-
-    def pull(attr):
-        return np.array([getattr(raw[k], attr) if k in raw else np.nan for k in keys.tolist()])
-
-    wp_raw = _interp_missing(keys, pull("w_plus_hat"), fitted)
-    wm_raw = _interp_missing(keys, pull("w_minus_hat"), fitted)
-    wgt = _interp_missing(keys, pull("weight_plus"), fitted)
-    counts = np.array(
-        [raw[k].count if k in raw else (group_counts or {}).get(k, 0) for k in keys.tolist()],
-        dtype=np.int64,
-    )
-    # interpolated keys with unknown size get weight 1 so they still
-    # participate in neighboring windows
+    fitted = np.isin(keys, list(raw))
+    columns = np.array([(e.w_plus_hat, e.w_minus_hat, e.weight_plus)
+                        for _, e in sorted(raw.items())], dtype=np.float64).T
+    # np.interp returns a fitted key's own value exactly
+    wp_raw, wm_raw, wgt = (np.interp(keys, keys[fitted], c) for c in columns)
+    # a zero size in group_counts still weighs 1, so no window divides 0 by 0
     weights = np.maximum(counts, 1).astype(np.float64)
 
     wp = np.empty(K)

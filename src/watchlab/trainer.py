@@ -9,6 +9,7 @@ import numpy as np
 
 from .data_model import Dataset
 from .errors import NonFiniteLoss
+from .evaluation import gauc
 from .ranking import string_codes
 
 
@@ -218,8 +219,6 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
     val_labels must be binary interest ground truth. The model is left at the
     best-on-validation snapshot. Deterministic for a fixed config/seed.
     """
-    from .evaluation import gauc  # deferred to avoid an import cycle
-
     config.validate()
     y = np.asarray(train_labels, dtype=np.float64)
     if y.shape[0] != len(train_set):

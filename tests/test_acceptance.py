@@ -87,9 +87,8 @@ def test_criterion_03_moving_average(capsys):
     """Frequency-weighted moving average hand example plus its two limits."""
     def raw_for(counts, values):
         return {
-            d: GroupEstimate(d=d, w_plus_hat=v, w_minus_hat=v / 10, var_plus=1.0,
-                             var_minus=1.0, weight_plus=0.5, count=c,
-                             converged=True, loglik=0.0)
+            d: GroupEstimate(w_plus_hat=v, w_minus_hat=v / 10, var_plus=1.0, var_minus=1.0,
+                             weight_plus=0.5, count=c, converged=True, loglik=0.0)
             for d, c, v in zip((1, 2, 3), counts, values)
         }
 

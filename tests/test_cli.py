@@ -16,7 +16,7 @@ from watchlab.cli import (
     RunConfig,
     SplitConfig,
     SweepConfig,
-    _correction_methods,
+    _correction_params,
     _section,
     fit_curves,
     main,
@@ -191,6 +191,15 @@ class TestCorrect:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"error: row 3: {reason}" in result.output
+
+    def test_bad_correction_key_exits_2_before_reading_data(self, tmp_path):
+        data = tmp_path / "log.csv"
+        data.write_text("user_id,item_id,duration_s,watch_time_s\na,x,ten,3\n")
+        cfg = write_config(tmp_path / "config.json", dataset_csv=str(data),
+                           correction={"methods": ["d2co_a"], "n_bin": 3})
+        result = invoke("correct", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert result.exit_code == 2, result.output
+        assert "configuration error: unknown key correction.n_bin" in result.output
 
     def test_short_ground_truth_exits_1(self, pipeline_dir):
         cfg_path, out = pipeline_dir
@@ -410,6 +419,7 @@ BAD_CONFIGS = [
     ("correct", "ground_truth_csv", None, 7),
     ("correct", "feature_fields", None, "tab"),
     ("correct", "feature_fields", None, [3]),
+    ("correct", "correction", "curves", None),
 ]
 
 
@@ -449,7 +459,7 @@ def test_readme_config_block_matches_dataclass_defaults():
     assert _section(TrainConfig, config, "trainer", seed=0) == TrainConfig()
     params = _section(CorrectionParams, config, "correction", skip=("methods",), method="pcr")
     assert dataclasses.replace(params, alpha=None) == CorrectionParams("pcr")
-    assert _correction_methods(config) == _correction_methods({})
+    assert _correction_params(config) == _correction_params({"correction": {"alpha": -0.01}})
     assert _section(EvalConfig, config, "evaluation") == EvalConfig()
     assert _section(SweepConfig, config, "sweep") == SweepConfig()
     _section(SplitConfig, config, "split")  # no default: train-eval requires it
@@ -474,6 +484,17 @@ def test_bad_sweep_exits_2_before_training(tmp_path, corrected_run, sweep, key):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert key in result.output.split("configuration error: ", 1)[1]
+    assert not (out / "report.csv").exists()
+
+
+def test_bad_estimator_key_exits_2_before_training(tmp_path, corrected_run):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    cfg = write_config(tmp_path / "config.json", sweep={"window": [1], "alpha": [-0.01]},
+                       estimator={"min_group_size": 40, "windw": 2})
+    result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert "configuration error: unknown key estimator.windw" in result.output
     assert not (out / "report.csv").exists()
 
 

@@ -254,8 +254,8 @@ class TestApplyMethod:
             assert (np.diff(labels) >= -1e-12).all(), m
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CorrectionParams("d2co_a").validate()
+        with pytest.raises(ValueError, match="d2co_a needs fitted bias/noise curves"):
+            apply_method(simple_dataset([1.0], [10]), CorrectionParams("d2co_a"))
         with pytest.raises(ValueError):
             CorrectionParams("nope").validate()
         raw = make_raw({10: 1}, [20.0])
@@ -343,7 +343,7 @@ def test_d2co_labels_in_unit_interval_and_monotone_in_w(groups, window, rows, al
     never decrease in w within a duration. |alpha| stays >= 1e-300, because a
     smaller one can make alpha * (w+ - w-) underflow to zero, which raises
     (test_underflowing_alpha_raises_instead_of_nan)."""
-    raw = {d: GroupEstimate(d=d, w_plus_hat=wm + gap, w_minus_hat=wm, var_plus=1.0,
+    raw = {d: GroupEstimate(w_plus_hat=wm + gap, w_minus_hat=wm, var_plus=1.0,
                             var_minus=1.0, weight_plus=0.5, count=c, converged=True, loglik=0.0)
            for d, (wm, gap, c) in groups.items()}
     curves = smooth_curves(raw, window)

@@ -126,7 +126,7 @@ def make_raw(counts, plus, minus=None):
     for i, (d, c) in enumerate(counts.items()):
         wm = minus[i] if minus is not None else plus[i] / 10
         out[d] = GroupEstimate(
-            d=d, w_plus_hat=plus[i], w_minus_hat=wm, var_plus=1.0,
+            w_plus_hat=plus[i], w_minus_hat=wm, var_plus=1.0,
             var_minus=1.0, weight_plus=0.5, count=c, converged=True, loglik=0.0,
         )
     return out
