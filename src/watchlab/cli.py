@@ -255,6 +255,7 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
     if not data_path.exists():
         raise ConfigError(f"input dataset not found: {data_path}")
     params = _correction_params(config)
+    _section(GmmOptions, config, "estimator")  # checked before the data is read
     dataset = ingest_csv(data_path, run.feature_fields)
     curves = fit_curves(dataset, config)
     curves_path = out_dir / "curves.csv"
@@ -308,6 +309,8 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     sweep = _section(SweepConfig, config, "sweep")
     methods = [p.method for p in _correction_params(config)]
     opts = _section(GmmOptions, config, "estimator")
+    # checked before the data is read; train_and_score reads it again for each seed
+    _section(TrainConfig, config, "trainer", seed=0)
     seeds = [seed] if seed is not None else list(run.seeds or (run.seed,))
     dataset = ingest_csv(data_path, run.feature_fields)
     run_methods = list(dict.fromkeys(["watch_time", *methods, "oracle"]))

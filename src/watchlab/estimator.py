@@ -65,7 +65,7 @@ def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) ->
             degenerate=True,
         )
 
-    mu = np.array([np.percentile(x, 10), np.percentile(x, 90)])
+    mu = np.percentile(x, [10, 90])
     var = np.full(2, max(float(np.var(x)), options.var_floor))
     pi = np.array([0.5, 0.5])
 

@@ -70,31 +70,36 @@ def ndcg_at_k(scores, labels, user_ids, k: int, return_counts: bool = False):
     rows are skipped.
     """
     scores, pos = _scores_and_positives(scores, labels, len(user_ids))
-    out = _ndcg(scores, pos, *group_codes(user_ids), k)
-    return out if return_counts else out[0]
+    values, n_eval, n_skip = _ndcg(scores, pos, *group_codes(user_ids), [k])
+    return (values[k], n_eval, n_skip) if return_counts else values[k]
 
 
-def _ndcg(scores, pos, codes, n_users, k):
-    """(nDCG@k, users evaluated, users skipped) over integer user codes."""
-    if k < 1:
+def _ndcg(scores, pos, codes, n_users, ks):
+    """({k: nDCG@k} for every k in ks, users evaluated, users skipped) over
+    integer user codes, from one ranking of each user's rows."""
+    if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    top = max(ks, default=0)
+    discounts = 1.0 / np.log2(np.arange(2, top + 2))
     order = np.lexsort((-scores, codes))
     user = codes[order]
     rank = offsets_in_run(run_starts(user))
-    hit = pos[order] & (rank < k)
+    hit = pos[order] & (rank < top)
     user, rank = user[hit], rank[hit]
-    dcg = np.zeros(n_users)
-    for r in range(k):  # position by position, as a left-to-right sum would
-        dcg[user[rank == r]] += discounts[r]
     n_pos = np.bincount(codes[pos], minlength=n_users)
     ok = n_pos > 0
     n_eval = int(ok.sum())
     if n_eval == 0:
         raise NoEvaluableUsers("no user has a positive label")
-    ideal = np.array([discounts[:m].sum() for m in range(k + 1)])
-    idcg = ideal[np.minimum(k, n_pos[ok])]
-    return float(np.cumsum(dcg[ok] / idcg)[-1] / n_eval), n_eval, n_users - n_eval
+    ideal = np.array([discounts[:m].sum() for m in range(top + 1)])
+    dcg = np.zeros(n_users)
+    at = {}
+    for r in range(top):  # position by position, as a left-to-right sum would
+        dcg[user[rank == r]] += discounts[r]
+        if r + 1 in ks:  # DCG@k is the running sum once position k is in
+            idcg = ideal[np.minimum(r + 1, n_pos[ok])]
+            at[r + 1] = float(np.cumsum(dcg[ok] / idcg)[-1] / n_eval)
+    return {k: at[k] for k in ks}, n_eval, n_users - n_eval
 
 
 def improve_percentage(v_method, v_watchtime, v_oracle) -> float:
@@ -136,52 +141,35 @@ class EvalReport:
     ranges: list = field(default_factory=list)
 
 
-def _breakdown(scores, pos, codes, n_users, d, n_ranges, ks):
-    """Metrics inside equal-frequency duration ranges.
+def evaluate(scores, labels, dataset: Dataset, method: str, ks, n_ranges: int) -> EvalReport:
+    """Full report: global GAUC/nDCG plus the same metrics inside
+    equal-frequency duration ranges.
 
     Ranges come from duration quantiles of the evaluated rows; each row falls
     in exactly one range. A range where no user is evaluable reports None.
+    The user codes are computed once and sliced for each range, and each row
+    group is ranked once for every k.
     """
     if n_ranges < 1:
         raise ValueError("n_ranges must be >= 1")
+    scores, pos = _scores_and_positives(scores, labels, len(dataset))
+    codes, n_users = group_codes(dataset.user_codes)
+    g, n_eval, n_skip = _gauc(scores, pos, codes, n_users)
+    report = EvalReport(method, g, _ndcg(scores, pos, codes, n_users, ks)[0], n_eval, n_skip)
+    d = dataset.durations
     edges, assign = quantile_bins(d, n_ranges)
-    out = []
     for b in range(max(1, edges.size - 1)):
         mask = assign == b
-        lo = float(edges[b]) if b > 0 else 0.0
-        hi = float(edges[b + 1]) if edges.size > 1 else float(d.max())
-        if not mask.any():
-            out.append(RangeMetrics(lo, hi, 0, None, {k: None for k in ks}))
-            continue
         inputs = scores[mask], pos[mask], codes[mask], n_users
         try:
             g = _gauc(*inputs)[0]
         except NoEvaluableUsers:
             g = None
-        ndcg = {}
-        for k in ks:
-            try:
-                ndcg[k] = _ndcg(*inputs, k)[0]
-            except NoEvaluableUsers:
-                ndcg[k] = None
-        out.append(RangeMetrics(lo, hi, int(mask.sum()), g, ndcg))
-    return out
-
-
-def evaluate(scores, labels, dataset: Dataset, method: str, ks, n_ranges: int) -> EvalReport:
-    """Full report: global GAUC/nDCG plus the duration-range breakdown.
-
-    The user codes are computed once and sliced for each duration range.
-    """
-    scores, pos = _scores_and_positives(scores, labels, len(dataset))
-    codes, n_users = group_codes(dataset.user_codes)
-    g, n_eval, n_skip = _gauc(scores, pos, codes, n_users)
-    ndcg = {k: _ndcg(scores, pos, codes, n_users, k)[0] for k in ks}
-    return EvalReport(
-        method=method,
-        gauc=g,
-        ndcg_at=ndcg,
-        n_users_evaluated=n_eval,
-        n_users_skipped=n_skip,
-        ranges=_breakdown(scores, pos, codes, n_users, dataset.durations, n_ranges, ks),
-    )
+        try:
+            ndcg = _ndcg(*inputs, ks)[0]
+        except NoEvaluableUsers:
+            ndcg = dict.fromkeys(ks)
+        lo = float(edges[b]) if b > 0 else 0.0
+        hi = float(edges[b + 1]) if edges.size > 1 else float(d.max())
+        report.ranges.append(RangeMetrics(lo, hi, int(mask.sum()), g, ndcg))
+    return report

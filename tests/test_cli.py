@@ -201,6 +201,18 @@ class TestCorrect:
         assert result.exit_code == 2, result.output
         assert "configuration error: unknown key correction.n_bin" in result.output
 
+    @pytest.mark.parametrize("command, section, key", [
+        ("correct", "estimator", "windw"),
+        ("train-eval", "trainer", "epoch"),
+    ])
+    def test_bad_stage_key_exits_2_before_reading_data(self, tmp_path, command, section, key):
+        data = tmp_path / "log.csv"
+        data.write_text("user_id,item_id,duration_s,watch_time_s\na,x,10,3\na,y,ten,3\n")
+        cfg = write_config(tmp_path / "config.json", dataset_csv=str(data), **{section: {key: 2}})
+        result = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: unknown key {section}.{key}" in result.output
+
     def test_short_ground_truth_exits_1(self, pipeline_dir):
         cfg_path, out = pipeline_dir
         short = out / "short_truth.csv"

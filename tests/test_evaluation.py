@@ -238,21 +238,62 @@ class TestBreakdownAndReport:
         assert calls == [len(ds)]
         assert report == expected
 
+    def test_evaluate_ranks_each_row_group_once(self, monkeypatch):
+        calls = []
+        real = watchlab.evaluation._ndcg
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        ds = tiny_dataset()
+        labels = oracle_labels(ds)
+        monkeypatch.setattr(watchlab.evaluation, "_ndcg", counting)
+        report = evaluate(ds.watch_times, labels, ds, "watch_time", ks=(1, 3, 5), n_ranges=3)
+        assert calls == [(1, 3, 5)] * (1 + len(report.ranges))
+
+    def test_empty_range_reports_none(self):
+        ds = rows_dataset([
+            ("a", "x", 5.0, 1, 1),
+            ("a", "y", 1.0, 1, 0),
+            ("b", "z", 9.0, 10, 1),
+            ("b", "w", 2.0, 10, 0),
+        ], "true_interest")
+        out = evaluate(ds.watch_times, oracle_labels(ds), ds, "m", ks=(3, 1), n_ranges=7).ranges
+        assert [r.n_rows for r in out] == [2, 0, 2]
+        assert (out[1].gauc, out[1].ndcg) == (None, {3: None, 1: None})
+        assert out[0].gauc == out[2].gauc == 1.0
+
+    def test_no_ks_gives_empty_ndcg(self):
+        ds = tiny_dataset()
+        report = evaluate(ds.watch_times, oracle_labels(ds), ds, "m", ks=(), n_ranges=2)
+        assert report.ndcg_at == {}
+        assert [r.ndcg for r in report.ranges] == [{}] * len(report.ranges)
+
+    @pytest.mark.parametrize("ks, n_ranges", [((0, 1), 2), ((1,), 0)])
+    def test_bad_k_or_n_ranges(self, ks, n_ranges):
+        ds = tiny_dataset()
+        with pytest.raises(ValueError):
+            evaluate(ds.watch_times, oracle_labels(ds), ds, "m", ks=ks, n_ranges=n_ranges)
+
     def test_evaluate_matches_per_range_metric_calls(self):
-        """The shared user codes give the values separate metric calls give."""
+        """The shared user codes and the one ranking per row group give the
+        values separate per-k metric calls give, for any order of ks."""
         from watchlab import SynthConfig, generate
 
         ds, truth = generate(SynthConfig(n_rows=3000, n_users=60, seed=5))
         y = oracle_labels(ds, truth)
         scores = np.round(ds.watch_times, 0)  # plenty of ties
-        report = evaluate(scores, y, ds, "m", ks=(1, 3, 5), n_ranges=3)
         users = ds.user_ids
-        assert report.gauc == gauc(scores, y, users)
-        assert report.ndcg_at == {k: ndcg_at_k(scores, y, users, k) for k in (1, 3, 5)}
         d = ds.durations
-        for r in report.ranges:
-            mask = (d > r.duration_lo) & (d <= r.duration_hi)
-            assert r.n_rows == int(mask.sum())
-            assert r.gauc == gauc(scores[mask], y[mask], users[mask])
-            for k in (1, 3, 5):
-                assert r.ndcg[k] == ndcg_at_k(scores[mask], y[mask], users[mask], k)
+        for ks, n_ranges in (((1, 3, 5), 3), ((5, 1, 3, 2), 7)):
+            report = evaluate(scores, y, ds, "m", ks=ks, n_ranges=n_ranges)
+            assert report.gauc == gauc(scores, y, users)
+            assert report.ndcg_at == {k: ndcg_at_k(scores, y, users, k) for k in ks}
+            assert len(report.ranges) == n_ranges
+            for r in report.ranges:
+                mask = (d > r.duration_lo) & (d <= r.duration_hi)
+                assert r.n_rows == int(mask.sum())
+                assert r.gauc == gauc(scores[mask], y[mask], users[mask])
+                assert r.ndcg == {k: ndcg_at_k(scores[mask], y[mask], users[mask], k)
+                                  for k in ks}

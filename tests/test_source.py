@@ -1,12 +1,17 @@
 """Checks over the package source itself."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
 
 
 def test_no_assert_statements():
     """`python -O` strips assert statements, so a runtime check must raise."""
-    sources = sorted((Path(__file__).parents[1] / "src" / "watchlab").glob("*.py"))
+    sources = sorted((ROOT / "src" / "watchlab").glob("*.py"))
     assert sources
     found = [f"{path.name}:{node.lineno}" for path in sources
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -16,7 +21,7 @@ def test_no_assert_statements():
 
 def test_no_unused_imports():
     """Every name a module imports is used in it; `__init__.py` re-exports."""
-    sources = sorted((Path(__file__).parents[1] / "src" / "watchlab").glob("*.py"))
+    sources = sorted((ROOT / "src" / "watchlab").glob("*.py"))
     found = []
     for path in sources:
         if path.name == "__init__.py":
@@ -33,3 +38,31 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                   if name not in used]
     assert not found, found
+
+
+def _parameters(module, name):
+    return list(inspect.signature(getattr(importlib.import_module(module), name)).parameters)
+
+
+def test_benchmark_call_contract():
+    """The names and parameters that perfbench's tracer and worker reach for
+    exist, so a renamed or folded entry point fails here and not only in a
+    traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, name, *_ in (*tracing.FUNCTIONS, *tracing.USER_METRICS):
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+    for module, cls, name, _ in tracing.METHODS:
+        assert name in vars(getattr(importlib.import_module(module), cls)), (cls, name)
+    for module, name, _ in tracing.USER_METRICS:
+        assert "return_counts" in _parameters(module, name), name
+    # what the hooks after a call read from its bound arguments
+    assert "path" in _parameters("watchlab.data_model", "write_csv")
+    assert {"train_set", "config"} <= set(_parameters("watchlab.trainer", "train"))
+    assert _parameters("watchlab.correction", "apply_method")[1] == "params"
+    # what the worker passes by position
+    assert _parameters("watchlab.cli", "fit_curves") == ["dataset", "config"]
+    assert _parameters("watchlab.cli", "train_and_score") == [
+        "dataset", "labels", "splits", "oracle", "config", "seed"]
+    assert _parameters("watchlab.estimator", "smooth_curves") == ["raw", "window", "group_counts"]
