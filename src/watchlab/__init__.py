@@ -29,8 +29,6 @@ from .correction import (  # noqa: F401
     label_d2co_sensitivity,
     label_pcr,
     label_wtg,
-    sensitivity_affine,
-    sensitivity_scontrolled_numeric,
 )
 from .trainer import FMModel, TrainConfig, build_vocab, train  # noqa: F401
 from .evaluation import (  # noqa: F401

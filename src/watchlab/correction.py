@@ -1,6 +1,6 @@
 """Watch time -> interest label transforms: the affine and
 sensitivity-controlled corrections, the PCR/WTG/D2Q baselines with optional
-denoise post-processing, and the error/sensitivity diagnostics."""
+denoise post-processing, and the error diagnostics."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .errors import (
     DegenerateDenominator,
     LengthMismatch,
     NumericOverflow,
-    OutOfInterval,
 )
 from .estimator import BiasNoiseCurves
 from .ranking import average_ranks, quantile_bins
@@ -121,33 +120,6 @@ def denoise_postprocess(labels, dataset: Dataset, threshold_s: float):
     if labels.shape[0] != len(dataset):
         raise LengthMismatch(f"{labels.shape[0]} labels for {len(dataset)} rows")
     return np.where(dataset.watch_times < threshold_s, 0.0, labels)
-
-
-def sensitivity_affine(w, w_plus, w_minus, delta_plus, delta_minus):
-    """Closed-form sensitivity of the affine correction to curve disturbances."""
-    w, wp, wm = (np.asarray(a, dtype=np.float64) for a in (w, w_plus, w_minus))
-    if np.any((w < wm) | (w > wp)):
-        raise OutOfInterval("w must lie in [w-, w+]")
-    gap2 = (wp - wm) ** 2
-    s_plus = (w - wm) / gap2 * abs(delta_plus)
-    s_minus = (wp - w) / gap2 * abs(delta_minus)
-    return s_plus, s_minus
-
-
-def sensitivity_scontrolled_numeric(w, w_plus, w_minus, alpha, delta):
-    """Sensitivity of the exponential correction to curve disturbances,
-    via central finite differences (no closed form asserted here)."""
-    w, wp, wm = (np.asarray(a, dtype=np.float64) for a in (w, w_plus, w_minus))
-    if np.any((w < wm) | (w > wp)):
-        raise OutOfInterval("w must lie in [w-, w+]")
-    h = min(1e-4, abs(delta) / 10.0)
-
-    def r(wp_, wm_):
-        return label_d2co_sensitivity(w, wp_, wm_, alpha, clip=False)
-
-    d_plus = (r(wp + h, wm) - r(wp - h, wm)) / (2.0 * h)
-    d_minus = (r(wp, wm + h) - r(wp, wm - h)) / (2.0 * h)
-    return np.abs(d_plus) * abs(delta), np.abs(d_minus) * abs(delta)
 
 
 def error_decomposition(curves: BiasNoiseCurves, w_max: float):

@@ -63,10 +63,6 @@ class NumericOverflow(WatchlabError):
     pass
 
 
-class OutOfInterval(WatchlabError):
-    pass
-
-
 class LengthMismatch(WatchlabError):
     pass
 

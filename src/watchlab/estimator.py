@@ -44,9 +44,10 @@ def _log_gauss(x, mu, var):
 def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) -> GroupEstimate:
     """EM fit of a 1-D two-component Gaussian mixture to one duration group.
 
-    Deterministic init: means at the 10th/90th percentiles, both variances at
-    the sample variance, equal weights. The larger-mean component is reported
-    as the engaged (bias) one.
+    Deterministic init: means at the 10th/90th percentiles taken as sample
+    values (inverted CDF, so repeating every row leaves them in place), both
+    variances at the sample variance, equal weights. The larger-mean
+    component is reported as the engaged (bias) one.
     """
     options = options or GmmOptions()
     x = np.asarray(watch_times, dtype=np.float64)
@@ -65,7 +66,7 @@ def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) ->
             degenerate=True,
         )
 
-    mu = np.percentile(x, [10, 90])
+    mu = np.percentile(x, [10, 90], method="inverted_cdf")
     var = np.full(2, max(float(np.var(x)), options.var_floor))
     pi = np.array([0.5, 0.5])
 

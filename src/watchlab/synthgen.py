@@ -99,11 +99,6 @@ class GroundTruth:
     def __len__(self):
         return self.p_interest.size
 
-    def __eq__(self, other):
-        if not isinstance(other, GroundTruth):
-            return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
-
 
 def _id_table(prefix: str, n: int) -> tuple:
     """Ids prefix0..prefix{n-1} as a sorted string table ("u10" < "u2") and
@@ -177,44 +172,6 @@ def generate(config: SynthConfig) -> tuple:
     dataset = Dataset.from_codes(user_table, user_code[users], item_table, item_code[items],
                                  w, durations, timestamps=np.arange(n), true_interest=r)
     return dataset, GroundTruth(p, r, w_plus, w_minus)
-
-
-def expected_watch_dataset(dataset: Dataset, truth: GroundTruth) -> Dataset:
-    """Replace each watch time by its expectation p*w+ + (1-p)*w-.
-
-    Used by the unbiasedness and rank-equivalence harnesses, where sampling
-    noise must be switched off.
-    """
-    p = truth.p_interest
-    w = p * truth.w_plus_d + (1.0 - p) * truth.w_minus_d
-    return Dataset.from_codes(dataset.user_table, dataset.user_codes, dataset.item_table,
-                              dataset.item_codes, w, dataset.durations, dataset.timestamps,
-                              dataset.true_interest, dataset.features)
-
-
-def matched_interest_dataset(p_values, durations, bias_curve: Curve,
-                             noise_curve: Curve) -> tuple:
-    """Every duration group carries the same multiset of interest values and
-    watch times equal their expectations.
-
-    This construction makes the per-group interest moments identical and
-    gives all groups the same interest ranking, the regimes under which the
-    standardization and quantile baselines are rank-faithful.
-    """
-    p_values = np.asarray(p_values, dtype=np.float64)
-    durations = np.asarray(durations, dtype=np.int64)
-    wp = np.asarray(bias_curve(durations), dtype=np.float64).reshape(-1)
-    wm = np.asarray(noise_curve(durations), dtype=np.float64).reshape(-1)
-    collapsed = ~(wm < wp)
-    if collapsed.any():
-        raise CurveOrderViolation(f"noise >= bias at duration {durations[collapsed][0]}")
-    m = p_values.size
-    p = np.tile(p_values, durations.size)
-    wp, wm = np.repeat(wp, m), np.repeat(wm, m)
-    ids = np.arange(p.size).astype(str)
-    dataset = Dataset(np.char.add("u", ids), np.char.add("i", ids), p * wp + (1.0 - p) * wm,
-                      np.repeat(durations, m), timestamps=np.arange(p.size))
-    return dataset, GroundTruth(p, p >= 0.5, wp, wm)
 
 
 GROUND_TRUTH_COLUMNS = ["p_interest", "r_sample", "w_plus_d", "w_minus_d"]

@@ -128,15 +128,6 @@ class FMModel:
         self.embeddings = emb.copy()
 
 
-def fm_score_bruteforce(model: FMModel, idx_row) -> float:
-    """O(k m^2) pairwise reference used to check the identity-based score."""
-    s = model.bias + sum(model.linear[i] for i in idx_row)
-    for a in range(len(idx_row)):
-        for b in range(a + 1, len(idx_row)):
-            s += float(model.embeddings[idx_row[a]] @ model.embeddings[idx_row[b]])
-    return float(s)
-
-
 def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0

@@ -18,20 +18,24 @@ from watchlab.correction import (
     apply_method,
     label_d2co_affine,
     label_d2co_sensitivity,
-    sensitivity_affine,
-    sensitivity_scontrolled_numeric,
 )
 from watchlab.data_model import chronological_split_indices
 from watchlab.estimator import GroupEstimate, fit_group_gmm, smooth_curves
 from watchlab.evaluation import gauc, ndcg_at_k, oracle_labels
-from watchlab.synthgen import expected_watch_dataset, matched_interest_dataset
 from watchlab.trainer import (
     FMModel,
     bce_grad,
     bce_loss,
     build_vocab,
     encode,
+)
+
+from oracles import (
+    expected_watch_dataset,
     fm_score_bruteforce,
+    matched_interest_dataset,
+    sensitivity_affine,
+    sensitivity_scontrolled_numeric,
 )
 
 

@@ -21,10 +21,16 @@ from watchlab.cli import (
     fit_curves,
     main,
 )
-from watchlab.correction import CorrectionParams, apply_method, read_labels_csv
-from watchlab.data_model import ingest_csv
-from watchlab.estimator import GmmOptions
-from watchlab.synthgen import SynthConfig
+from watchlab.correction import (
+    CorrectionParams,
+    apply_method,
+    error_decomposition,
+    read_labels_csv,
+)
+from watchlab.data_model import ingest_csv, read_float_columns
+from watchlab.estimator import BiasNoiseCurves, GmmOptions
+from watchlab.evaluation import improve_percentage
+from watchlab.synthgen import SynthConfig, read_ground_truth_csv
 from watchlab.trainer import TrainConfig
 
 
@@ -137,6 +143,15 @@ class TestCorrect:
         manifest = json.loads((out / "manifest.json").read_text())
         err = manifest["notes"]["curve_error"]
         assert err["max_rel_err_w_plus"] < 0.5
+        # recomputed from the smoothed curves at every row's duration
+        truth = read_ground_truth_csv(out / "ground_truth.csv")
+        wp, wm = BiasNoiseCurves.from_csv(out / "curves.csv").value_at(
+            ingest_csv(out / "data.csv").durations)
+        assert err == {
+            "max_rel_err_w_plus": float(np.max(np.abs(wp - truth.w_plus_d) / truth.w_plus_d)),
+            "max_rel_err_w_minus": float(
+                np.max(np.abs(wm - truth.w_minus_d) / np.maximum(truth.w_minus_d, 1e-9))),
+        }
 
     def test_missing_dataset_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
@@ -247,6 +262,16 @@ class TestTrainEval:
             rows = list(csv.DictReader(f))
         assert {"method", "range_lo", "range_hi", "gauc", "improve_pct"} <= set(rows[0])
         assert {r["method"] for r in rows} == {"watch_time", "pcr", "d2co_a", "d2co_s", "oracle"}
+        # each improve_pct cell recomputed from the same file's GAUC cells
+        gauc_of = {(r["method"], r["seed"], r["range_lo"]): r["gauc"] for r in rows}
+        checked = 0
+        for r in rows:
+            if r["improve_pct"]:
+                wt, orc = (float(gauc_of[m, r["seed"], r["range_lo"]])
+                           for m in ("watch_time", "oracle"))
+                assert float(r["improve_pct"]) == improve_percentage(float(r["gauc"]), wt, orc)
+                checked += 1
+        assert checked
 
     def test_breakdown_leaves_unscored_cells_blank(self, tmp_path):
         cfg = write_config(tmp_path / "config.json", evaluation={"n_ranges": 12},
@@ -370,6 +395,11 @@ class TestReport:
         for r in rows:
             assert 0.0 <= float(r["bias_err"]) <= 1.0
             assert 0.0 <= float(r["noise_err"]) <= 1.0
+        curves = BiasNoiseCurves.from_csv(out / "curves.csv")
+        expected = error_decomposition(curves, ingest_csv(out / "data.csv").watch_times.max())
+        written = read_float_columns(out / "error_curves.csv", ["d", "bias_err", "noise_err"])
+        for got, want in zip(written, (curves.durations, *expected)):
+            assert np.array_equal(got, want)
 
     def test_requires_curves(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")

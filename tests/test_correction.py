@@ -21,14 +21,15 @@ from watchlab.correction import (
     label_pcr,
     label_wtg,
     read_labels_csv,
-    sensitivity_affine,
-    sensitivity_scontrolled_numeric,
 )
 from watchlab.data_model import Dataset
-from watchlab.errors import CurveCollapse, LengthMismatch, NumericOverflow, OutOfInterval
-from watchlab.estimator import GroupEstimate, smooth_curves
+from watchlab.errors import CurveCollapse, LengthMismatch, NumericOverflow
+from watchlab.estimator import BiasNoiseCurves, GroupEstimate, smooth_curves
 from watchlab.ranking import quantile_bins
+from watchlab.synthgen import SynthConfig, generate
 from tests.test_estimator import make_raw
+
+from oracles import sensitivity_affine, sensitivity_scontrolled_numeric
 
 
 def simple_dataset(watch_times, durations):
@@ -181,9 +182,9 @@ class TestSensitivities:
         assert s_minus == 0.0
 
     def test_out_of_interval(self):
-        with pytest.raises(OutOfInterval):
+        with pytest.raises(ValueError):
             sensitivity_affine(11.0, 10.0, 2.0, 0.1, 0.1)
-        with pytest.raises(OutOfInterval):
+        with pytest.raises(ValueError):
             sensitivity_scontrolled_numeric(1.0, 10.0, 2.0, -0.03, 0.1)
 
     def test_small_alpha_limit(self):
@@ -270,6 +271,45 @@ class TestApplyMethod:
         assert mu[0] == pytest.approx(2.0)
         assert sigma[0] == pytest.approx(1.0)
         assert np.bincount(group)[1] == 1
+
+
+def true_curve_table(config, plus_scale=1.0):
+    """BiasNoiseCurves holding the configured curves at every duration of the
+    range, with w+ scaled by plus_scale."""
+    d = np.arange(config.duration_range[0], config.duration_range[1] + 1)
+    wp, wm = config.bias_curve(d), config.noise_curve(d)
+    ones = np.ones(d.size)
+    return BiasNoiseCurves(d, wp, wm, plus_scale * wp, wm, 0.5 * ones, ones.astype(np.int64),
+                           ones.astype(bool))
+
+
+class TestD2coThroughApplyMethod:
+    """The d2co_s branch of apply_method, the one the pipeline runs."""
+
+    @pytest.mark.parametrize("alpha", [-0.03, 0.03])
+    def test_d2co_s_is_the_sensitivity_label(self, alpha):
+        config = SynthConfig(n_rows=2000, seed=0)
+        ds, _ = generate(config)
+        curves = true_curve_table(config)
+        labels = apply_method(ds, CorrectionParams("d2co_s", curves, alpha)).labels
+        expected = label_d2co_sensitivity(ds.watch_times, *curves.value_at(ds.durations), alpha)
+        assert (labels == expected).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_negative_alpha_tolerates_error_in_w_plus(self, seed):
+        """The paper's robustness claim: with w+ overestimated by 20 %, the
+        labels move least at alpha < 0 and most at alpha > 0, with the affine
+        correction between them."""
+        config = SynthConfig(n_rows=20_000, seed=seed)
+        ds, _ = generate(config)
+        exact, biased = true_curve_table(config), true_curve_table(config, plus_scale=1.2)
+
+        def shift(method, alpha=None):
+            before = apply_method(ds, CorrectionParams(method, exact, alpha)).labels
+            after = apply_method(ds, CorrectionParams(method, biased, alpha)).labels
+            return float(np.abs(after - before).mean())
+
+        assert shift("d2co_s", -0.03) < shift("d2co_a") < shift("d2co_s", 0.03)
 
 
 def reference_wtg_labels(dataset):

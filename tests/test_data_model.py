@@ -76,6 +76,11 @@ class TestSplit:
         got = [u for part in (tr, va, te) for u in part.user_ids]
         assert got == [f"u{i}" for i in range(6)]
 
+    def test_shuffled_timestamps_split_in_time_order(self):
+        ts = np.random.default_rng(0).permutation(20)
+        parts = split_chronological(make_rows([1] * 20, [5] * 20, timestamps=ts), (0.6, 0.2, 0.2))
+        assert np.concatenate([p.timestamps for p in parts]).tolist() == list(range(20))
+
     @pytest.mark.parametrize("fractions", [(0.001, 0.5, 0.499), (0.5, 0.001, 0.499),
                                            (0.5, 0.499, 0.001)])
     def test_empty_part_rejected(self, fractions):

@@ -58,6 +58,12 @@ class TestFitGroupGmm:
         assert a.w_plus_hat == pytest.approx(b.w_plus_hat, rel=1e-6)
         assert a.w_minus_hat == pytest.approx(b.w_minus_hat, rel=1e-6)
 
+    def test_constant_lower_component_sits_on_the_variance_floor(self):
+        x = np.concatenate([np.full(100, 3.0), np.random.default_rng(0).normal(50.0, 5.0, 100)])
+        est = fit_group_gmm(x)
+        assert est.w_minus_hat == 3.0
+        assert est.var_minus == 1e-4
+
     def test_likelihood_drop_names_the_group(self, monkeypatch):
         # every E-step scores the data lower than the one before
         steps = iter(range(100))

@@ -196,7 +196,7 @@ def test_every_row_twice(log, twice):
     np.testing.assert_array_equal(doubled.durations, curves.durations)
     np.testing.assert_array_equal(doubled.fitted, curves.fitted)
     np.testing.assert_array_equal(doubled.counts, 2 * curves.counts)
-    # EM starts elsewhere on the doubled log (test_every_row_twice_leaves_fits_unchanged)
+    # the fitted columns are held to 1e-12 in test_every_row_twice_leaves_fits_unchanged
     for name in CURVE_COLUMNS:
         np.testing.assert_allclose(getattr(doubled, name), getattr(curves, name), rtol=1e-3)
     pcr = apply_method(dataset, CorrectionParams("pcr")).labels
@@ -204,8 +204,6 @@ def test_every_row_twice(log, twice):
                                   np.tile(pcr, 2))
 
 
-@pytest.mark.xfail(strict=True, reason="fit_group_gmm starts EM at np.percentile's "
-                   "interpolated 10th/90th percentiles, which move when every row repeats")
 def test_every_row_twice_leaves_fits_unchanged(log, twice):
     curves, doubled = log[1], twice[1]
     for name in FIT_COLUMNS:

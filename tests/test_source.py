@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -66,3 +67,30 @@ def test_benchmark_call_contract():
     assert _parameters("watchlab.cli", "train_and_score") == [
         "dataset", "labels", "splits", "oracle", "config", "seed"]
     assert _parameters("watchlab.estimator", "smooth_curves") == ["raw", "window", "group_counts"]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """Test-only code lives under tests/: each public top-level def or class
+    in the package is used elsewhere in the package (by name or attribute,
+    outside its own definition), or named in a demo, the benchmark or the
+    README."""
+    package = ROOT / "src" / "watchlab"
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    used = set()
+    for tree in trees:
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    outside = [ROOT / "README.md", *(path for folder in ("demos", "perfbench")
+                                     for path in sorted((ROOT / folder).rglob("*"))
+                                     if path.suffix in (".py", ".sh"))]
+    words = set(re.findall(r"\w+", "\n".join(p.read_text(encoding="utf-8") for p in outside)))
+    public = [stmt.name for tree in trees for stmt in tree.body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_")]
+    assert public
+    unused = [name for name in public if name not in used | words]
+    assert not unused, unused

@@ -17,10 +17,10 @@ from watchlab.trainer import (
     bce_loss,
     build_vocab,
     encode,
-    fm_score_bruteforce,
     train,
 )
 
+from oracles import fm_score_bruteforce
 from rows import rows_dataset
 
 
