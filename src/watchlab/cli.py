@@ -181,9 +181,10 @@ class EvalConfig:
     n_ranges: int = 3  # equal-frequency duration ranges of breakdown.csv
 
     def validate(self) -> None:
-        if not self.ndcg_k or min(self.ndcg_k) < 1 or self.n_ranges < 1:
-            raise ValueError("ndcg_k needs at least one k, and every k and n_ranges "
-                             "must be >= 1")
+        ks = self.ndcg_k
+        if not ks or min(ks) < 1 or len(set(ks)) < len(ks) or self.n_ranges < 1:
+            raise ValueError("ndcg_k needs at least one k and distinct ks, and every k and "
+                             "n_ranges must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,14 @@ def _run_config(config: dict, out_override) -> tuple[RunConfig, Path]:
     out = Path(out_override or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return run, out
+
+
+def _input(path, what: str) -> Path:
+    """`path` as a Path; ConfigError (exit 2) with `what` and the path if it is missing."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what}: {path}")
+    return path
 
 
 def _write_rows(path, header, rows, dtypes) -> None:
@@ -251,9 +260,7 @@ def fit_curves(dataset, config) -> BiasNoiseCurves:
 
 def run_correct(config: dict, seed=None, out=None) -> Path:
     run, out_dir = _run_config(config, out)
-    data_path = Path(run.dataset_csv or out_dir / "data.csv")
-    if not data_path.exists():
-        raise ConfigError(f"input dataset not found: {data_path}")
+    data_path = _input(run.dataset_csv or out_dir / "data.csv", "input dataset not found")
     params = _correction_params(config)
     _section(GmmOptions, config, "estimator")  # checked before the data is read
     dataset = ingest_csv(data_path, run.feature_fields)
@@ -300,9 +307,7 @@ def train_and_score(dataset, labels, splits, oracle, config, seed):
 
 def run_train_eval(config: dict, seed=None, out=None) -> Path:
     run, out_dir = _run_config(config, out)
-    data_path = Path(run.dataset_csv or out_dir / "data.csv")
-    if not data_path.exists():
-        raise ConfigError(f"input dataset not found: {data_path}")
+    data_path = _input(run.dataset_csv or out_dir / "data.csv", "input dataset not found")
     split = _section(SplitConfig, config, "split")
     evaluation = _section(EvalConfig, config, "evaluation")
     ks, n_ranges = evaluation.ndcg_k, evaluation.n_ranges
@@ -322,9 +327,7 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     watch_time = apply_method(dataset, CorrectionParams("watch_time")).labels
     labels_by_method = {"watch_time": watch_time, "oracle": oracle}
     for m in methods:
-        path = out_dir / f"labeled_{m}.csv"
-        if not path.exists():
-            raise ConfigError(f"label file missing (run `correct` first): {path}")
+        path = _input(out_dir / f"labeled_{m}.csv", "label file missing (run `correct` first)")
         labels_by_method[m] = read_labels_csv(path, len(dataset))
 
     try:
@@ -370,56 +373,37 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
 
     outputs = {"report.csv": report_path, "breakdown.csv": breakdown_path}
 
+    # the d2co_s test GAUC over window x alpha, at the first seed only
     if config.get("sweep"):  # a checked object by now; {} means no sweep
+        raw = fit_all_groups(dataset, opts)
+        counts = compute_stats(dataset).group_counts
+        rows = []
+        for T in sweep.window:
+            curves = smooth_curves(raw, T, counts)
+            for a in sweep.alpha:
+                labels = apply_method(dataset, CorrectionParams("d2co_s", curves, alpha=a)).labels
+                scores = train_and_score(dataset, labels, splits, oracle, config, seeds[0])
+                rows.append((T, a, gauc(scores, test_oracle, test_set.user_codes)))
         sweep_path = out_dir / "sweep_gauc.csv"
-        _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep, opts,
-                   seeds[0], sweep_path)
+        _write_rows(sweep_path, ["window", "alpha", "gauc"], rows,
+                    [np.int64, np.float64, np.float64])
         outputs["sweep_gauc.csv"] = sweep_path
 
     _write_manifest(out_dir, config, outputs, notes={"seeds": seeds})
     return out_dir
 
 
-def _run_sweep(dataset, splits, oracle, test_set, test_oracle, config, sweep: SweepConfig,
-               opts: GmmOptions, seed, path):
-    """GAUC grid over moving-average window x alpha for the exponential
-    correction (first seed only)."""
-    raw = fit_all_groups(dataset, opts)
-    counts = compute_stats(dataset).group_counts
-    rows = []
-    for T in sweep.window:
-        curves = smooth_curves(raw, T, counts)
-        for a in sweep.alpha:
-            params = CorrectionParams(method="d2co_s", curves=curves, alpha=a)
-            labels = apply_method(dataset, params).labels
-            scores = train_and_score(dataset, labels, splits, oracle, config, seed)
-            rows.append((T, a, gauc(scores, test_oracle, test_set.user_codes)))
-    _write_rows(path, ["window", "alpha", "gauc"], rows, [np.int64, np.float64, np.float64])
-
-
 def run_report(config: dict, seed=None, out=None) -> Path:
     run, out_dir = _run_config(config, out)
-    curves_path = out_dir / "curves.csv"
-    if not curves_path.exists():
-        raise ConfigError(f"curves not found (run `correct` first): {curves_path}")
-    data_path = Path(run.dataset_csv or out_dir / "data.csv")
-    if not data_path.exists():
-        raise ConfigError(f"input dataset not found: {data_path}")
+    curves_path = _input(out_dir / "curves.csv", "curves not found (run `correct` first)")
+    data_path = _input(run.dataset_csv or out_dir / "data.csv", "input dataset not found")
     curves = BiasNoiseCurves.from_csv(curves_path)
     stats = compute_stats(ingest_csv(data_path, run.feature_fields))
     bias_err, noise_err = error_decomposition(curves, stats.w_max)
     err_path = out_dir / "error_curves.csv"
     write_columns(err_path, ["d", "bias_err", "noise_err"],
                   [curves.durations, bias_err, noise_err])
-
-    outputs = {"error_curves.csv": err_path}
-    notes = {}
-    sweep_path = out_dir / "sweep_gauc.csv"
-    if sweep_path.exists():
-        outputs["sweep_gauc.csv"] = sweep_path
-    else:
-        notes["sweep_grid"] = "omitted: no sweep results found"
-    _write_manifest(out_dir, config, outputs, notes)
+    _write_manifest(out_dir, config, {"error_curves.csv": err_path})
     return out_dir
 
 
@@ -457,7 +441,7 @@ cmd_correct = _command("correct", run_correct,
 cmd_train_eval = _command("train-eval", run_train_eval,
                           "Train one FM per method and write evaluation reports.")
 cmd_report = _command("report", run_report,
-                      "Write error-decomposition curves and the sweep grid.")
+                      "Write the error-decomposition curves.")
 
 
 if __name__ == "__main__":

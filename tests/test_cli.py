@@ -20,6 +20,7 @@ from watchlab.cli import (
     _section,
     fit_curves,
     main,
+    train_and_score,
 )
 from watchlab.correction import (
     CorrectionParams,
@@ -27,9 +28,14 @@ from watchlab.correction import (
     error_decomposition,
     read_labels_csv,
 )
-from watchlab.data_model import ingest_csv, read_float_columns
-from watchlab.estimator import BiasNoiseCurves, GmmOptions
-from watchlab.evaluation import improve_percentage
+from watchlab.data_model import (
+    chronological_split_indices,
+    compute_stats,
+    ingest_csv,
+    read_float_columns,
+)
+from watchlab.estimator import BiasNoiseCurves, GmmOptions, fit_all_groups, smooth_curves
+from watchlab.evaluation import gauc, improve_percentage, oracle_labels
 from watchlab.synthgen import SynthConfig, read_ground_truth_csv
 from watchlab.trainer import TrainConfig
 
@@ -343,6 +349,32 @@ class TestTrainEval:
             ("1", "-0.02"), ("1", "-0.01"), ("2", "-0.02"), ("2", "-0.01"),
         }
 
+    def test_sweep_cell_matches_library(self, pipeline_dir):
+        cfg_path, out = pipeline_dir
+        config = json.loads(cfg_path.read_text())
+        config["trainer"]["epochs"] = 1
+        config["seeds"] = [3, 0]
+        config["sweep"] = {"window": [1, 3], "alpha": [-0.03]}
+        cfg2 = cfg_path.parent / "config_sweep_cell.json"
+        cfg2.write_text(json.dumps(config))
+        result = invoke("train-eval", "--config", str(cfg2), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        window, alpha, cell = read_float_columns(out / "sweep_gauc.csv",
+                                                 ["window", "alpha", "gauc"])
+        assert (window[-1], alpha[-1]) == (3, -0.03)
+        # the (3, -0.03) cell recomputed from the library, at the first seed
+        dataset = ingest_csv(out / "data.csv")
+        raw = fit_all_groups(dataset, _section(GmmOptions, config, "estimator"))
+        curves = smooth_curves(raw, 3, compute_stats(dataset).group_counts)
+        labels = apply_method(dataset, CorrectionParams("d2co_s", curves=curves,
+                                                        alpha=-0.03)).labels
+        oracle = oracle_labels(dataset, read_ground_truth_csv(out / "ground_truth.csv"))
+        splits = chronological_split_indices(dataset, config["split"]["fractions"])
+        scores = train_and_score(dataset, labels, splits, oracle.astype(np.float64), config, 3)
+        te_idx = splits[2]
+        assert cell[-1] == gauc(scores, oracle[te_idx].astype(np.int64),
+                                dataset.user_codes[te_idx])
+
     def test_feature_field_through_correct_and_train_eval(self, tmp_path):
         cfg = write_config(tmp_path / "config.json", feature_fields=["tab"])
         out = tmp_path / "run"
@@ -462,6 +494,7 @@ BAD_CONFIGS = [
     ("correct", "feature_fields", None, "tab"),
     ("correct", "feature_fields", None, [3]),
     ("correct", "correction", "curves", None),
+    ("train-eval", "evaluation", "ndcg_k", [3, 3]),
 ]
 
 
@@ -589,3 +622,21 @@ def test_bad_sidecar_exits_1(tmp_path, corrected_run, command, name, edit, messa
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert message in result.output
+
+
+@pytest.mark.parametrize("command, name, message", [
+    ("correct", "data.csv", "input dataset not found"),
+    ("train-eval", "data.csv", "input dataset not found"),
+    ("train-eval", "labeled_d2co_a.csv", "label file missing (run `correct` first)"),
+    ("report", "curves.csv", "curves not found (run `correct` first)"),
+    ("report", "data.csv", "input dataset not found"),
+], ids=["correct-data", "train-eval-data", "train-eval-labels", "report-curves", "report-data"])
+def test_missing_input_exits_2_naming_it(tmp_path, corrected_run, command, name, message):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    (out / name).unlink()
+    cfg = write_config(tmp_path / "config.json")
+    result = invoke(command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"configuration error: {message}: {out / name}\n" in result.output

@@ -90,6 +90,21 @@ def test_empirical_mean_matches_decomposition():
     assert ds.watch_times.mean() == pytest.approx(expected, rel=0.02)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_component_residual_stds_match_config(seed):
+    """Each component's watch times scatter around its curve with its
+    configured std; rows with w- >= 4 * noise_std_minus make the truncation
+    at 0 negligible."""
+    cfg = SynthConfig(n_rows=20_000, seed=seed)
+    ds, truth = generate(cfg)
+    far = truth.w_minus_d >= 4 * cfg.noise_std_minus
+    engaged = far & (truth.r_sample == 1)
+    noise = far & (truth.r_sample == 0)
+    residual = ds.watch_times - np.where(truth.r_sample == 1, truth.w_plus_d, truth.w_minus_d)
+    assert residual[engaged].std() == pytest.approx(cfg.noise_std_plus, rel=0.05)
+    assert residual[noise].std() == pytest.approx(cfg.noise_std_minus, rel=0.05)
+
+
 def test_pcr_regime_rank_order():
     """Linear curves with vanishing noise: w/d rank-orders like p among
     engaged rows."""
