@@ -215,6 +215,15 @@ def _input(path, what: str) -> Path:
     return path
 
 
+def _ground_truth(run: RunConfig, out_dir: Path) -> Path | None:
+    """The ground-truth sidecar, or None where there is none: a file that
+    `ground_truth_csv` names must exist, while <out>/ground_truth.csv is optional."""
+    if run.ground_truth_csv:
+        return _input(run.ground_truth_csv, "ground truth not found")
+    path = out_dir / "ground_truth.csv"
+    return path if path.exists() else None
+
+
 def _write_rows(path, header, rows, dtypes) -> None:
     """Write `rows` through write_columns, column j as an array of dtypes[j]."""
     columns = list(zip(*rows)) or [()] * len(header)
@@ -275,8 +284,8 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
         outputs[path.name] = path
 
     notes = {}
-    truth_path = Path(run.ground_truth_csv or out_dir / "ground_truth.csv")
-    if truth_path.exists():
+    truth_path = _ground_truth(run, out_dir)
+    if truth_path is not None:
         truth = read_ground_truth_csv(truth_path)
         if len(truth) != len(dataset):
             raise LengthMismatch(f"{len(truth)} ground-truth rows for {len(dataset)} data rows")
@@ -293,7 +302,9 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
 
 
 def train_and_score(dataset, labels, splits, oracle, config, seed):
-    """Fit one FM on train labels, early-stop on val interest, score test."""
+    """Fit an FM on the train rows of each label column, early-stop it on val
+    interest and score test: (n_test,) scores for (n,) labels, one column per
+    label column for (n, M) labels, whose M fits train as one stack."""
     tr_idx, va_idx, te_idx = splits
     train_set = dataset.subset(tr_idx)
     val_set = dataset.subset(va_idx)
@@ -320,8 +331,8 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     dataset = ingest_csv(data_path, run.feature_fields)
     run_methods = list(dict.fromkeys(["watch_time", *methods, "oracle"]))
 
-    truth_path = Path(run.ground_truth_csv or out_dir / "ground_truth.csv")
-    truth = read_ground_truth_csv(truth_path) if truth_path.exists() else None
+    truth_path = _ground_truth(run, out_dir)
+    truth = None if truth_path is None else read_ground_truth_csv(truth_path)
     oracle = oracle_labels(dataset, truth).astype(np.float64)
 
     watch_time = apply_method(dataset, CorrectionParams("watch_time")).labels
@@ -338,11 +349,13 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     test_set = dataset.subset(te_idx)
     test_oracle = oracle[te_idx].astype(np.int64)
 
+    # popped, so that the stack holds the only copy of each method's labels
+    stack = np.column_stack([labels_by_method.pop(m) for m in run_methods])
     per_seed = {m: [] for m in run_methods}
     for s in seeds:
-        for m in run_methods:
-            scores = train_and_score(dataset, labels_by_method[m], splits, oracle, config, s)
-            per_seed[m].append(evaluate(scores, test_oracle, test_set, m, ks, n_ranges))
+        scores = train_and_score(dataset, stack, splits, oracle, config, s)
+        for m, column in zip(run_methods, scores.T):
+            per_seed[m].append(evaluate(column, test_oracle, test_set, m, ks, n_ranges))
 
     metrics = {m: [[rep.gauc, *(rep.ndcg_at[k] for k in ks)] for rep in per_seed[m]]
                for m in run_methods}
@@ -377,13 +390,17 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     if config.get("sweep"):  # a checked object by now; {} means no sweep
         raw = fit_all_groups(dataset, opts)
         counts = compute_stats(dataset).group_counts
-        rows = []
+        cells, columns = [], []
         for T in sweep.window:
             curves = smooth_curves(raw, T, counts)
             for a in sweep.alpha:
-                labels = apply_method(dataset, CorrectionParams("d2co_s", curves, alpha=a)).labels
-                scores = train_and_score(dataset, labels, splits, oracle, config, seeds[0])
-                rows.append((T, a, gauc(scores, test_oracle, test_set.user_codes)))
+                cells.append((T, a))
+                columns.append(apply_method(dataset, CorrectionParams("d2co_s", curves,
+                                                                      alpha=a)).labels)
+        scores = train_and_score(dataset, np.column_stack(columns), splits, oracle, config,
+                                 seeds[0])
+        rows = [(T, a, gauc(column, test_oracle, test_set.user_codes))
+                for (T, a), column in zip(cells, scores.T)]
         sweep_path = out_dir / "sweep_gauc.csv"
         _write_rows(sweep_path, ["window", "alpha", "gauc"], rows,
                     [np.int64, np.float64, np.float64])

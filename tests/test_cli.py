@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import watchlab.cli
 from watchlab.cli import (
     SECTIONS,
     EvalConfig,
@@ -375,6 +376,27 @@ class TestTrainEval:
         assert cell[-1] == gauc(scores, oracle[te_idx].astype(np.int64),
                                 dataset.user_codes[te_idx])
 
+    def test_one_stacked_train_per_seed_and_one_for_the_sweep(self, pipeline_dir, monkeypatch):
+        cfg_path, out = pipeline_dir
+        config = json.loads(cfg_path.read_text())
+        config["trainer"]["epochs"] = 1
+        config["seeds"] = [3, 0]
+        config["sweep"] = {"window": [1, 2], "alpha": [-0.03, -0.02, -0.01]}
+        cfg2 = cfg_path.parent / "config_stacks.json"
+        cfg2.write_text(json.dumps(config))
+        calls = []
+        real = watchlab.cli.train
+
+        def counting(model, train_set, train_labels, *args):
+            calls.append(np.shape(train_labels)[1:])
+            return real(model, train_set, train_labels, *args)
+
+        monkeypatch.setattr(watchlab.cli, "train", counting)
+        result = invoke("train-eval", "--config", str(cfg2), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        # watch_time, pcr, d2co_a, d2co_s and oracle at each seed, then the 2 x 3 sweep
+        assert calls == [(5,), (5,), (6,)]
+
     def test_feature_field_through_correct_and_train_eval(self, tmp_path):
         cfg = write_config(tmp_path / "config.json", feature_fields=["tab"])
         out = tmp_path / "run"
@@ -495,6 +517,7 @@ BAD_CONFIGS = [
     ("correct", "feature_fields", None, [3]),
     ("correct", "correction", "curves", None),
     ("train-eval", "evaluation", "ndcg_k", [3, 3]),
+    ("train-eval", "trainer", "patience", -5),
 ]
 
 
@@ -640,3 +663,27 @@ def test_missing_input_exits_2_naming_it(tmp_path, corrected_run, command, name,
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"configuration error: {message}: {out / name}\n" in result.output
+
+
+@pytest.mark.parametrize("command", ["correct", "train-eval"])
+def test_named_ground_truth_missing_exits_2(tmp_path, corrected_run, command):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    missing = tmp_path / "no_such_truth.csv"
+    cfg = write_config(tmp_path / "config.json", ground_truth_csv=str(missing))
+    result = invoke(command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"configuration error: ground truth not found: {missing}\n" in result.output
+
+
+def test_default_ground_truth_stays_optional(tmp_path, corrected_run):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    (out / "ground_truth.csv").unlink()
+    cfg = write_config(tmp_path / "config.json")
+    result = invoke("correct", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert "curve_error" not in json.loads((out / "manifest.json").read_text())["notes"]
+    result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 0, result.output

@@ -7,6 +7,11 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+
+from watchlab.data_model import Dataset
+from watchlab.trainer import FMModel, TrainConfig, build_vocab, train
+
 ROOT = Path(__file__).parents[1]
 
 
@@ -67,6 +72,25 @@ def test_benchmark_call_contract():
     assert _parameters("watchlab.cli", "train_and_score") == [
         "dataset", "labels", "splits", "oracle", "config", "seed"]
     assert _parameters("watchlab.estimator", "smooth_curves") == ["raw", "window", "group_counts"]
+
+    # the hook after `train`, run on a stacked fit, counts the epochs the stack ran
+    class Recorder:
+        def __init__(self):
+            self.counts = []
+
+        def count(self, name, value=1):
+            self.counts.append((name, value))
+
+    n = 40
+    interest = np.arange(n) % 2
+    log = Dataset([f"u{i % 5}" for i in range(n)], [f"i{i % 7}" for i in range(n)],
+                  np.ones(n), np.full(n, 10), timestamps=np.arange(n), true_interest=interest)
+    config = TrainConfig(batch_size=16, epochs=3, patience=3)
+    labels = np.column_stack([interest, 1 - interest, np.full(n, 0.5)])
+    result = train(FMModel(build_vocab(log), 4), log, labels, log, interest, config)
+    recorder = Recorder()
+    tracing._after_train(recorder, result, {"train_set": log, "config": config})
+    assert recorder.counts == [("trainer.epochs_run", 3), ("trainer.batches", 9)]
 
 
 def test_every_public_name_has_a_caller_outside_tests():

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import watchlab.trainer
 from watchlab.data_model import Dataset
 from watchlab.errors import NonFiniteLoss
 from watchlab.evaluation import gauc
 from watchlab.trainer import (
     FMModel,
+    StackHistory,
     TrainConfig,
     TrainHistory,
     Vocabulary,
@@ -414,19 +416,46 @@ def assert_same_fit(fits):
     assert hist == ref_hist
 
 
+def stacked_fit(train_set, labels, val_set, config, k=4):
+    """(model, history) of one stacked fit of the columns of `labels`."""
+    model = FMModel(build_vocab(train_set), k=k, seed=config.seed)
+    return model, train(model, train_set, labels, val_set, val_set.true_interest, config)
+
+
+def assert_slices_match_separate_fits(train_set, labels, val_set, config, k=4):
+    """Each slice of one stacked fit of the columns of `labels` equals, under
+    ==, the separate train and reference_train fits of its column: parameters,
+    val scores, train loss, val GAUC and best epoch. Returns the stack's history."""
+    model, stack = stacked_fit(train_set, labels, val_set, config, k)
+    n_slices = labels.shape[1]
+    assert isinstance(stack, StackHistory) and len(stack) == n_slices
+    scores = model.score_interactions(val_set)
+    assert scores.shape == (len(val_set), n_slices)
+    for m, column in enumerate(labels.T):
+        fits = train_both(train_set, column, val_set, config, k)
+        assert_same_fit(fits)
+        single, history = fits[0]
+        assert model.bias[m] == single.bias
+        assert np.array_equal(model.linear.reshape(n_slices, -1)[m], single.linear)
+        assert np.array_equal(model.embeddings.reshape(n_slices, -1, k)[m], single.embeddings)
+        assert np.array_equal(scores[:, m], single.score_interactions(val_set))
+        assert stack[m] == history
+    return stack
+
+
 class TestLazyAdam:
     def test_rows_outside_the_batch_keep_parameters_and_moments(self):
         rng = np.random.default_rng(0)
         linear, emb = rng.normal(size=6), rng.normal(size=(6, 3))
         opt = _Adam([linear, emb], 0.1)
         # a first step over every row leaves nonzero moments everywhere
-        opt.step(0.0, 0.5, np.arange(6), [rng.normal(size=6), rng.normal(size=(6, 3))])
+        opt.step([np.arange(6)] * 2, [rng.normal(size=6), rng.normal(size=(6, 3))])
         def tracked():
             return [linear, emb, *opt.moments[0], *opt.moments[1]]
 
         before = [a.copy() for a in tracked()]
         rows, kept = np.array([1, 4]), np.array([0, 2, 3, 5])
-        opt.step(0.0, 0.5, rows, [rng.normal(size=2), rng.normal(size=(2, 3))])
+        opt.step([rows] * 2, [rng.normal(size=2), rng.normal(size=(2, 3))])
         for old, new in zip(before, tracked()):
             assert new[kept].tobytes() == old[kept].tobytes()
             assert (new[rows] != old[rows]).all()
@@ -435,8 +464,8 @@ class TestLazyAdam:
         linear = np.zeros(3)
         opt = _Adam([linear], 0.1)
         for _ in range(4):
-            opt.step(0.0, 0.0, np.array([0]), [np.array([1.0])])
-        opt.step(0.0, 0.0, np.array([1]), [np.array([1.0])])
+            opt.step([np.array([0])], [np.array([1.0])])
+        opt.step([np.array([1])], [np.array([1.0])])
         # row 1's first update comes at step 5 and is bias-corrected for step 5
         m, v = (1 - 0.9) * 1.0, (1 - 0.999) * 1.0 * 1.0
         c1, c2 = 1 - 0.9 ** 5, 1 - 0.999 ** 5
@@ -502,4 +531,57 @@ class TestTrainMatchesDenseReference:
         assume(((positives > 0) & (positives < np.bincount(val.user_codes))).any())
         cfg = TrainConfig(learning_rate=lr, batch_size=batch_size, epochs=3, patience=patience,
                           seed=seed)
-        assert_same_fit(train_both(ds, y, val, cfg))
+        # each column also against reference_train, and as a slice of one stack
+        assert_slices_match_separate_fits(ds, np.column_stack([y, 1.0 - y]), val, cfg)
+
+
+class TestStackedTrain:
+    def test_slices_equal_separate_fits_while_one_stops_early(self):
+        ds, y = random_log(6, 200, 8, 8)
+        val, _ = random_log(7, 200, 8, 8, t0=200)
+        labels = np.column_stack([y, 1.0 - y, y ** 2])
+        stack = assert_slices_match_separate_fits(
+            ds, labels, val, TrainConfig(learning_rate=0.05, batch_size=32, epochs=8, patience=1))
+        epochs = [len(h.val_gauc) for h in stack]
+        assert min(epochs) < max(epochs)  # a slice stopped while the others went on
+        assert [len(losses) for losses in stack.train_loss] == [
+            sum(e > epoch for e in epochs) for epoch in range(max(epochs))]
+
+    def test_one_column_matrix_is_the_vector_fit(self):
+        ds, y = random_log(4, 250, 10, 12, feature=True)
+        cfg = TrainConfig(learning_rate=0.02, batch_size=50, epochs=2)
+        (model, history), _ = train_both(ds, y, ds, cfg)
+        stacked, (stack_history,) = stacked_fit(ds, y[:, None], ds, cfg)
+        assert stacked.bias.tolist() == [model.bias]
+        assert np.array_equal(stacked.linear, model.linear)
+        assert np.array_equal(stacked.embeddings, model.embeddings)
+        assert np.array_equal(stacked.score_interactions(ds)[:, 0], model.score_interactions(ds))
+        assert stack_history == history
+
+    def test_non_finite_loss_comes_only_from_a_slice_still_training(self, monkeypatch):
+        ds, y = random_log(6, 200, 8, 8)
+        val, _ = random_log(7, 200, 8, 8, t0=200)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=32, epochs=8, patience=0)
+        labels = np.column_stack([y, np.full(len(y), 0.5)])  # only column 1 is all 0.5
+        _, clean = stacked_fit(ds, labels, val, cfg)
+        stopped = len(clean[1].val_gauc)
+        assert stopped < len(clean[0].val_gauc)
+        steps = stopped * -(-len(ds) // cfg.batch_size)  # the batches column 1 trained on
+        real = watchlab.trainer.bce_loss
+
+        def nan_for_column_1_after(n_calls):
+            calls = []
+
+            def loss(logits, targets):
+                out = real(logits, targets)
+                calls.append(None)
+                if len(calls) > n_calls:
+                    out[(targets == 0.5).all(axis=-1)] = np.nan
+                return out
+            return loss
+
+        monkeypatch.setattr(watchlab.trainer, "bce_loss", nan_for_column_1_after(steps))
+        assert stacked_fit(ds, labels, val, cfg)[1] == clean
+        monkeypatch.setattr(watchlab.trainer, "bce_loss", nan_for_column_1_after(steps - 1))
+        with pytest.raises(NonFiniteLoss, match=f"at epoch {stopped - 1} in label column 1"):
+            stacked_fit(ds, labels, val, cfg)
