@@ -148,6 +148,12 @@ def _section(cls, config: dict, name: str | None, skip=(), **fixed):
     return obj
 
 
+def _distinct(values, key) -> None:
+    """ValueError naming `key` when `values` repeats one."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{key} must not repeat a value, got {list(values)}")
+
+
 SECTIONS = ("generate", "estimator", "correction", "split", "trainer", "evaluation", "sweep")
 
 
@@ -165,6 +171,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.seeds == ():
             raise ValueError("seeds must list at least one seed")
+        _distinct(self.seeds or (), "seeds")
+        _distinct(self.feature_fields, "feature_fields")
+        if {"user_id", "item_id"} & set(self.feature_fields):
+            raise ValueError("feature_fields cannot name user_id or item_id")
 
 
 @dataclass(frozen=True)
@@ -182,9 +192,9 @@ class EvalConfig:
 
     def validate(self) -> None:
         ks = self.ndcg_k
-        if not ks or min(ks) < 1 or len(set(ks)) < len(ks) or self.n_ranges < 1:
-            raise ValueError("ndcg_k needs at least one k and distinct ks, and every k and "
-                             "n_ranges must be >= 1")
+        if not ks or min(ks) < 1 or self.n_ranges < 1:
+            raise ValueError("ndcg_k needs at least one k, and every k and n_ranges must be >= 1")
+        _distinct(ks, "ndcg_k")
 
 
 @dataclass(frozen=True)
@@ -197,6 +207,8 @@ class SweepConfig:
     def validate(self) -> None:
         if min(self.window, default=0) < 0 or 0 in self.alpha:
             raise ValueError("every sweep.window must be >= 0 and every sweep.alpha nonzero")
+        _distinct(self.window, "sweep.window")
+        _distinct(self.alpha, "sweep.alpha")
 
 
 def _run_config(config: dict, out_override) -> tuple[RunConfig, Path]:
@@ -254,8 +266,8 @@ def _correction_params(config) -> list:
     section = _json_value(dict, config.get("correction", {}), "correction")
     methods = _json_value(tuple[str, ...], section.get("methods", ["d2co_a", "d2co_s"]),
                           "correction.methods")
-    if not methods:
-        raise ConfigError("correction.methods must list at least one method")
+    if not methods or len(set(methods)) < len(methods):
+        raise ConfigError("correction.methods must list at least one method, none twice")
     return [_section(CorrectionParams, config, "correction", skip=("methods",), method=m,
                      curves=None) for m in methods]
 

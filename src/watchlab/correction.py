@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, read_float_columns
+from .data_model import Dataset, read_float_columns, write_columns
 from .errors import (
     CurveCollapse,
     DegenerateDenominator,
@@ -155,10 +155,7 @@ class CorrectedDataset:
 
     def to_csv(self, path) -> None:
         """A `label` column, one exact repr float per row of the labeled log."""
-        labels = np.asarray(self.labels, dtype=np.float64).tolist()
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            f.write("label\n")
-            f.writelines(map("{!r}\n".format, labels))
+        write_columns(path, ["label"], [np.asarray(self.labels, dtype=np.float64)])
 
 
 def read_labels_csv(path, n_rows: int) -> np.ndarray:
@@ -180,6 +177,8 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
         raise ValueError(f"{method} needs fitted bias/noise curves")
 
     if base == "watch_time":
+        if not w.max() > 0:
+            raise DegenerateDenominator("watch_time labels need a positive watch time")
         labels = w / w.max()
     elif base == "pcr":
         labels = np.clip(label_pcr(w, d), 0.0, 1.0)

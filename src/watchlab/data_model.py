@@ -72,6 +72,9 @@ class Dataset:
         self.timestamps, self.true_interest = (None if c is None else np.asarray(c, np.int64)
                                                for c in (timestamps, true_interest))
         self.features = {f: np.asarray(c, dtype=str) for f, c in (features or {}).items()}
+        for f in ("user_id", "item_id"):
+            if f in self.features:
+                raise ValueError(f"feature field {f!r} names an id column")
         columns = [d, self.user_codes, self.item_codes, *self.features.values(),
                    *(c for c in (self.timestamps, self.true_interest) if c is not None)]
         if any(c.shape != w.shape for c in columns):
@@ -390,7 +393,8 @@ WRITE_CHUNK_ROWS = 1 << 16  # rows formatted and joined at a time, which bounds 
 def write_columns(path, header, columns) -> None:
     """Write equally long numpy columns under `header`, each cell as _cells
     formats it, with the bytes csv.writer gives for the same rows of two or
-    more cells. Whole column slices are formatted and joined at a time."""
+    more cells, or of one non-empty cell. Whole column slices are formatted
+    and joined at a time."""
     k, n = len(header), len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(map(_quote, header)) + "\r\n")

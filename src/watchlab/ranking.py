@@ -36,19 +36,19 @@ def string_codes(keys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def group_codes(keys) -> tuple[np.ndarray, int]:
-    """Integer code of each row's key, numbered in sorted key order, and the
-    number of distinct keys."""
+    """Code of each row's key in sorted key order, in the narrowest unsigned
+    type (which numpy sorts fastest), and the number of distinct keys."""
     keys = np.asarray(keys)
+    coded = None
     if keys.dtype.kind in "OU":
         items = keys.reshape(-1).tolist()
         coded = _hashed_codes(items)
-        if coded is not None:
-            return coded[1], coded[0].size
-        # mixed objects: tolist() lets numpy pick str or int, so keys keep
-        # their natural order
-        keys = np.array(items)
-    uniq, codes = np.unique(keys, return_inverse=True)
-    return codes.reshape(-1), uniq.size
+        if coded is None:
+            # mixed objects: tolist() lets numpy pick str or int, so keys keep
+            # their natural order
+            keys = np.array(items)
+    uniq, codes = coded or np.unique(keys, return_inverse=True)
+    return codes.reshape(-1).astype(np.min_scalar_type(uniq.size)), uniq.size
 
 
 def quantile_bins(values, n_bins: int) -> tuple[np.ndarray, np.ndarray]:

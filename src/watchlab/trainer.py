@@ -36,34 +36,29 @@ class TrainConfig:
 class Vocabulary:
     """Token index over (field, value) pairs with one unknown token per field.
 
-    `columns` maps each field, in token order, to the values seen in training
-    as a sorted string array, each value's token index, and the field's
-    unknown token. `tables` maps each field to the value table that the
-    training set codes it by and the token of each of its entries, so a
-    dataset with an equal table, such as another split of the same log,
-    encodes without a lookup.
+    `tables` maps each field, in token order, to the sorted value table that
+    the training set codes it by, the token of each entry of that table and
+    the field's unknown token, which the entries training never saw hold too.
     """
 
-    def __init__(self, columns, tables):
-        self.columns = dict(columns)
-        self.fields = tuple(self.columns)
+    def __init__(self, tables, size: int):
         self.tables = dict(tables)
+        self.fields = tuple(self.tables)
+        self._size = size
 
     def __len__(self):
-        return sum(tokens.size + 1 for _, tokens, _ in self.columns.values())
+        return self._size
 
     def lookup(self, fld, values) -> np.ndarray:
         """Token index of each value (an id string); the field's unknown token
-        where unseen."""
-        keys, tokens, unknown = self.columns[fld]
+        where unseen. Values equal to the training table, such as the table
+        of another split of the same log, take its tokens without a search."""
+        table, tokens, unknown = self.tables[fld]
         values = np.asarray(values, dtype=str)
-        pos = np.searchsorted(keys, values).clip(max=keys.size - 1)
-        return np.where(keys[pos] == values, tokens[pos], unknown)
-
-    def table_tokens(self, fld, table) -> np.ndarray:
-        """Token of each entry of a field's value table."""
-        built, tokens = self.tables[fld]
-        return tokens if np.array_equal(built, table) else self.lookup(fld, table)
+        if np.array_equal(table, values):
+            return tokens
+        pos = np.searchsorted(table, values).clip(max=table.size - 1)
+        return np.where(table[pos] == values, tokens[pos], unknown)
 
 
 def _field_columns(dataset: Dataset):
@@ -83,7 +78,7 @@ def build_vocab(train: Dataset) -> Vocabulary:
     """
     if len(train) == 0:
         raise ValueError("cannot build a vocabulary from an empty dataset")
-    columns, tables, n = {}, {}, 0
+    tables, n = {}, 0
     for fld, table, codes in _field_columns(train):
         rows = np.arange(codes.size)
         first = np.full(table.size, codes.size)
@@ -91,21 +86,21 @@ def build_vocab(train: Dataset) -> Vocabulary:
         seen = np.flatnonzero(first < codes.size)
         # a value's token counts the first appearances up to and including its own
         appeared = np.cumsum(first[codes] == rows)
-        tokens, unknown = n - 1 + appeared[first[seen]], n + seen.size
-        columns[fld] = (table[seen], tokens, unknown)
-        tables[fld] = (table, np.full(table.size, unknown))
-        tables[fld][1][seen] = tokens
+        unknown = n + seen.size
+        tokens = np.full(table.size, unknown)
+        tokens[seen] = n - 1 + appeared[first[seen]]
+        tables[fld] = (table, tokens, unknown)
         n = unknown + 1
-    return Vocabulary(columns, tables)
+    return Vocabulary(tables, n)
 
 
 def encode(vocab: Vocabulary, dataset: Dataset) -> np.ndarray:
     """Token index matrix, one row per interaction, one column per field."""
     out = np.empty((len(dataset), len(vocab.fields)), dtype=np.int64)
-    out[:] = [unknown for _, _, unknown in vocab.columns.values()]
+    out[:] = [unknown for _, _, unknown in vocab.tables.values()]
     for fld, table, codes in _field_columns(dataset):
         if fld in vocab.fields:
-            out[:, vocab.fields.index(fld)] = vocab.table_tokens(fld, table).take(codes)
+            out[:, vocab.fields.index(fld)] = vocab.lookup(fld, table).take(codes)
     return out
 
 
@@ -292,9 +287,7 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
     idx = encode(model.vocab, train_set)
     val_idx = encode(model.vocab, val_set)
     val_y = np.asarray(val_labels)
-    codes, n_users = group_codes(val_set.user_codes)
-    # in the narrowest unsigned type, which numpy's sorts order fastest
-    val_codes = codes.astype(np.min_scalar_type(n_users)), n_users
+    val_codes = group_codes(val_set.user_codes)
 
     model.bias = np.full(n_slices, model.bias, dtype=np.float64)
     model.linear = np.tile(model.linear, n_slices)

@@ -200,6 +200,17 @@ class TestCorrect:
         assert isinstance(result.exception, SystemExit)
         assert f"error: row 3: {reason}" in result.output
 
+    def test_all_zero_watch_times_exit_1(self, tmp_path):
+        data = tmp_path / "log.csv"
+        data.write_text("user_id,item_id,duration_s,watch_time_s\n"
+                        + "".join(f"u{i % 7},i{i % 11},{10 + i % 2},0\n" for i in range(200)))
+        cfg = write_config(tmp_path / "config.json", dataset_csv=str(data),
+                           correction={"methods": ["watch_time"]})
+        result = invoke("correct", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert result.exit_code == 1, result.output
+        assert "error: watch_time labels need a positive watch time" in result.output
+        assert not (tmp_path / "run" / "labeled_watch_time.csv").exists()
+
     @pytest.mark.parametrize("cell, reason", [
         (b"u\xff1", "not valid UTF-8"),
         (b'"' + b"u" * 200_000 + b'"', "field larger than field limit"),
@@ -518,6 +529,14 @@ BAD_CONFIGS = [
     ("correct", "correction", "curves", None),
     ("train-eval", "evaluation", "ndcg_k", [3, 3]),
     ("train-eval", "trainer", "patience", -5),
+    ("train-eval", "seeds", None, [0, 0]),
+    ("train-eval", "sweep", "window", [1, 1]),
+    ("train-eval", "sweep", "alpha", [-0.01, -0.01]),
+    ("correct", "correction", "methods", ["pcr", "d2co_a", "pcr"]),
+    ("train-eval", "correction", "methods", ["pcr", "d2co_a", "pcr"]),
+    ("correct", "feature_fields", None, ["user_id"]),
+    ("train-eval", "feature_fields", None, ["item_id"]),
+    ("correct", "feature_fields", None, ["tab", "tab"]),
 ]
 
 

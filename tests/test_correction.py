@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import warnings
 
@@ -23,7 +24,7 @@ from watchlab.correction import (
     read_labels_csv,
 )
 from watchlab.data_model import Dataset
-from watchlab.errors import CurveCollapse, LengthMismatch, NumericOverflow
+from watchlab.errors import CurveCollapse, DegenerateDenominator, LengthMismatch, NumericOverflow
 from watchlab.estimator import BiasNoiseCurves, GroupEstimate, smooth_curves
 from watchlab.ranking import quantile_bins
 from watchlab.synthgen import SynthConfig, generate
@@ -226,6 +227,12 @@ class TestApplyMethod:
         assert labels.max() == 1.0
         assert labels.tolist() == [0.1, 0.5, 1.0]
 
+    def test_watch_time_of_an_all_zero_log_raises(self):
+        # w / w.max() would be 0/0: NaN labels that only the next stage notices
+        ds = simple_dataset([0.0, 0.0, 0.0], [10, 20, 30])
+        with pytest.raises(DegenerateDenominator, match="positive watch time"):
+            apply_method(ds, CorrectionParams("watch_time"))
+
     def test_pcr_denoise_zeroes_short_watch(self):
         ds = simple_dataset([3.0, 20.0], [30, 30])
         labels = apply_method(ds, CorrectionParams("pcr_denoise")).labels
@@ -355,8 +362,11 @@ class TestLabeledCsv:
 
     def test_bytes_are_label_header_and_repr_lines(self, tmp_path):
         self.labeled.to_csv(tmp_path / "l.csv")
-        expected = "label\n" + "".join(f"{float(x)!r}\n" for x in self.labeled.labels)
+        expected = "label\r\n" + "".join(f"{float(x)!r}\r\n" for x in self.labeled.labels)
         assert (tmp_path / "l.csv").read_bytes() == expected.encode()
+        written = io.StringIO(newline="")
+        csv.writer(written).writerows([["label"], *([x] for x in self.labeled.labels.tolist())])
+        assert written.getvalue() == expected
         with open(tmp_path / "l.csv", newline="", encoding="utf-8") as f:
             assert [float(r["label"]) for r in csv.DictReader(f)] == self.labeled.labels.tolist()
 

@@ -220,12 +220,18 @@ def test_string_codes_equal_np_unique(keys):
         assert codes.dtype == np.int64 and codes.tolist() == ref_codes.tolist()
         group, n_groups = group_codes(np.asarray(given_keys))
         assert group.tolist() == ref_codes.tolist() and n_groups == ref_table.size
+        assert group.dtype == np.min_scalar_type(n_groups) and group.dtype.kind == "u"
 
 
-@pytest.mark.parametrize("keys", [[3, 1, 2, 1], ["b", 1, "a"]])
+@pytest.mark.parametrize("keys", [[3, 1, 2, 1], ["b", 1, "a"], ["b", "a", "b"],
+                                  [f"u{i}" for i in range(300, 0, -1)],
+                                  [*range(70_000, 0, -1), "a"], list(range(-5, 300))])
 def test_group_codes_of_non_string_objects_keep_numpy_order(keys):
     objects = np.asarray(keys, dtype=object)
     uniq, codes = np.unique(np.array(keys), return_inverse=True)
-    assert group_codes(objects)[0].tolist() == codes.tolist()
+    for given_keys in (objects, np.array(keys)):
+        group, n_groups = group_codes(given_keys)
+        assert group.tolist() == codes.tolist() and n_groups == uniq.size
+        assert group.dtype == np.min_scalar_type(uniq.size) and group.dtype.kind == "u"
     assert string_codes(objects)[1].tolist() == np.unique(
         np.asarray(keys, dtype=str), return_inverse=True)[1].tolist()

@@ -267,6 +267,14 @@ class TestColumns:
         with pytest.raises(ValueError, match="sorted"):
             Dataset.from_codes(["b", "a"], [0, 1], ["x"], [0, 0], [1.0, 2.0], [5, 5])
 
+    @pytest.mark.parametrize("field", ["user_id", "item_id"])
+    def test_feature_named_after_an_id_column_rejected(self, field):
+        # its tokens would collide with the id field's in the vocabulary
+        with pytest.raises(ValueError, match=f"feature field '{field}'"):
+            Dataset(["a", "b"], ["x", "y"], [1.0, 2.0], [5, 5], features={field: ["p", "q"]})
+        with pytest.raises(ValueError, match=f"feature field '{field}'"):
+            Dataset.from_codes(["a"], [0], ["x"], [0], [1.0], [5], features={field: ["p"]})
+
     def test_subset_and_views(self):
         ds = make_rows([3.0, 7.0, 9.0], [10, 20, 30], timestamps=[5, 6, 7])
         sub = ds.subset([2, 0])

@@ -56,7 +56,7 @@ def dict_walk_encode(ref, dataset):
 def token(vocab, fld, value) -> int:
     """Token index of one value, UNKNOWN for the field's unknown token."""
     if value is UNKNOWN:
-        return vocab.columns[fld][2]
+        return vocab.tables[fld][2]
     return int(vocab.lookup(fld, [value])[0])
 
 
