@@ -182,18 +182,23 @@ def _is_float(s) -> bool:
 
 
 def _parse_floats(column):
-    """Float values of a string column, NaN where a cell does not parse, and
-    the mask of those cells."""
+    """Float values of a column, NaN where a cell does not parse, and the
+    mask of those cells; a float64 column from the loader is its own values."""
     try:
-        return np.array(column, dtype=np.float64), np.zeros(len(column), dtype=bool)
+        return np.asarray(column, dtype=np.float64), np.zeros(len(column), dtype=bool)
     except ValueError:  # find the bad cells; only on the error path
         bad = np.array([not _is_float(s) for s in column])
         return np.array(np.where(bad, "nan", column), dtype=np.float64), bad
 
 
+def _is_text(column) -> bool:
+    """False for the loader's float64 columns, which have no blank cell."""
+    return getattr(column, "dtype", None) != np.float64
+
+
 def _parse_columns(header, cols, lines, feature_fields):
-    """Typed columns of a log whose string columns are `cols`, in header
-    order; raises MalformedRow for the first bad row, with the message of the
+    """Typed columns of a log whose columns are `cols`, in header order;
+    raises MalformedRow for the first bad row, with the message of the
     first check that row fails."""
     header_idx = {name: i for i, name in enumerate(header)}
 
@@ -203,7 +208,7 @@ def _parse_columns(header, cols, lines, feature_fields):
     checks = []  # (bad-row mask, message for row i), in the order a row is checked
     missing = np.zeros(len(col("user_id")), dtype=bool)
     for c in BASE_COLUMNS:
-        if "" in col(c):
+        if _is_text(col(c)) and "" in col(c):
             missing |= np.array(col(c)) == ""
     checks.append((missing, lambda i: "missing required value"))
     w, w_bad = _parse_floats(col("watch_time_s"))
@@ -221,7 +226,8 @@ def _parse_columns(header, cols, lines, feature_fields):
 
     ts = None
     if "timestamp" in header_idx:
-        blank = np.array(col("timestamp"), dtype=str) == ""
+        blank = (np.array(col("timestamp"), dtype=str) == "" if _is_text(col("timestamp"))
+                 else np.zeros(len(w), dtype=bool))
         t, t_bad = _parse_floats(np.where(blank, "0", col("timestamp")) if blank.any()
                                  else col("timestamp"))
         checks += [(t_bad, lambda i: f"timestamp not numeric: {col('timestamp')[i]!r}"),
@@ -253,37 +259,47 @@ def ingest_csv(path, feature_fields=()) -> Dataset:
     are kept as-is (replays are real data). A timestamp or true_interest
     column with a blank cell is dropped.
     """
-    header, cols, lines, size_error = _read_columns(path, [*BASE_COLUMNS, *feature_fields])
-    dataset = _parse_columns(header, cols, lines, feature_fields)  # an earlier bad row wins
-    if size_error:
-        raise size_error
-    return dataset
+    numeric = {"duration_s", "watch_time_s", "timestamp"}  # unless a feature: it keeps its text
+    return _read_columns(path, [*BASE_COLUMNS, *feature_fields],
+                         None if numeric & set(feature_fields) else numeric,
+                         lambda *read: _parse_columns(*read, feature_fields))
 
 
-def _split_columns(raw: bytes):
-    """(header, string columns) of a CSV file's bytes from one split of the
-    whole text, or None unless the text has no quote, no bare CR and no blank
-    line and every line has the header's field count. In such a text every
-    line is one record and every comma a field boundary, so the result is
-    what csv.reader gives."""
-    if b'"' in raw:
+def _load_columns(path, numeric):
+    """(header, columns, line of each row, None) of a CSV file read by
+    np.loadtxt: the `numeric` columns as float64 arrays, the others as str
+    arrays. None unless the text has no quote, no bare CR and no blank line,
+    holds a data row, every line has the header's field count and every
+    numeric cell parses. In such a text every line is one record and every
+    comma a field boundary, so the cells are csv.reader's."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    text = raw.replace(b"\r\n", b"\n")
+    text += b"" if text.endswith(b"\n") else b"\n"
+    if b'"' in raw or b"\r" in text or b"\n\n" in text or text.startswith(b"\n"):
         return None
-    body = raw.replace(b"\r\n", b"\n")
-    if body.endswith(b"\n"):
-        body = body[:-1]
-    if (not body or b"\r" in body or b"\n\n" in body or body.startswith(b"\n")
-            or body.endswith(b"\n")):
+    a = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))  # the byte after each cell
+    kinds = a[ends]
+    k = int(np.argmax(kinds == ord("\n"))) + 1
+    if kinds.size == k or kinds.size % k or np.any(kinds.reshape(-1, k) != kinds[:k]):
         return None
-    # UTF-8 has no ASCII byte inside a multi-byte character
-    a = np.frombuffer(body, dtype=np.uint8)
-    commas = np.flatnonzero(a == ord(","))
-    per_line = np.diff(np.searchsorted(commas, np.flatnonzero(a == ord("\n"))),
-                       prepend=0, append=commas.size)
-    if np.any(per_line != per_line[0]):
+    # UTF-8 has no ASCII byte inside a multi-byte character: a cell's byte
+    # count bounds its length in characters
+    widths = (ends[k:] - ends[k - 1:-1]).reshape(-1, k).max(axis=0) - 1
+    header = text[:ends[k - 1]].decode("utf-8").split(",")
+    n, size = kinds.size // k - 1, a.size
+    del raw, text, a, ends, kinds  # the loader's table needs the memory
+    if n * sum(int(w) for c, w in zip(header, widths) if c not in numeric) > size:
+        return None  # str arrays larger than the text: a few very long cells
+    dtype = [(f"f{j}", np.float64 if c in numeric else f"U{max(w, 1)}")
+             for j, (c, w) in enumerate(zip(header, widths))]
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                           encoding="utf-8", skiprows=1, ndmin=1)
+    except ValueError:  # a numeric cell that does not parse, or bytes that are not UTF-8
         return None
-    k = int(per_line[0]) + 1
-    fields = body.decode("utf-8").replace("\n", ",").split(",")
-    return fields[:k], [fields[k + j::k] for j in range(k)]
+    return header, [table[f].copy() for f in table.dtype.names], np.arange(2, n + 2), None
 
 
 def _csv_reader_columns(raw: bytes):
@@ -319,29 +335,41 @@ def _csv_reader_columns(raw: bytes):
     return header, cols, lines, error
 
 
-def _read_columns(path, required):
-    """(header, string columns, line number of each row, pending error) of a
-    CSV file, as _csv_reader_columns gives them; a plain file takes the
-    one-split path of _split_columns. Raises MissingColumn for an absent
-    `required` column."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def _read_columns(path, required, numeric, parse):
+    """parse(header, columns in header order, line of each row) of a CSV
+    file. A file that _load_columns reads, with the `numeric` columns as
+    float64 (None: no loader), is parsed from those typed columns; any other
+    file, and one whose columns parse rejects, from csv.reader's string
+    lists, which give every MalformedRow its cell as the file spells it.
+    Raises MalformedRow for a repeated column name, MissingColumn for an
+    absent `required` column, and after parse's own errors (an earlier bad
+    row wins) the MalformedRow for a row with the wrong field count."""
+    def parsed(header, cols, lines, error):
+        for c in header:
+            if header.count(c) > 1:
+                raise MalformedRow(1, f"repeated column: {c}")
+        for c in required:
+            if c not in header:
+                raise MissingColumn(c)
+        result = parse(header, cols, lines)
+        if error:
+            raise error
+        return result
+
     try:
-        split = _split_columns(raw)
-        if split is None:
-            header, cols, lines, error = _csv_reader_columns(raw)
-        else:
-            (header, cols), error = split, None
-            lines = np.arange(2, len(cols[0]) + 2)
-    except UnicodeDecodeError as exc:  # exc.object's CRLF -> LF keeps raw's line count
+        loaded = numeric is not None and _load_columns(path, numeric)
+        if loaded:
+            try:
+                return parsed(*loaded)
+            except MalformedRow:
+                pass
+        with open(path, "rb") as f:
+            return parsed(*_csv_reader_columns(f.read()))
+    except UnicodeDecodeError as exc:  # exc.object is raw or its first line
         head = exc.object[:exc.start]  # lines end at LF, CRLF or a bare CR, as in csv.reader
         ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise MalformedRow(ends + 1,
                            f"not valid UTF-8: byte {exc.object[exc.start]:#04x}") from None
-    for c in required:
-        if c not in header:
-            raise MissingColumn(c)
-    return header, cols, lines, error
 
 
 def read_float_columns(path, names, whole=()) -> list:
@@ -351,24 +379,25 @@ def read_float_columns(path, names, whole=()) -> list:
     line of the first row with the wrong number of fields or with a cell
     that is not a finite number (a whole number in the `whole` columns).
     """
-    header, cols, lines, size_error = _read_columns(path, names)
-    columns = {name: cols[header.index(name)] for name in names}
-    out, hits = [], []
-    for name in names:
-        values, bad = _parse_floats(columns[name])
-        bad |= ~np.isfinite(values)
-        if name in whole:
-            bad |= values != np.round(values)
-        if bad.any():
-            hits.append((int(np.argmax(bad)), name))
-        out.append(values)
-    if hits:
-        i, name = min(hits)
-        raise MalformedRow(int(lines[i]), f"{name} not a {'whole' if name in whole else 'finite'}"
-                                          f" number: {columns[name][i]!r}")
-    if size_error:
-        raise size_error
-    return out
+    def parse(header, cols, lines):
+        columns = {name: cols[header.index(name)] for name in names}
+        out, hits = [], []
+        for name in names:
+            values, bad = _parse_floats(columns[name])
+            bad |= ~np.isfinite(values)
+            if name in whole:
+                bad |= values != np.round(values)
+            if bad.any():
+                hits.append((int(np.argmax(bad)), name))
+            out.append(values)
+        if hits:
+            i, name = min(hits)
+            raise MalformedRow(int(lines[i]), f"{name} not a "
+                               f"{'whole' if name in whole else 'finite'} number: "
+                               f"{columns[name][i]!r}")
+        return out
+
+    return _read_columns(path, names, names, parse)
 
 
 def _quote(cell: str) -> str:
@@ -387,7 +416,7 @@ def _cells(column: np.ndarray) -> list:
     return list(map(repr if kind == "f" else str if kind in "iub" else _quote, column.tolist()))
 
 
-WRITE_CHUNK_ROWS = 1 << 16  # rows formatted and joined at a time, which bounds memory
+WRITE_CHUNK_ROWS = 1 << 12  # rows formatted and joined at a time, which bounds memory
 
 
 def write_columns(path, header, columns) -> None:

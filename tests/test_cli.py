@@ -636,6 +636,10 @@ def _drop_second_column(lines):
     return [",".join(c for i, c in enumerate(line.split(",")) if i != 1) for line in lines]
 
 
+def _repeat_last_column(lines):
+    return [f"{line.rstrip()},{line.rstrip().rsplit(',', 1)[-1]}\r\n" for line in lines]
+
+
 # (subcommand, sidecar file, edit of its lines, expected message)
 BAD_SIDECARS = [
     ("train-eval", "labeled_d2co_a.csv", _truncate_last_row, "error: row 4001: expected "),
@@ -649,6 +653,7 @@ BAD_SIDECARS = [
     ("correct", "ground_truth.csv", _bad_truth_cell,
      "error: row 3: p_interest not a finite number: 'x'"),
     ("report", "curves.csv", _drop_second_column, "error: missing column: w_plus_raw"),
+    ("correct", "data.csv", _repeat_last_column, "error: row 1: repeated column: true_interest"),
 ]
 
 

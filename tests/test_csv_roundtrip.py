@@ -1,11 +1,13 @@
 """CSV round trip of arbitrary logs; write_csv's bytes against the
 row-by-row writer it replaced, which is kept here as the reference; the
-one-split reader against csv.reader; and the hashed id coder against
-np.unique."""
+np.loadtxt reader against csv.reader; the memory CSV I/O takes; and the
+hashed id coder against np.unique."""
 
 import csv
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 
 from watchlab import data_model
 from watchlab.correction import CorrectedDataset, read_labels_csv
-from watchlab.data_model import BASE_COLUMNS, Dataset, ingest_csv, write_csv
-from watchlab.errors import MalformedRow
+from watchlab.data_model import BASE_COLUMNS, Dataset, ingest_csv, read_float_columns, write_csv
+from watchlab.errors import MalformedRow, MissingColumn
 from watchlab.estimator import BiasNoiseCurves, fit_all_groups, smooth_curves
 from watchlab.ranking import group_codes, string_codes
 from watchlab.synthgen import (
@@ -117,20 +119,31 @@ def test_empty_log_header_lists_only_its_columns():
         assert ingest_csv(path).timestamps.tolist() == []
 
 
+LOG_AND_LABEL_COLUMNS = [*BASE_COLUMNS, "timestamp", "true_interest", "label", "genre"]
+NUMBER_CELLS = ["0", "1", "2.5", " 1", "1 ", "1_0", "١", "nan", "1e400"]
+
+
 @st.composite
 def csv_texts(draw):
-    """Raw CSV bytes: plain text half the time, else with quoted and unquoted
-    commas, quotes, CRs and newlines in cells, CR-only line ends, blank
-    lines and ragged rows; any number of data rows (none: header only) and
-    an optional final line end."""
+    """Raw CSV bytes: a header of log and label column names (one of them
+    now and then repeated), then plain text half the time, else with quoted
+    and unquoted commas, quotes, CRs and newlines in cells, CR-only line
+    ends, blank lines and ragged rows; any number of data rows (none: header
+    only) and an optional final line end. Half the files hold number-like
+    cells only, so that many of them read without error."""
     plain = draw(st.booleans())
-    chars = ["a", "1", " ", ".", "é", "日"] + ([] if plain else [",", '"', "\r", "\n", "\r\n"])
-    cell = st.lists(st.sampled_from(chars), max_size=4).map("".join)
-    k = draw(st.integers(1, 4))
+    chars = ["a", "1", " ", ".", "é", "日", "#", " 1", "1 ", "1_0", "١", "nan", "1e400",
+             "a\x00b"] + ([] if plain else [",", '"', "\r", "\n", "\r\n"])
+    cell = (st.sampled_from(NUMBER_CELLS) if draw(st.booleans())
+            else st.lists(st.sampled_from(chars), max_size=4).map("".join))
+    names = [c for c in draw(st.permutations(LOG_AND_LABEL_COLUMNS)) if draw(st.integers(0, 4))]
+    names = names or ["label"]
+    if draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(names)))
+    k = len(names)
     width = st.just(k) if plain else st.sampled_from([k, k, k, 0, 1, k + 1])
-    rows = [draw(st.lists(cell, min_size=k, max_size=k))]
-    rows += [draw(st.lists(cell, min_size=m, max_size=m))
-             for m in draw(st.lists(width, max_size=6))]
+    rows = [names] + [draw(st.lists(cell, min_size=m, max_size=m))
+                      for m in draw(st.lists(width, max_size=6))]
     ends = st.sampled_from(["\n", "\r\n"] + ([] if plain else ["\r", "\n\n", "\r\n\r\n"]))
     quote = st.just(False) if plain else st.booleans()
     text = ""
@@ -142,14 +155,15 @@ def csv_texts(draw):
     return text.encode("utf-8")
 
 
-def outcome(read, raw):
-    """What a reader makes of raw bytes: its header, columns and line numbers
-    and pending error, or the MalformedRow it raises."""
+def outcome(read, path):
+    """What a reader makes of a file: the values it returns, as lists, or
+    the kind, line and message of the MalformedRow or MissingColumn it
+    raises."""
     try:
-        header, cols, lines, error = read(raw)
-    except MalformedRow as exc:
-        return ("raised", exc.line, str(exc))
-    return header, cols, lines.tolist(), error and (error.line, str(error))
+        result = read(path)
+    except (MalformedRow, MissingColumn) as exc:
+        return type(exc).__name__, getattr(exc, "line", None), str(exc)
+    return columns(result) if isinstance(result, Dataset) else [c.tolist() for c in result]
 
 
 @settings(max_examples=500, deadline=None)
@@ -159,19 +173,23 @@ def outcome(read, raw):
 @example(b"a,b\r\n1,2\r\n")
 @example(b"a,b\n1,2\n\n")
 @example(b"a,b\r1,2\r")
-def test_one_split_reader_agrees_with_csv_reader(raw):
-    reference = outcome(data_model._csv_reader_columns, raw)
-    split = data_model._split_columns(raw)
-    if split is not None:
-        header, cols = split
-        assert reference == (header, cols, list(range(2, len(cols[0]) + 2)), None)
+@example(b"label\n1_0\n2\n")
+@example(b"user_id,item_id,duration_s,watch_time_s\r\na\x00b,#,10,1e400\r\n")
+@example(b"user_id,item_id,duration_s,watch_time_s\n\xd9\xa1,x, 1,1 \n")
+def test_loader_agrees_with_csv_reader(raw):
+    fields = ("genre",) if b"genre" in raw else ()
+    floats = [c for c in ("duration_s", "watch_time_s", "label") if c.encode() in raw] or ["label"]
+    readers = [lambda path: ingest_csv(path, fields),
+               lambda path: read_float_columns(path, floats, whole=("duration_s",))]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "any.csv"
         path.write_bytes(raw)
-        assert outcome(lambda _: data_model._read_columns(path, ()), raw) == reference
+        loaded = [outcome(read, path) for read in readers]
+        with mock.patch.object(data_model, "_load_columns", lambda path, numeric: None):
+            assert loaded == [outcome(read, path) for read in readers]
 
 
-def test_written_files_take_the_one_split_path(tmp_path, monkeypatch):
+def test_written_files_take_the_loader(tmp_path, monkeypatch):
     dataset, truth = generate(SynthConfig(n_rows=2000, seed=3))
     curves = smooth_curves(fit_all_groups(dataset), window=2)
     labels = CorrectedDataset(dataset.watch_times / dataset.watch_times.max())
@@ -202,6 +220,26 @@ def test_chunked_write_matches_row_writer(tmp_path, monkeypatch):
         csv.writer(f).writerows([["p_interest", "r_sample", "w_plus_d", "w_minus_d"],
                                  *(list(r) for r in zip(*(c.tolist() for c in truth._columns())))])
     assert (tmp_path / "truth.csv").read_bytes() == (tmp_path / "truth_old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("step", ["ingest_csv", "read_ground_truth_csv", "write_csv",
+                                  "write_ground_truth_csv"])
+def test_csv_io_peaks_below_eight_times_the_log_size(tmp_path, step):
+    dataset, truth = generate(SynthConfig(n_rows=20_000, seed=5))
+    write_csv(dataset, tmp_path / "data.csv")
+    write_ground_truth_csv(truth, tmp_path / "truth.csv")
+    run = {"ingest_csv": lambda: ingest_csv(tmp_path / "data.csv"),
+           "read_ground_truth_csv": lambda: read_ground_truth_csv(tmp_path / "truth.csv"),
+           "write_csv": lambda: write_csv(dataset, tmp_path / "out.csv"),
+           "write_ground_truth_csv": lambda: write_ground_truth_csv(truth, tmp_path / "out.csv")}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run[step]()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (tmp_path / "data.csv").stat().st_size
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,6 +8,7 @@ from watchlab.data_model import (
     compute_stats,
     ingest_csv,
     long_view_labels,
+    read_float_columns,
     split_chronological,
     write_csv,
 )
@@ -151,6 +152,16 @@ class TestCsv:
             ingest_csv(path)
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loader", "csv_reader"])
+    def test_repeated_column_rejected(self, tmp_path, quote):
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s,watch_time_s\n"
+                        f"{quote}a{quote},x,10,3,7\nb,y,10,9,1\n")
+        for read in (ingest_csv, lambda p: read_float_columns(p, ["watch_time_s"])):
+            with pytest.raises(MalformedRow) as info:
+                read(path)
+            assert str(info.value) == "row 1: repeated column: watch_time_s"
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("user_id,item_id,duration_s\na,x,10\n")
@@ -221,6 +232,15 @@ class TestCsv:
             ingest_csv(path)
         assert info.value.line == 3
 
+    def test_plain_file_with_a_very_long_cell_takes_csv_reader(self, tmp_path):
+        # as str arrays its three ids would take 3 x 200000 x 4 bytes
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s\na,x,10,3\n"
+                        f"{'u' * 200_000},y,10,3\nc,x,10,3\n")
+        with pytest.raises(MalformedRow, match="field larger than field limit") as info:
+            ingest_csv(path)
+        assert info.value.line == 3
+
     def test_optional_columns_parsed(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("user_id,item_id,duration_s,watch_time_s,timestamp,true_interest\n"
@@ -237,6 +257,14 @@ class TestCsv:
         )
         ds = ingest_csv(path, feature_fields=("tab",))
         assert {f: c.tolist() for f, c in ds.features.items()} == {"tab": ["2"]}
+
+    def test_numeric_column_as_feature_keeps_its_text(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s\na,x,10,3\nb,y,1e1,2.50\n")
+        ds = ingest_csv(path, feature_fields=("duration_s", "watch_time_s"))
+        assert ds.features["duration_s"].tolist() == ["10", "1e1"]
+        assert ds.features["watch_time_s"].tolist() == ["3", "2.50"]
+        assert ds.durations.tolist() == [10, 10] and ds.watch_times.tolist() == [3.0, 2.5]
 
 
 class TestColumns:
