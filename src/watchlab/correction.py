@@ -17,7 +17,7 @@ from .errors import (
     NumericOverflow,
 )
 from .estimator import BiasNoiseCurves
-from .ranking import average_ranks, quantile_bins
+from .ranking import descending_order, descending_ranks, quantile_bins
 
 METHOD_IDS = (
     "watch_time",
@@ -69,8 +69,11 @@ def label_wtg(w, mu_w, sigma_w):
 def label_d2q(dataset: Dataset, bin_of_row) -> np.ndarray:
     """Quantile label: (bin_size - rank)/bin_size with descending average
     ranks of watch time inside each row's duration bin."""
+    order = descending_order(dataset.watch_times, bin_of_row)
+    rank = np.empty(len(dataset))
+    rank[order] = descending_ranks(dataset.watch_times[order], bin_of_row[order])[1]
     size = np.bincount(bin_of_row)[bin_of_row]
-    return (size - average_ranks(-dataset.watch_times, bin_of_row)) / size
+    return (size - rank) / size
 
 
 def label_d2co_affine(w, w_plus, w_minus, clip: bool = True):

@@ -206,6 +206,10 @@ def _parse_columns(header, cols, lines, feature_fields):
         return cols[header_idx[name]]
 
     checks = []  # (bad-row mask, message for row i), in the order a row is checked
+    for c in ("user_id", "item_id", *feature_fields):  # str arrays drop trailing NULs
+        if isinstance(col(c), list):  # the loader reads no file with a NUL byte
+            checks.append((np.array([s.endswith("\0") for s in col(c)], dtype=bool),
+                           lambda i, c=c: f"{c} ends in a NUL character: {col(c)[i]!r}"))
     missing = np.zeros(len(col("user_id")), dtype=bool)
     for c in BASE_COLUMNS:
         if _is_text(col(c)) and "" in col(c):
@@ -268,7 +272,7 @@ def ingest_csv(path, feature_fields=()) -> Dataset:
 def _load_columns(path, numeric):
     """(header, columns, line of each row, None) of a CSV file read by
     np.loadtxt: the `numeric` columns as float64 arrays, the others as str
-    arrays. None unless the text has no quote, no bare CR and no blank line,
+    arrays. None unless the text has no quote, NUL, bare CR or blank line,
     holds a data row, every line has the header's field count and every
     numeric cell parses. In such a text every line is one record and every
     comma a field boundary, so the cells are csv.reader's."""
@@ -276,7 +280,7 @@ def _load_columns(path, numeric):
         raw = f.read()
     text = raw.replace(b"\r\n", b"\n")
     text += b"" if text.endswith(b"\n") else b"\n"
-    if b'"' in raw or b"\r" in text or b"\n\n" in text or text.startswith(b"\n"):
+    if b'"' in raw or b"\0" in raw or b"\r" in text or b"\n\n" in text or text.startswith(b"\n"):
         return None
     a = np.frombuffer(text, dtype=np.uint8)
     ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))  # the byte after each cell
@@ -284,10 +288,11 @@ def _load_columns(path, numeric):
     k = int(np.argmax(kinds == ord("\n"))) + 1
     if kinds.size == k or kinds.size % k or np.any(kinds.reshape(-1, k) != kinds[:k]):
         return None
-    # UTF-8 has no ASCII byte inside a multi-byte character: a cell's byte
-    # count bounds its length in characters
-    widths = (ends[k:] - ends[k - 1:-1]).reshape(-1, k).max(axis=0) - 1
     header = text[:ends[k - 1]].decode("utf-8").split(",")
+    if a.max() >= 0x80:  # count cell ends in characters: UTF-8 continuation bytes start none
+        ends = ends - np.add.reduceat((a & 0xC0) == 0x80, np.r_[0, ends[:-1]],
+                                      dtype=np.int64).cumsum()
+    widths = (ends[k:] - ends[k - 1:-1]).reshape(-1, k).max(axis=0) - 1
     n, size = kinds.size // k - 1, a.size
     del raw, text, a, ends, kinds  # the loader's table needs the memory
     if n * sum(int(w) for c, w in zip(header, widths) if c not in numeric) > size:

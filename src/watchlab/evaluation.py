@@ -15,7 +15,7 @@ from .errors import (
     NonBinaryLabels,
     NonFiniteScores,
 )
-from .ranking import average_ranks, group_codes, offsets_in_run, quantile_bins, run_starts
+from .ranking import descending_order, descending_ranks, group_codes, quantile_bins
 
 
 def _scores_and_positives(scores, labels, n_ids):
@@ -33,6 +33,14 @@ def _scores_and_positives(scores, labels, n_ids):
     return scores, pos
 
 
+def _ranked(scores, labels, codes, n_users):
+    """Validated rows in ranking order: (pos, codes, position, rank, n_users)."""
+    scores, pos = _scores_and_positives(scores, labels, len(codes))
+    order = descending_order(scores, codes)
+    codes = codes[order]
+    return pos[order], codes, *descending_ranks(scores[order], codes), n_users
+
+
 def gauc(scores, labels, user_ids, return_counts: bool = False):
     """Per-user AUC averaged with each user weighted by their row count.
 
@@ -40,18 +48,17 @@ def gauc(scores, labels, user_ids, return_counts: bool = False):
     counts 0.5. Users whose labels are all one class carry no ranking signal
     and are skipped. User ids may be strings or Dataset.user_codes.
     """
-    scores, pos = _scores_and_positives(scores, labels, len(user_ids))
-    out = _gauc(scores, pos, *group_codes(user_ids))
+    out = _gauc(*_ranked(scores, labels, *group_codes(user_ids)))
     return out if return_counts else out[0]
 
 
-def _gauc(scores, pos, codes, n_users):
-    """(GAUC, users evaluated, users skipped) over integer user codes below
-    n_users; codes with no rows count as skipped."""
+def _gauc(pos, codes, position, rank, n_users):
+    """(GAUC, users evaluated, users skipped) of _ranked rows over integer
+    user codes below n_users; codes with no rows count as skipped."""
     size = np.bincount(codes, minlength=n_users)
     n_pos = np.bincount(codes[pos], minlength=n_users)
-    rank_sum = np.bincount(codes[pos], weights=average_ranks(scores, codes)[pos],
-                           minlength=n_users)
+    # a row's ascending rank is size + 1 - rank; the sums of half-integers are exact
+    rank_sum = n_pos * (size + 1) - np.bincount(codes[pos], rank[pos], minlength=n_users)
     ok = (n_pos > 0) & (n_pos < size)
     n_eval = int(ok.sum())
     if n_eval == 0:
@@ -69,23 +76,19 @@ def ndcg_at_k(scores, labels, user_ids, k: int, return_counts: bool = False):
     Score ties break by original row order (stable); users with no positive
     rows are skipped.
     """
-    scores, pos = _scores_and_positives(scores, labels, len(user_ids))
-    values, n_eval, n_skip = _ndcg(scores, pos, *group_codes(user_ids), [k])
+    values, n_eval, n_skip = _ndcg(*_ranked(scores, labels, *group_codes(user_ids)), [k])
     return (values[k], n_eval, n_skip) if return_counts else values[k]
 
 
-def _ndcg(scores, pos, codes, n_users, ks):
-    """({k: nDCG@k} for every k in ks, users evaluated, users skipped) over
-    integer user codes, from one ranking of each user's rows."""
+def _ndcg(pos, codes, position, rank, n_users, ks):
+    """({k: nDCG@k} for every k in ks, users evaluated, users skipped) of
+    _ranked rows over integer user codes."""
     if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
     top = max(ks, default=0)
     discounts = 1.0 / np.log2(np.arange(2, top + 2))
-    order = np.lexsort((-scores, codes))
-    user = codes[order]
-    rank = offsets_in_run(run_starts(user))
-    hit = pos[order] & (rank < top)
-    user, rank = user[hit], rank[hit]
+    hit = pos & (position < top)
+    user, place = codes[hit], position[hit]
     n_pos = np.bincount(codes[pos], minlength=n_users)
     ok = n_pos > 0
     n_eval = int(ok.sum())
@@ -95,7 +98,7 @@ def _ndcg(scores, pos, codes, n_users, ks):
     dcg = np.zeros(n_users)
     at = {}
     for r in range(top):  # position by position, as a left-to-right sum would
-        dcg[user[rank == r]] += discounts[r]
+        dcg[user[place == r]] += discounts[r]
         if r + 1 in ks:  # DCG@k is the running sum once position k is in
             idcg = ideal[np.minimum(r + 1, n_pos[ok])]
             at[r + 1] = float(np.cumsum(dcg[ok] / idcg)[-1] / n_eval)
@@ -147,26 +150,28 @@ def evaluate(scores, labels, dataset: Dataset, method: str, ks, n_ranges: int) -
 
     Ranges come from duration quantiles of the evaluated rows; each row falls
     in exactly one range. A range where no user is evaluable reports None.
-    The user codes are computed once and sliced for each range, and each row
-    group is ranked once for every k.
+    The rows sort into ranking order once, and each range is that order
+    restricted by a mask, which is still in ranking order.
     """
     if n_ranges < 1:
         raise ValueError("n_ranges must be >= 1")
     scores, pos = _scores_and_positives(scores, labels, len(dataset))
     codes, n_users = group_codes(dataset.user_codes)
-    g, n_eval, n_skip = _gauc(scores, pos, codes, n_users)
-    report = EvalReport(method, g, _ndcg(scores, pos, codes, n_users, ks)[0], n_eval, n_skip)
-    d = dataset.durations
+    order = descending_order(scores, codes)
+    scores, pos, codes, d = scores[order], pos[order], codes[order], dataset.durations[order]
+    ranked = pos, codes, *descending_ranks(scores, codes), n_users
+    g, n_eval, n_skip = _gauc(*ranked)
+    report = EvalReport(method, g, _ndcg(*ranked, ks)[0], n_eval, n_skip)
     edges, assign = quantile_bins(d, n_ranges)
     for b in range(max(1, edges.size - 1)):
         mask = assign == b
-        inputs = scores[mask], pos[mask], codes[mask], n_users
+        ranked = pos[mask], codes[mask], *descending_ranks(scores[mask], codes[mask]), n_users
         try:
-            g = _gauc(*inputs)[0]
+            g = _gauc(*ranked)[0]
         except NoEvaluableUsers:
             g = None
         try:
-            ndcg = _ndcg(*inputs, ks)[0]
+            ndcg = _ndcg(*ranked, ks)[0]
         except NoEvaluableUsers:
             ndcg = dict.fromkeys(ks)
         lo = float(edges[b]) if b > 0 else 0.0

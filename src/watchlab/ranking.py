@@ -1,7 +1,7 @@
-"""Segmented rank kernel shared by the GAUC/nDCG metrics and the D2Q label:
-group keys become integer codes, rows sort once by (code, value), and run
-starts mark where each group and each tie begins. The equal-frequency bins
-of the D2Q label and of the duration-range breakdown are cut here too."""
+"""Segmented rank kernel shared by GAUC, nDCG and the D2Q label, with one
+convention: rows sort by group code, then by descending value, ties in row
+order, and tied values share their average rank. The group codes and the
+equal-frequency bins of D2Q and of the duration ranges are made here too."""
 
 from __future__ import annotations
 
@@ -59,35 +59,22 @@ def quantile_bins(values, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, np.searchsorted(edges[1:-1], values, side="left")
 
 
-def run_starts(a: np.ndarray) -> np.ndarray:
-    """True where a sorted array starts a run of equal values."""
-    starts = np.empty(a.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(a[1:], a[:-1], out=starts[1:])
-    return starts
+def descending_order(values, codes) -> np.ndarray:
+    """Row order by group code, then by descending value, ties in row order."""
+    return np.lexsort((-np.asarray(values), codes))
 
 
-def offsets_in_run(starts: np.ndarray) -> np.ndarray:
-    """0-based position of each element inside the run it belongs to."""
-    idx = np.arange(starts.size)
-    return idx - np.maximum.accumulate(np.where(starts, idx, 0))
-
-
-def average_ranks(values, codes) -> np.ndarray:
-    """1-based ranks of `values` within each group of `codes`, in row order.
-
-    Tied values share the mean of the positions they span (the "average" tie
-    method), so every rank is an exact half-integer and needs no rounding.
-    """
-    values = np.asarray(values)
-    order = np.lexsort((values, codes))
-    v = values[order]
-    group_start = run_starts(codes[order])
-    tie_start = group_start | run_starts(v)
+def descending_ranks(values, codes) -> tuple[np.ndarray, np.ndarray]:
+    """(0-based position of each row in its group, descending average rank)
+    of rows in descending_order or any subsequence of it; tied values share
+    the mean of the 1-based places they span, an exact half-integer."""
+    group_start = np.ones(codes.size, dtype=bool)
+    group_start[1:] = codes[1:] != codes[:-1]
+    tie_start = group_start.copy()
+    tie_start[1:] |= values[1:] != values[:-1]
+    position = np.arange(codes.size)
+    position -= np.maximum.accumulate(np.where(group_start, position, 0))
     first = np.flatnonzero(tie_start)
-    run = np.cumsum(tie_start) - 1
-    size = np.diff(np.append(first, v.size))
-    pos = offsets_in_run(group_start)
-    ranks = np.empty(v.size)
-    ranks[order] = pos[first][run] + 1 + (size[run] - 1) * 0.5
-    return ranks
+    size = np.diff(np.append(first, values.size))
+    rank = position[first] + 1 + (size - 1) * 0.5  # of each run of tied values
+    return position, rank[np.cumsum(tie_start) - 1]

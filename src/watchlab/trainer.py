@@ -10,7 +10,7 @@ import numpy as np
 
 from .data_model import Dataset
 from .errors import NonFiniteLoss
-from .evaluation import _gauc, _scores_and_positives
+from .evaluation import _gauc, _ranked
 from .ranking import group_codes, string_codes
 
 _SCORE_ROWS = 2048  # rows per scoring call, which bounds the memory of scoring a split
@@ -340,8 +340,7 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
         for j, m in enumerate(live):
             history = histories[m]
             history.train_loss.append(float(epoch_loss[j] / n))
-            vg = _gauc(*_scores_and_positives(val_logits[j], val_y, len(val_set)),
-                       *val_codes)[0]
+            vg = _gauc(*_ranked(val_logits[j], val_y, *val_codes))[0]
             history.val_gauc.append(vg)
             if vg > history.best_val_gauc:
                 history.best_val_gauc = vg

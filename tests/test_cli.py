@@ -17,6 +17,7 @@ from watchlab.cli import (
     RunConfig,
     SplitConfig,
     SweepConfig,
+    _cell,
     _correction_params,
     _section,
     fit_curves,
@@ -290,6 +291,27 @@ class TestTrainEval:
                 assert float(r["improve_pct"]) == improve_percentage(float(r["gauc"]), wt, orc)
                 checked += 1
         assert checked
+
+    def test_breakdown_ndcg_cells_hold_the_first_k(self, pipeline_dir, monkeypatch):
+        """Each breakdown nDCG cell is its range's nDCG at the first k (1),
+        as the report that evaluate returned holds it."""
+        cfg, out = pipeline_dir
+        reports = {}  # method -> its reports, one per seed
+        real = watchlab.cli.evaluate
+
+        def recording(*args, **kwargs):
+            report = real(*args, **kwargs)
+            reports.setdefault(report.method, []).append(report)
+            return report
+
+        monkeypatch.setattr(watchlab.cli, "evaluate", recording)
+        assert invoke("train-eval", "--config", str(cfg), "--out", str(out)).exit_code == 0
+        with open(out / "breakdown.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        expected = [(m, _cell(rng.ndcg[1])) for m, per_seed in reports.items()
+                    for report in per_seed for rng in report.ranges]
+        assert [(r["method"], r["ndcg@1"]) for r in rows] == expected
+        assert len({cell for _, cell in expected}) > 1
 
     def test_breakdown_leaves_unscored_cells_blank(self, tmp_path):
         cfg = write_config(tmp_path / "config.json", evaluation={"n_ranges": 12},

@@ -5,6 +5,7 @@ import pytest
 
 from watchlab.data_model import (
     Dataset,
+    chronological_split_indices,
     compute_stats,
     ingest_csv,
     long_view_labels,
@@ -70,6 +71,9 @@ class TestSplit:
         ds = make_rows([1] * 10, [5] * 10, timestamps=list(range(10)))
         tr, va, te = split_chronological(ds, (0.6, 0.2, 0.2))
         assert (len(tr), len(va), len(te)) == (6, 2, 2)
+        # the cuts round: 0.6 * 8 = 4.8 rows give 5, where truncating gives 4
+        parts = chronological_split_indices(ds.subset(range(8)), (0.6, 0.2, 0.2))
+        assert [p.size for p in parts] == [5, 1, 2]
 
     def test_equal_timestamps_stable(self):
         ds = make_rows([1] * 6, [5] * 6, timestamps=[7] * 6)
@@ -161,6 +165,29 @@ class TestCsv:
             with pytest.raises(MalformedRow) as info:
                 read(path)
             assert str(info.value) == "row 1: repeated column: watch_time_s"
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loader", "csv_reader"])
+    @pytest.mark.parametrize("body, line, message", [
+        ("a\0,x,10,3,t\na,y,10,3,t\n\0,z,10,3,t\n", 2,
+         "user_id ends in a NUL character: 'a\\x00'"),
+        ("a,x,10,3,t\na,y,10,3,t\0\n", 3, "tab ends in a NUL character: 't\\x00'"),
+    ], ids=["user_id", "feature"])
+    def test_trailing_nul_rejected(self, tmp_path, quote, body, line, message):
+        """numpy's str arrays drop trailing NULs, which would merge `a\\x00` and `a`."""
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s,tab\n"
+                        + body.replace("x", f"{quote}x{quote}"))
+        with pytest.raises(MalformedRow) as info:
+            ingest_csv(path, feature_fields=("tab",))
+        assert str(info.value) == f"row {line}: {message}"
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loader", "csv_reader"])
+    def test_non_ascii_ids_keep_their_width(self, tmp_path, quote):
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s\n"
+                        f"{quote}é日{quote},x,10,3\nu,y,10,3\n", encoding="utf-8")
+        ds = ingest_csv(path)
+        assert (ds.user_table.dtype, ds.user_table.tolist()) == (np.dtype("<U2"), ["u", "é日"])
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -15,7 +15,11 @@ from watchlab.evaluation import (
     ndcg_at_k,
     oracle_labels,
 )
+import watchlab.correction
 import watchlab.evaluation
+import watchlab.ranking
+from watchlab.correction import label_d2q
+from watchlab.ranking import quantile_bins
 from watchlab.synthgen import GroundTruth
 
 from rows import rows_dataset
@@ -238,19 +242,29 @@ class TestBreakdownAndReport:
         assert calls == [len(ds)]
         assert report == expected
 
-    def test_evaluate_ranks_each_row_group_once(self, monkeypatch):
+    def test_evaluate_and_d2q_sort_once(self, monkeypatch):
+        """One ranking sort per evaluate call whatever the number of ranges,
+        and one per D2Q label."""
+        from watchlab import SynthConfig, generate
+
         calls = []
-        real = watchlab.evaluation._ndcg
+        real = watchlab.ranking.descending_order
 
-        def counting(*args):
-            calls.append(args[-1])
-            return real(*args)
+        def counting(values, codes):
+            calls.append(len(values))
+            return real(values, codes)
 
-        ds = tiny_dataset()
-        labels = oracle_labels(ds)
-        monkeypatch.setattr(watchlab.evaluation, "_ndcg", counting)
-        report = evaluate(ds.watch_times, labels, ds, "watch_time", ks=(1, 3, 5), n_ranges=3)
-        assert calls == [(1, 3, 5)] * (1 + len(report.ranges))
+        for module in (watchlab.evaluation, watchlab.correction):
+            monkeypatch.setattr(module, "descending_order", counting)
+        ds, truth = generate(SynthConfig(n_rows=600, n_users=20, seed=2))
+        y = oracle_labels(ds, truth)
+        for n_ranges in (1, 3, 7):
+            report = evaluate(ds.watch_times, y, ds, "m", ks=(1, 3, 5), n_ranges=n_ranges)
+            assert len(report.ranges) == n_ranges
+            assert calls == [len(ds)]
+            calls.clear()
+        label_d2q(ds, quantile_bins(ds.durations, 4)[1])
+        assert calls == [len(ds)]
 
     def test_empty_range_reports_none(self):
         ds = rows_dataset([

@@ -16,7 +16,7 @@ import watchlab
 from watchlab.correction import label_d2q
 from watchlab.errors import NoEvaluableUsers
 from watchlab.evaluation import gauc, ndcg_at_k
-from watchlab.ranking import average_ranks, group_codes, quantile_bins
+from watchlab.ranking import descending_order, descending_ranks, group_codes, quantile_bins
 
 from rows import rows_dataset
 
@@ -146,10 +146,20 @@ def test_d2q_matches_reference(rows, n_bins):
     assert label_d2q(ds, bin_of_row).tolist() == reference_d2q(ds, bin_of_row).tolist()
 
 
-def test_average_ranks_hand_example():
-    values = [3.0, 1.0, 3.0, 2.0, 5.0, 5.0, 5.0]
+def test_descending_ranks_hand_example():
+    values = np.array([3.0, 1.0, 3.0, 2.0, 5.0, 5.0, 5.0])
     codes = np.array([0, 0, 0, 0, 1, 1, 1])
-    assert average_ranks(values, codes).tolist() == [3.5, 1.0, 3.5, 2.0, 2.0, 2.0, 2.0]
+    order = descending_order(values, codes)
+    assert order.tolist() == [0, 2, 3, 1, 4, 5, 6]  # ties keep row order
+    v, c = values[order], codes[order]
+    position, rank = descending_ranks(v, c)
+    assert position.tolist() == [0, 1, 2, 3, 0, 1, 2]
+    assert rank.tolist() == [1.5, 1.5, 3.0, 4.0, 2.0, 2.0, 2.0]
+    # a subsequence of the order is still in it: rows 2 and 5 left out
+    keep = np.array([True, False, True, True, True, False, True])
+    position, rank = descending_ranks(v[keep], c[keep])
+    assert position.tolist() == [0, 1, 2, 0, 1]
+    assert rank.tolist() == [1.0, 2.0, 3.0, 1.5, 1.5]
 
 
 def test_group_codes_follow_key_order():
