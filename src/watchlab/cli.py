@@ -2,12 +2,13 @@
 
 Each subcommand reads a JSON config file, writes its outputs plus a manifest
 (config hash, hashes of the files the stage wrote, package version) into the
-output directory, and exits 0 on success, 2 on configuration errors, 1 on
-runtime errors.
+output directory, and exits 0 on success, 2 on configuration errors and on
+a command line the parser rejects (with a usage message), 1 on runtime errors.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -16,7 +17,6 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__
@@ -436,41 +436,34 @@ def run_report(config: dict, seed=None, out=None) -> Path:
     return out_dir
 
 
-def _run(fn, config_path, seed, out):
+COMMANDS = {  # name: (run function, help)
+    "generate": (run_generate, "Write a synthetic dataset plus its ground-truth sidecar."),
+    "correct": (run_correct, "Fit bias/noise curves and write label files."),
+    "train-eval": (run_train_eval, "Train one FM per method and write evaluation reports."),
+    "report": (run_report, "Write the error-decomposition curves."),
+}
+
+
+def main(args=None, prog_name="watchlab"):
+    """Watch-time bias/noise correction pipeline."""
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__,
+                                     allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text) in COMMANDS.items():
+        command = commands.add_parser(name, help=help_text, description=help_text,
+                                      allow_abbrev=False)
+        command.add_argument("--config", required=True)
+        command.add_argument("--seed", type=int)
+        command.add_argument("--out")
+    parsed = parser.parse_args(args)
     try:
-        config = _load_config(config_path)
-        fn(config, seed, out)
+        COMMANDS[parsed.command][0](_load_config(parsed.config), parsed.seed, parsed.out)
     except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
+        print(f"configuration error: {exc}", file=sys.stderr)
         sys.exit(2)
     except WatchlabError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
-
-
-@click.group()
-def main():
-    """Watch-time bias/noise correction pipeline."""
-
-
-def _command(name, fn, help_text):
-    @main.command(name=name, help=help_text)
-    @click.option("--config", "config_path", required=True, type=click.Path())
-    @click.option("--seed", type=int, default=None)
-    @click.option("--out", type=click.Path(), default=None)
-    def cmd(config_path, seed, out, _fn=fn):
-        _run(_fn, config_path, seed, out)
-    return cmd
-
-
-cmd_generate = _command("generate", run_generate,
-                        "Write a synthetic dataset plus its ground-truth sidecar.")
-cmd_correct = _command("correct", run_correct,
-                       "Fit bias/noise curves and write label files.")
-cmd_train_eval = _command("train-eval", run_train_eval,
-                          "Train one FM per method and write evaluation reports.")
-cmd_report = _command("report", run_report,
-                      "Write the error-decomposition curves.")
 
 
 if __name__ == "__main__":

@@ -205,13 +205,14 @@ def _parse_columns(header, cols, lines, feature_fields):
     def col(name):
         return cols[header_idx[name]]
 
+    optional = [c for c in ("timestamp", "true_interest") if c in header_idx]
     checks = []  # (bad-row mask, message for row i), in the order a row is checked
-    for c in ("user_id", "item_id", *feature_fields):  # str arrays drop trailing NULs
+    for c in ("user_id", "item_id", *feature_fields, *optional):  # str arrays drop trailing NULs
         if isinstance(col(c), list):  # the loader reads no file with a NUL byte
             checks.append((np.array([s.endswith("\0") for s in col(c)], dtype=bool),
                            lambda i, c=c: f"{c} ends in a NUL character: {col(c)[i]!r}"))
     missing = np.zeros(len(col("user_id")), dtype=bool)
-    for c in BASE_COLUMNS:
+    for c in (*BASE_COLUMNS, *optional):
         if _is_text(col(c)) and "" in col(c):
             missing |= np.array(col(c)) == ""
     checks.append((missing, lambda i: "missing required value"))
@@ -228,22 +229,17 @@ def _parse_columns(header, cols, lines, feature_fields):
         (d >= INT64_LIMIT, lambda i: f"duration_s too large: {d_raw[i]}"),
     ]
 
-    ts = None
+    ts = interest = None
     if "timestamp" in header_idx:
-        blank = (np.array(col("timestamp"), dtype=str) == "" if _is_text(col("timestamp"))
-                 else np.zeros(len(w), dtype=bool))
-        t, t_bad = _parse_floats(np.where(blank, "0", col("timestamp")) if blank.any()
-                                 else col("timestamp"))
+        ts, t_bad = _parse_floats(col("timestamp"))
         checks += [(t_bad, lambda i: f"timestamp not numeric: {col('timestamp')[i]!r}"),
-                   (~(np.abs(t) < INT64_LIMIT),
+                   (~(np.abs(ts) < INT64_LIMIT),
                     lambda i: f"timestamp out of range: {col('timestamp')[i]!r}")]
-        ts = None if blank.any() else t
-    interest = None
     if "true_interest" in header_idx:
         raw = np.array(col("true_interest"), dtype=str)
-        checks.append(((raw != "") & (raw != "0") & (raw != "1"),
+        checks.append(((raw != "0") & (raw != "1"),
                        lambda i: f"true_interest not 0 or 1: {col('true_interest')[i]!r}"))
-        interest = None if (raw == "").any() else raw == "1"
+        interest = raw == "1"
 
     hits = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
     if hits:
@@ -260,8 +256,8 @@ def ingest_csv(path, feature_fields=()) -> Dataset:
     Required columns: user_id, item_id, duration_s, watch_time_s, plus the
     declared `feature_fields`. Optional: timestamp, true_interest.
     Durations are quantized to integer seconds. Watch times above duration
-    are kept as-is (replays are real data). A timestamp or true_interest
-    column with a blank cell is dropped.
+    are kept as-is (replays are real data). The optional columns follow the
+    required ones' rules: a blank cell or a trailing NUL fails its row.
     """
     numeric = {"duration_s", "watch_time_s", "timestamp"}  # unless a feature: it keeps its text
     return _read_columns(path, [*BASE_COLUMNS, *feature_fields],
@@ -387,16 +383,16 @@ def read_float_columns(path, names, whole=()) -> list:
     def parse(header, cols, lines):
         columns = {name: cols[header.index(name)] for name in names}
         out, hits = [], []
-        for name in names:
+        for j, name in enumerate(names):
             values, bad = _parse_floats(columns[name])
             bad |= ~np.isfinite(values)
             if name in whole:
                 bad |= values != np.round(values)
             if bad.any():
-                hits.append((int(np.argmax(bad)), name))
+                hits.append((int(np.argmax(bad)), j, name))
             out.append(values)
         if hits:
-            i, name = min(hits)
+            i, _, name = min(hits)  # the first bad row, then its leftmost bad cell
             raise MalformedRow(int(lines[i]), f"{name} not a "
                                f"{'whole' if name in whole else 'finite'} number: "
                                f"{columns[name][i]!r}")

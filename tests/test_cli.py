@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -8,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import watchlab.cli
 from watchlab.cli import (
@@ -65,8 +66,43 @@ def write_config(path, **overrides):
     return path
 
 
+@dataclasses.dataclass
+class Result:
+    exit_code: int
+    output: str  # stdout and stderr together
+    exception: BaseException | None  # the SystemExit of a nonzero exit, or what main raised
+
+
 def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+    """Run `watchlab ARGS...` in this process."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            main(list(args), prog_name="watchlab")
+        except SystemExit as exc:
+            code = exc.code or 0
+            return Result(code, output.getvalue(), exc if code else None)
+        except Exception as exc:
+            return Result(1, output.getvalue(), exc)
+    return Result(0, output.getvalue(), None)
+
+
+@pytest.mark.parametrize("args", [
+    (), ("nope",), ("correct",), ("correct", "--config", "c.json", "--seed", "abc"),
+    ("correct", "--config", "c.json", "extra"), ("correct", "--conf", "x.json"),
+], ids=["no_command", "unknown_command", "no_config", "bad_seed", "extra_argument",
+        "abbreviated_option"])
+def test_rejected_command_line_exits_2(args):
+    result = invoke(*args)
+    assert result.exit_code == 2, result.output
+    assert "usage: watchlab" in result.output.lower()
+
+
+@pytest.mark.parametrize("args", [("--help",), ("correct", "--help")])
+def test_help_exits_0(args):
+    result = invoke(*args)
+    assert result.exit_code == 0 and result.exception is None, result.output
+    assert "usage: watchlab" in result.output.lower()
 
 
 @pytest.fixture()

@@ -211,6 +211,33 @@ class TestCsv:
             ingest_csv(path)
         assert info.value.line == 4  # the blank line still counts
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loader", "csv_reader"])
+    @pytest.mark.parametrize("column, body, line, message", [
+        ("true_interest", "a,x,10,3,1\0\nb,y,10,4,0\n", 2,
+         "true_interest ends in a NUL character: '1\\x00'"),
+        ("timestamp", "a,x,10,3,5\0\nb,y,10,4,6\n", 2,
+         "timestamp ends in a NUL character: '5\\x00'"),
+        ("true_interest", "a,x,10,3,1\nb,y,10,10,0\nc,z,10,10,\n", 4, "missing required value"),
+        ("timestamp", "a,x,10,3,1\nb,y,10,10,\nc,z,10,10,3\n", 3, "missing required value"),
+    ], ids=["interest_nul", "timestamp_nul", "interest_blank", "timestamp_blank"])
+    def test_optional_columns_follow_required_rules(self, tmp_path, quote, column, body, line,
+                                                    message):
+        """A blank optional cell fails its row instead of dropping the whole
+        column, and a trailing NUL fails as it does in an id column."""
+        path = tmp_path / "d.csv"
+        path.write_text(f"user_id,item_id,duration_s,watch_time_s,{column}\n"
+                        + body.replace("x", f"{quote}x{quote}"))
+        with pytest.raises(MalformedRow) as info:
+            ingest_csv(path)
+        assert str(info.value) == f"row {line}: {message}"
+
+    def test_leftmost_bad_float_cell_wins(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("w_plus_d,w_minus_d\n1,2\nx,y\n")
+        with pytest.raises(MalformedRow) as info:
+            read_float_columns(path, ["w_plus_d", "w_minus_d"])
+        assert str(info.value) == "row 3: w_plus_d not a finite number: 'x'"
+
     @pytest.mark.parametrize("body, line, message", [
         ("a,x,10,3\nb,y,10\n", 3, "expected 4 fields, got 3"),
         ("a,x,10,oops\nb,y,10\n", 2, "watch_time_s not numeric: 'oops'"),

@@ -183,17 +183,25 @@ def test_cli_import_leaves_scipy_stats_out():
 
 def test_cli_import_leaves_scipy_out():
     """Neither the CLI import nor the WTG labels, the one former scipy user,
-    load any scipy module."""
+    load any scipy module, and every module they add comes from numpy,
+    watchlab or the standard library. Modules loaded before the import (a
+    .pth file can load third-party ones) are left out, and so are the runtime
+    modules that numpy.random's Cython extensions create in memory."""
     env = dict(os.environ)
     src = str(Path(watchlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = ("import sys, watchlab.cli\n"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import watchlab.cli\n"
             "from watchlab import SynthConfig, generate\n"
             "from watchlab.correction import CorrectionParams, apply_method\n"
             "ds, _ = generate(SynthConfig(n_rows=2000))\n"
             "for m in ('wtg', 'wtg_denoise'):\n"
             "    assert 0 < apply_method(ds, CorrectionParams(m)).labels.max() <= 1\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "tops -= {'numpy', 'watchlab', 'cython_runtime'} | sys.stdlib_module_names\n"
+            "print(sorted(t for t in tops if not t.startswith('_cython_')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]

@@ -67,6 +67,8 @@ def test_benchmark_call_contract():
     assert "path" in _parameters("watchlab.data_model", "write_csv")
     assert {"train_set", "config"} <= set(_parameters("watchlab.trainer", "train"))
     assert _parameters("watchlab.correction", "apply_method")[1] == "params"
+    # what launch_cli.py passes by keyword
+    assert {"args", "prog_name"} <= set(_parameters("watchlab.cli", "main"))
     # what the worker passes by position
     assert _parameters("watchlab.cli", "fit_curves") == ["dataset", "config"]
     assert _parameters("watchlab.cli", "train_and_score") == [
