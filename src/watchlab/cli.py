@@ -320,12 +320,12 @@ def train_and_score(dataset, labels, splits, oracle, config, seed):
     tr_idx, va_idx, te_idx = splits
     train_set = dataset.subset(tr_idx)
     val_set = dataset.subset(va_idx)
-    test_set = dataset.subset(te_idx)
     vocab = build_vocab(train_set)
     tcfg = _section(TrainConfig, config, "trainer", seed=int(seed))
     model = FMModel(vocab, tcfg.embedding_dim, seed=tcfg.seed)
     train(model, train_set, labels[tr_idx], val_set, oracle[va_idx], tcfg)
-    return model.score_interactions(test_set)
+    # the test split is built only now, so that training does not hold it
+    return model.score_interactions(dataset.subset(te_idx))
 
 
 def run_train_eval(config: dict, seed=None, out=None) -> Path:

@@ -91,12 +91,12 @@ class Dataset:
 
     @property
     def user_ids(self) -> np.ndarray:
-        """Object array of user id strings, one per row."""
-        return self.user_table[self.user_codes].astype(object)
+        """Object array of user id strings, one per row; a user's rows share one object."""
+        return self.user_table.astype(object)[self.user_codes]
 
     @property
     def item_ids(self) -> np.ndarray:
-        return self.item_table[self.item_codes].astype(object)
+        return self.item_table.astype(object)[self.item_codes]
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

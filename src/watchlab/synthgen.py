@@ -67,6 +67,8 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if min(self.n_rows, self.n_users, self.n_items) < 1:
+            raise ValueError("n_rows, n_users and n_items must be >= 1")
         if self.noise_std_plus <= 0 or self.noise_std_minus <= 0:
             raise ValueError("noise_std_plus and noise_std_minus must be positive")
         d_lo, d_hi = self.duration_range

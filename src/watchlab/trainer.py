@@ -133,12 +133,6 @@ class FMModel:
     def params(self):
         return np.copy(self.bias), self.linear.copy(), self.embeddings.copy()
 
-    def set_params(self, p):
-        bias, linear, emb = p
-        self.bias = bias.copy() if np.ndim(bias) else float(bias)
-        self.linear = linear.copy()
-        self.embeddings = emb.copy()
-
 
 def _field_sum(a):
     """a.sum(axis=2), added field by field in the order numpy adds them,
@@ -273,7 +267,9 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
     column. A slice stops once its val GAUC has not improved for more than
     `patience` epochs; it keeps its best snapshot and records no more
     history, and the others go on. val_labels must be binary interest ground
-    truth. The model is left at each slice's best-on-validation snapshot.
+    truth. The model keeps the arrays of each slice's best-on-validation
+    snapshot, so a fit holds four copies of its tables: the parameters, Adam's
+    two moments and the snapshot.
     Returns a TrainHistory for (n,) labels and a StackHistory for (n, M).
     Deterministic for a fixed config/seed.
     """
@@ -353,6 +349,6 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
         if not live.size:
             break
 
-    bias, linear, emb = best
-    model.set_params((bias if y.ndim == 2 else bias[0], linear, emb))
+    bias, model.linear, model.embeddings = best
+    model.bias = bias if y.ndim == 2 else float(bias[0])
     return StackHistory(histories) if y.ndim == 2 else histories[0]

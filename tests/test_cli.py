@@ -595,6 +595,10 @@ BAD_CONFIGS = [
     ("correct", "feature_fields", None, ["user_id"]),
     ("train-eval", "feature_fields", None, ["item_id"]),
     ("correct", "feature_fields", None, ["tab", "tab"]),
+    ("generate", "generate", "n_users", 0),
+    ("generate", "generate", "n_items", 0),
+    ("generate", "generate", "n_rows", -5),
+    ("generate", "generate", "n_rows", 0),
 ]
 
 

@@ -345,6 +345,16 @@ class TestColumns:
         assert ds.user_ids.tolist() == ["u2", "u10", "u2"]
         assert ds.timestamps is None and ds.true_interest is None
 
+    def test_id_columns_share_one_string_per_id(self):
+        rng = np.random.default_rng(0)
+        users, items = rng.integers(0, 40, 500), rng.integers(0, 60, 500)
+        ds = Dataset([f"user{u}" for u in users], [f"item{i}" for i in items], np.ones(500),
+                     np.full(500, 10)).subset(np.arange(0, 500, 7))
+        for ids, table, codes in ((ds.user_ids, ds.user_table, ds.user_codes),
+                                  (ds.item_ids, ds.item_table, ds.item_codes)):
+            assert ids.dtype == object and ids.tolist() == table[codes].tolist()
+            assert len({id(v) for v in ids}) == np.unique(codes).size < codes.size
+
     def test_unsorted_table_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             Dataset.from_codes(["b", "a"], [0, 1], ["x"], [0, 0], [1.0, 2.0], [5, 5])

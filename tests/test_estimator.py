@@ -126,6 +126,37 @@ class TestFitAllGroups:
             for prev, ll in zip(lls, lls[1:]):
                 assert ll >= prev - 1e-8 * max(1.0, abs(prev)), (d, prev, ll)
 
+    def test_em_runs_to_its_stopping_rule(self):
+        """One more EM step from each converged fit moves the log-likelihood
+        by less than tol relative to it: the fit stopped where the rule says,
+        not earlier."""
+        ds, _ = generate(SynthConfig(n_rows=20000, seed=0))
+        options = GmmOptions()
+        fits = fit_all_groups(ds, options)
+
+        def log_joint(x, mu, var, pi):
+            """log(pi_c * N(x; mu_c, var_c)), one column per component."""
+            return np.log(pi) - 0.5 * np.log(2 * np.pi * var) - (x - mu) ** 2 / (2 * var)
+
+        checked = 0
+        for d, est in fits.items():
+            if est.degenerate or not est.converged:
+                continue
+            x = ds.watch_times[ds.durations == d][:, None]
+            joint = log_joint(x, np.array([est.w_plus_hat, est.w_minus_hat]),
+                              np.array([est.var_plus, est.var_minus]),
+                              np.array([est.weight_plus, 1.0 - est.weight_plus]))
+            log_px = np.logaddexp(joint[:, 0], joint[:, 1])
+            resp = np.exp(joint - log_px[:, None])
+            nk = resp.sum(axis=0)
+            mu = (resp * x).sum(axis=0) / nk
+            var = np.maximum((resp * (x - mu) ** 2).sum(axis=0) / nk, options.var_floor)
+            joint = log_joint(x, mu, var, nk / x.size)
+            ll, next_ll = log_px.sum(), np.logaddexp(joint[:, 0], joint[:, 1]).sum()
+            assert abs(next_ll - ll) < options.tol * abs(ll), (d, ll, next_ll)
+            checked += 1
+        assert checked > 100
+
 
 def make_raw(counts, plus, minus=None):
     out = {}

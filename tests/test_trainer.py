@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -378,7 +380,8 @@ def reference_train(model, train_set, train_labels, val_set, val_labels, config)
             if stall > config.patience:
                 break
 
-    model.set_params(best)
+    bias, model.linear, model.embeddings = best
+    model.bias = float(bias)
     history.best_val_gauc = best_gauc
     return history
 
@@ -557,6 +560,21 @@ class TestStackedTrain:
         assert np.array_equal(stacked.embeddings, model.embeddings)
         assert np.array_equal(stacked.score_interactions(ds)[:, 0], model.score_interactions(ds))
         assert stack_history == history
+
+    def test_peak_memory_stays_below_five_copies_of_the_tables(self):
+        # a stack whose memory is its vocabulary: the parameters, Adam's two
+        # moments and the best snapshot, which the model keeps, are the four copies
+        ds, y = random_log(0, 20_000, 8_000, 12_000)
+        labels = np.column_stack([y, 1.0 - y, y ** 2])
+        model = FMModel(build_vocab(ds), k=10)
+        table_bytes = labels.shape[1] * len(model.vocab) * (10 + 1) * 8
+        tracemalloc.start()
+        try:
+            train(model, ds, labels, ds, ds.true_interest, TrainConfig(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * table_bytes, peak / table_bytes
 
     def test_non_finite_loss_comes_only_from_a_slice_still_training(self, monkeypatch):
         ds, y = random_log(6, 200, 8, 8)
