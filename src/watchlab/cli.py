@@ -212,11 +212,11 @@ class SweepConfig:
 
 
 def _run_config(config: dict, out_override) -> tuple[RunConfig, Path]:
-    """The top-level keys, and the output directory, created if missing."""
+    """The top-level keys, and the output directory, which is not made here:
+    generate and correct make it right before their first write, and
+    train-eval and report read inputs from it, so a failed check leaves none."""
     run = _section(RunConfig, config, None, skip=SECTIONS)
-    out = Path(out_override or run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return run, out
+    return run, Path(out_override or run.out_dir)
 
 
 def _input(path, what: str) -> Path:
@@ -251,6 +251,7 @@ def run_generate(config: dict, seed=None, out=None) -> Path:
     run, out_dir = _run_config(config, out)
     synth = _section(SynthConfig, config, "generate", seed=run.seed if seed is None else seed)
     dataset, truth = generate(synth)
+    out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.csv"
     truth_path = out_dir / "ground_truth.csv"
     write_csv(dataset, data_path)
@@ -284,20 +285,12 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
     data_path = _input(run.dataset_csv or out_dir / "data.csv", "input dataset not found")
     params = _correction_params(config)
     _section(GmmOptions, config, "estimator")  # checked before the data is read
+    truth_path = _ground_truth(run, out_dir)
     dataset = ingest_csv(data_path, run.feature_fields)
     curves = fit_curves(dataset, config)
-    curves_path = out_dir / "curves.csv"
-    curves.to_csv(curves_path)
-
-    outputs = {"curves.csv": curves_path}
-    for p in params:
-        path = out_dir / f"labeled_{p.method}.csv"
-        apply_method(dataset, dataclasses.replace(p, curves=curves)).to_csv(path)
-        outputs[path.name] = path
 
     notes = {}
-    truth_path = _ground_truth(run, out_dir)
-    if truth_path is not None:
+    if truth_path is not None:  # read and checked before the first write
         truth = read_ground_truth_csv(truth_path)
         if len(truth) != len(dataset):
             raise LengthMismatch(f"{len(truth)} ground-truth rows for {len(dataset)} data rows")
@@ -309,6 +302,16 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
                 np.max(np.abs(wm_est - wm_true) / np.maximum(wm_true, 1e-9))
             ),
         }
+        del truth, wp_true, wm_true, wp_est, wm_est  # freed before the labels are made
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    curves_path = out_dir / "curves.csv"
+    curves.to_csv(curves_path)
+    outputs = {"curves.csv": curves_path}
+    for p in params:
+        path = out_dir / f"labeled_{p.method}.csv"
+        apply_method(dataset, dataclasses.replace(p, curves=curves)).to_csv(path)
+        outputs[path.name] = path
     _write_manifest(out_dir, config, outputs, notes)
     return out_dir
 

@@ -14,7 +14,7 @@ from .errors import (
     MissingColumn,
     MissingTimestamps,
 )
-from .ranking import string_codes
+from .ranking import group_codes
 
 # long_view rule: a short video counts as interesting only when fully played,
 # a long one when watched past this many seconds.
@@ -43,7 +43,8 @@ class Dataset:
 
     def __init__(self, user_ids, item_ids, watch_times, durations, timestamps=None,
                  true_interest=None, features=None):
-        self._set(*string_codes(user_ids), *string_codes(item_ids), watch_times, durations,
+        self._set(*group_codes(np.asarray(user_ids, dtype=str)),
+                  *group_codes(np.asarray(item_ids, dtype=str)), watch_times, durations,
                   timestamps, true_interest, features)
 
     @classmethod

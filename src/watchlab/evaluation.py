@@ -33,12 +33,13 @@ def _scores_and_positives(scores, labels, n_ids):
     return scores, pos
 
 
-def _ranked(scores, labels, codes, n_users):
+def _ranked(scores, labels, user_ids):
     """Validated rows in ranking order: (pos, codes, position, rank, n_users)."""
+    table, codes = group_codes(user_ids)
     scores, pos = _scores_and_positives(scores, labels, len(codes))
     order = descending_order(scores, codes)
     codes = codes[order]
-    return pos[order], codes, *descending_ranks(scores[order], codes), n_users
+    return pos[order], codes, *descending_ranks(scores[order], codes), table.size
 
 
 def gauc(scores, labels, user_ids, return_counts: bool = False):
@@ -48,7 +49,7 @@ def gauc(scores, labels, user_ids, return_counts: bool = False):
     counts 0.5. Users whose labels are all one class carry no ranking signal
     and are skipped. User ids may be strings or Dataset.user_codes.
     """
-    out = _gauc(*_ranked(scores, labels, *group_codes(user_ids)))
+    out = _gauc(*_ranked(scores, labels, user_ids))
     return out if return_counts else out[0]
 
 
@@ -76,7 +77,7 @@ def ndcg_at_k(scores, labels, user_ids, k: int, return_counts: bool = False):
     Score ties break by original row order (stable); users with no positive
     rows are skipped.
     """
-    values, n_eval, n_skip = _ndcg(*_ranked(scores, labels, *group_codes(user_ids)), [k])
+    values, n_eval, n_skip = _ndcg(*_ranked(scores, labels, user_ids), [k])
     return (values[k], n_eval, n_skip) if return_counts else values[k]
 
 
@@ -156,16 +157,16 @@ def evaluate(scores, labels, dataset: Dataset, method: str, ks, n_ranges: int) -
     if n_ranges < 1:
         raise ValueError("n_ranges must be >= 1")
     scores, pos = _scores_and_positives(scores, labels, len(dataset))
-    codes, n_users = group_codes(dataset.user_codes)
+    table, codes = group_codes(dataset.user_codes)
     order = descending_order(scores, codes)
     scores, pos, codes, d = scores[order], pos[order], codes[order], dataset.durations[order]
-    ranked = pos, codes, *descending_ranks(scores, codes), n_users
+    ranked = pos, codes, *descending_ranks(scores, codes), table.size
     g, n_eval, n_skip = _gauc(*ranked)
     report = EvalReport(method, g, _ndcg(*ranked, ks)[0], n_eval, n_skip)
     edges, assign = quantile_bins(d, n_ranges)
     for b in range(max(1, edges.size - 1)):
         mask = assign == b
-        ranked = pos[mask], codes[mask], *descending_ranks(scores[mask], codes[mask]), n_users
+        ranked = pos[mask], codes[mask], *descending_ranks(scores[mask], codes[mask]), table.size
         try:
             g = _gauc(*ranked)[0]
         except NoEvaluableUsers:

@@ -1,7 +1,9 @@
 """Segmented rank kernel shared by GAUC, nDCG and the D2Q label, with one
 convention: rows sort by group code, then by descending value, ties in row
-order, and tied values share their average rank. The group codes and the
-equal-frequency bins of D2Q and of the duration ranges are made here too."""
+order, and tied values share their average rank. `group_codes` is the one
+coder of keys: dataset ids, trainer feature columns and the metrics' user
+groups all become a sorted table plus codes through it. The equal-frequency
+bins of D2Q and of the duration ranges are made here too."""
 
 from __future__ import annotations
 
@@ -10,34 +12,21 @@ import numpy as np
 
 def _hashed_codes(keys: list):
     """np.unique(np.asarray(keys, dtype=str), return_inverse=True) when every
-    key is a str, else None. Only the distinct keys are sorted; each key then
-    takes its code from a dict."""
+    key is a str, else None; the codes come in the narrowest unsigned type.
+    Only the distinct keys are sorted; each key then takes its code from a dict."""
     distinct = list(set(keys))
     if not set(map(type, distinct)) <= {str}:
         return None
     table, inverse = np.unique(np.array(distinct, dtype=str), return_inverse=True)
     code = dict(zip(distinct, inverse.tolist()))
-    return table, np.fromiter(map(code.__getitem__, keys), dtype=np.int64, count=len(keys))
+    return table, np.fromiter(map(code.__getitem__, keys), dtype=np.min_scalar_type(table.size),
+                              count=len(keys))
 
 
-def string_codes(keys) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted table of the distinct keys, int64 code of each key into it),
-    equal to np.unique(np.asarray(keys, dtype=str), return_inverse=True)."""
-    dtype = None
-    if isinstance(keys, np.ndarray):
-        dtype = keys.dtype if keys.dtype.kind == "U" else None
-        keys = keys.reshape(-1).tolist()
-    coded = _hashed_codes(keys)
-    if coded is None:
-        table, codes = np.unique(np.asarray(keys, dtype=str), return_inverse=True)
-        return table, codes.reshape(-1)
-    table, codes = coded
-    return np.asarray(table, dtype=dtype), codes  # a str array keeps its width
-
-
-def group_codes(keys) -> tuple[np.ndarray, int]:
-    """Code of each row's key in sorted key order, in the narrowest unsigned
-    type (which numpy sorts fastest), and the number of distinct keys."""
+def group_codes(keys) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted table of the distinct keys, code of each key into it in the
+    narrowest unsigned type, which numpy sorts fastest), the values of
+    np.unique(keys, return_inverse=True)."""
     keys = np.asarray(keys)
     coded = None
     if keys.dtype.kind in "OU":
@@ -47,8 +36,8 @@ def group_codes(keys) -> tuple[np.ndarray, int]:
             # mixed objects: tolist() lets numpy pick str or int, so keys keep
             # their natural order
             keys = np.array(items)
-    uniq, codes = coded or np.unique(keys, return_inverse=True)
-    return codes.reshape(-1).astype(np.min_scalar_type(uniq.size)), uniq.size
+    table, codes = coded or np.unique(keys, return_inverse=True)
+    return table, codes.reshape(-1).astype(np.min_scalar_type(table.size), copy=False)
 
 
 def quantile_bins(values, n_bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -102,16 +102,6 @@ class GroundTruth:
         return self.p_interest.size
 
 
-def _id_table(prefix: str, n: int) -> tuple:
-    """Ids prefix0..prefix{n-1} as a sorted string table ("u10" < "u2") and
-    each number's code into it."""
-    names = np.array([f"{prefix}{k}" for k in range(n)])
-    order = np.argsort(names)
-    code = np.empty(n, dtype=np.int64)
-    code[order] = np.arange(n)
-    return names[order], code
-
-
 def true_curves(config: SynthConfig, d) -> tuple:
     """Evaluate the configured bias/noise curves at duration d."""
     d_lo, d_hi = config.duration_range
@@ -169,8 +159,11 @@ def generate(config: SynthConfig) -> tuple:
     stds = np.where(r == 1, config.noise_std_plus, config.noise_std_minus)
     w = _truncated_normal(rng, means, stds)
 
-    user_table, user_code = _id_table("u", config.n_users)
-    item_table, item_code = _id_table("i", config.n_items)
+    # ids u0.. and i0.. as sorted string tables ("u10" < "u2") plus each number's code
+    user_table, user_code = np.unique([f"u{k}" for k in range(config.n_users)],
+                                      return_inverse=True)
+    item_table, item_code = np.unique([f"i{k}" for k in range(config.n_items)],
+                                      return_inverse=True)
     dataset = Dataset.from_codes(user_table, user_code[users], item_table, item_code[items],
                                  w, durations, timestamps=np.arange(n), true_interest=r)
     return dataset, GroundTruth(p, r, w_plus, w_minus)

@@ -10,8 +10,8 @@ import numpy as np
 
 from .data_model import Dataset
 from .errors import NonFiniteLoss
-from .evaluation import _gauc, _ranked
-from .ranking import group_codes, string_codes
+from .evaluation import gauc
+from .ranking import group_codes
 
 _SCORE_ROWS = 2048  # rows per scoring call, which bounds the memory of scoring a split
 
@@ -67,7 +67,7 @@ def _field_columns(dataset: Dataset):
     yield "user_id", dataset.user_table, dataset.user_codes
     yield "item_id", dataset.item_table, dataset.item_codes
     for fld, column in dataset.features.items():
-        yield fld, *string_codes(column)
+        yield fld, *group_codes(column)
 
 
 def build_vocab(train: Dataset) -> Vocabulary:
@@ -258,7 +258,8 @@ class _Adam:
 
 def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
           val_labels, config: TrainConfig):
-    """Mini-batch Adam on BCE with early stopping on validation GAUC.
+    """Mini-batch Adam on BCE with early stopping on validation GAUC, which
+    is `gauc` of each slice's val scores over val_set.user_codes.
 
     `train_labels` is (n,) or (n, M). M label columns fit as the M slices of
     one stacked model (see FMModel), each from the model's init. The slices
@@ -283,7 +284,6 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
     idx = encode(model.vocab, train_set)
     val_idx = encode(model.vocab, val_set)
     val_y = np.asarray(val_labels)
-    val_codes = group_codes(val_set.user_codes)
 
     model.bias = np.full(n_slices, model.bias, dtype=np.float64)
     model.linear = np.tile(model.linear, n_slices)
@@ -336,7 +336,7 @@ def train(model: FMModel, train_set: Dataset, train_labels, val_set: Dataset,
         for j, m in enumerate(live):
             history = histories[m]
             history.train_loss.append(float(epoch_loss[j] / n))
-            vg = _gauc(*_ranked(val_logits[j], val_y, *val_codes))[0]
+            vg = gauc(val_logits[j], val_y, val_set.user_codes)
             history.val_gauc.append(vg)
             if vg > history.best_val_gauc:
                 history.best_val_gauc = vg

@@ -763,6 +763,57 @@ def test_named_ground_truth_missing_exits_2(tmp_path, corrected_run, command):
     assert f"configuration error: ground truth not found: {missing}\n" in result.output
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("generate", {"generate": {"n_rows": 0}}),
+    ("correct", {"estimator": {"windw": 2}}),
+    ("correct", {"ground_truth_csv": "no_such_truth.csv"}),
+    ("train-eval", {"trainer": {"epoch": 2}}),
+    ("report", {}),  # no curves.csv in the output directory
+], ids=["generate", "correct-key", "correct-truth", "train-eval", "report"])
+def test_config_error_leaves_no_output_directory(tmp_path, corrected_run, command, overrides):
+    cfg = write_config(tmp_path / "config.json", dataset_csv=str(corrected_run / "data.csv"),
+                       **overrides)
+    out = tmp_path / "fresh" / "run"
+    result = invoke(command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert "configuration error: " in result.output
+    assert not (tmp_path / "fresh").exists()
+
+
+def _short_truth(out):
+    short = out / "short_truth.csv"
+    short.write_text("".join((out / "ground_truth.csv").read_text().splitlines(True)[:100]))
+    return {"ground_truth_csv": str(short)}
+
+
+def _bad_truth(out):
+    path = out / "ground_truth.csv"
+    path.write_text("".join(_bad_truth_cell(path.read_text().splitlines(True))))
+    return {}
+
+
+@pytest.mark.parametrize("truth, code, message", [
+    (lambda out: {"ground_truth_csv": str(out / "no_such_truth.csv")}, 2,
+     "configuration error: ground truth not found: "),
+    (_short_truth, 1, "error: 99 ground-truth rows for 4000 data rows"),
+    (_bad_truth, 1, "error: row 3: p_interest not a finite number: 'x'"),
+], ids=["missing", "short", "bad-cell"])
+def test_correct_checks_ground_truth_before_writing(tmp_path, corrected_run, truth, code,
+                                                    message):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    written = [out / "curves.csv", *out.glob("labeled_*.csv")]
+    for path in written:
+        path.unlink()
+    manifest = (out / "manifest.json").read_bytes()
+    cfg = write_config(tmp_path / "config.json", **truth(out))
+    result = invoke("correct", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == code, result.output
+    assert message in result.output
+    assert not any(path.exists() for path in written)
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
 def test_default_ground_truth_stays_optional(tmp_path, corrected_run):
     out = tmp_path / "run"
     shutil.copytree(corrected_run, out)

@@ -19,7 +19,7 @@ from watchlab.correction import CorrectedDataset, read_labels_csv
 from watchlab.data_model import BASE_COLUMNS, Dataset, ingest_csv, read_float_columns, write_csv
 from watchlab.errors import MalformedRow, MissingColumn
 from watchlab.estimator import BiasNoiseCurves, fit_all_groups, smooth_curves
-from watchlab.ranking import group_codes, string_codes
+from watchlab.ranking import group_codes
 from watchlab.synthgen import (
     GROUND_TRUTH_COLUMNS,
     SynthConfig,
@@ -253,12 +253,9 @@ def test_csv_io_peaks_below_eight_times_the_log_size(tmp_path, step):
 def test_string_codes_equal_np_unique(keys):
     ref_table, ref_codes = np.unique(np.asarray(keys, dtype=str), return_inverse=True)
     for given_keys in (keys, np.asarray(keys, dtype=str), np.asarray(keys, dtype=object)):
-        table, codes = string_codes(given_keys)
-        assert table.dtype == ref_table.dtype and table.tolist() == ref_table.tolist()
-        assert codes.dtype == np.int64 and codes.tolist() == ref_codes.tolist()
-        group, n_groups = group_codes(np.asarray(given_keys))
-        assert group.tolist() == ref_codes.tolist() and n_groups == ref_table.size
-        assert group.dtype == np.min_scalar_type(n_groups) and group.dtype.kind == "u"
+        table, codes = group_codes(given_keys)
+        assert table.tolist() == ref_table.tolist() and codes.tolist() == ref_codes.tolist()
+        assert codes.dtype == np.min_scalar_type(table.size) and codes.dtype.kind == "u"
 
 
 @pytest.mark.parametrize("keys", [[3, 1, 2, 1], ["b", 1, "a"], ["b", "a", "b"],
@@ -268,8 +265,9 @@ def test_group_codes_of_non_string_objects_keep_numpy_order(keys):
     objects = np.asarray(keys, dtype=object)
     uniq, codes = np.unique(np.array(keys), return_inverse=True)
     for given_keys in (objects, np.array(keys)):
-        group, n_groups = group_codes(given_keys)
-        assert group.tolist() == codes.tolist() and n_groups == uniq.size
+        table, group = group_codes(given_keys)
+        assert table.tolist() == uniq.tolist() and group.tolist() == codes.tolist()
         assert group.dtype == np.min_scalar_type(uniq.size) and group.dtype.kind == "u"
-    assert string_codes(objects)[1].tolist() == np.unique(
+    # as Dataset ids, the same keys code in string order
+    assert group_codes(np.asarray(objects, dtype=str))[1].tolist() == np.unique(
         np.asarray(keys, dtype=str), return_inverse=True)[1].tolist()

@@ -163,12 +163,14 @@ def test_descending_ranks_hand_example():
 
 
 def test_group_codes_follow_key_order():
-    codes, n = group_codes(np.array(["b", "a", "c", "a"], dtype=object))
-    assert (codes.tolist(), n, codes.dtype) == ([1, 0, 2, 0], 3, np.uint8)
-    codes, n = group_codes(np.array([10, 9, 10], dtype=object))
-    assert (codes.tolist(), n, codes.dtype) == ([1, 0, 1], 2, np.uint8)
-    codes, n = group_codes(np.arange(256, -1, -1))
-    assert (codes.tolist(), n, codes.dtype) == (list(range(256, -1, -1)), 257, np.uint16)
+    table, codes = group_codes(np.array(["b", "a", "c", "a"], dtype=object))
+    assert (table.tolist(), codes.tolist(), codes.dtype) == (["a", "b", "c"], [1, 0, 2, 0],
+                                                             np.uint8)
+    table, codes = group_codes(np.array([10, 9, 10], dtype=object))
+    assert (table.tolist(), codes.tolist(), codes.dtype) == ([9, 10], [1, 0, 1], np.uint8)
+    table, codes = group_codes(np.arange(256, -1, -1))
+    assert (table.tolist(), codes.tolist(), codes.dtype) == (
+        list(range(257)), list(range(256, -1, -1)), np.uint16)
 
 
 def test_cli_import_leaves_scipy_stats_out():

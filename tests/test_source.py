@@ -46,6 +46,19 @@ def test_no_unused_imports():
     assert not found, found
 
 
+def test_no_private_cross_module_imports():
+    """A module uses another module's public names only: no `from .x import _y`
+    (dunders such as `__version__` are public)."""
+    sources = sorted((ROOT / "src" / "watchlab").glob("*.py"))
+    found = [f"{path.name}:{node.lineno}: {alias.name}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or (node.module or "").split(".")[0] == "watchlab")
+             for alias in node.names
+             if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not found, found
+
+
 def _parameters(module, name):
     return list(inspect.signature(getattr(importlib.import_module(module), name)).parameters)
 

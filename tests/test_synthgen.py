@@ -65,6 +65,18 @@ def test_same_seed_identical():
     assert all(np.array_equal(getattr(t1, c), getattr(t2, c)) for c in GROUND_TRUTH_COLUMNS)
 
 
+def test_id_tables_sort_as_strings():
+    ds, _ = generate(SynthConfig(n_rows=2000, n_users=12, n_items=25, seed=3))
+    for prefix, n, table, codes in (("u", 12, ds.user_table, ds.user_codes),
+                                    ("i", 25, ds.item_table, ds.item_codes)):
+        ids = [f"{prefix}{k}" for k in range(n)]
+        assert table.tolist() == np.unique(ids).tolist()
+        assert table.tolist()[:3] == [f"{prefix}0", f"{prefix}1", f"{prefix}10"]
+        # every id is drawn, so the table is also np.unique of the id column
+        ref_table, ref_codes = np.unique(table[codes], return_inverse=True)
+        assert ref_table.tolist() == table.tolist() and ref_codes.tolist() == codes.tolist()
+
+
 def test_watch_times_non_negative():
     ds, _ = generate(SynthConfig(n_rows=2000, seed=2, noise_std_minus=5.0))
     assert (ds.watch_times >= 0).all()
