@@ -27,6 +27,7 @@ from .correction import (
     read_labels_csv,
 )
 from .data_model import (
+    Dataset,
     chronological_split_indices,
     compute_stats,
     ingest_csv,
@@ -321,6 +322,10 @@ def train_and_score(dataset, labels, splits, oracle, config, seed):
     interest and score test: (n_test,) scores for (n,) labels, one column per
     label column for (n, M) labels, whose M fits train as one stack."""
     tr_idx, va_idx, te_idx = splits
+    # the columns the FM reads, shared with `dataset`, so that the splits copy no others
+    dataset = Dataset.from_codes(dataset.user_table, dataset.user_codes, dataset.item_table,
+                                 dataset.item_codes, dataset.watch_times, dataset.durations,
+                                 features=dataset.features)
     train_set = dataset.subset(tr_idx)
     val_set = dataset.subset(va_idx)
     vocab = build_vocab(train_set)

@@ -31,20 +31,28 @@ def _check(bad: np.ndarray, what: str, values) -> None:
         raise ValueError(f"row {i}: {what}: {values[i]}")
 
 
+def _id_codes(ids):
+    """group_codes of an id column as strings; a list of str is hashed as it comes."""
+    if not (isinstance(ids, list) and set(map(type, ids)) <= {str}):
+        ids = np.asarray(ids, dtype=str)
+    return group_codes(ids)
+
+
 class Dataset:
     """Immutable interaction log held as numpy columns.
 
-    Columns (read-only by convention): `user_codes`/`item_codes` are int64
-    codes into the sorted id-string tables `user_table`/`item_table`, so codes
-    order users exactly as their id strings do; `watch_times` is float64,
-    `durations` int64, `timestamps` and `true_interest` are int64 or None,
-    and `features` maps each declared feature field to a string column.
+    Columns (read-only by convention): `user_codes`/`item_codes` are codes
+    into the sorted id-string tables `user_table`/`item_table`, so codes
+    order users exactly as their id strings do, in the unsigned type
+    np.min_scalar_type(table.size) that group_codes picks for the table;
+    `watch_times` is float64, `durations` int64, `timestamps` and
+    `true_interest` are int64 or None, and `features` maps each declared
+    feature field to a string column.
     """
 
     def __init__(self, user_ids, item_ids, watch_times, durations, timestamps=None,
                  true_interest=None, features=None):
-        self._set(*group_codes(np.asarray(user_ids, dtype=str)),
-                  *group_codes(np.asarray(item_ids, dtype=str)), watch_times, durations,
+        self._set(*_id_codes(user_ids), *_id_codes(item_ids), watch_times, durations,
                   timestamps, true_interest, features)
 
     @classmethod
@@ -59,33 +67,37 @@ class Dataset:
     def _set(self, user_table, user_codes, item_table, item_codes, watch_times, durations,
              timestamps, true_interest, features):
         w = np.asarray(watch_times, dtype=np.float64).reshape(-1)
-        d = np.asarray(durations, dtype=np.float64).reshape(-1)
+        given = np.asarray(durations).reshape(-1)
+        d = np.asarray(given, dtype=np.float64)
         _check(~np.isfinite(w), "watch_time_s not finite", w)
         _check(w < 0, "watch_time_s negative", w)
         _check(~np.isfinite(d), "duration_s not finite", d)
         _check((d < 1) | (d != np.floor(d)) | (d >= INT64_LIMIT),
                "duration_s not an int64 >= 1", d)
-        self.watch_times, self.durations = w, d.astype(np.int64)
-        self.user_table, self.item_table = (np.asarray(t, dtype=str)
-                                            for t in (user_table, item_table))
-        self.user_codes, self.item_codes = (np.asarray(c, dtype=np.int64).reshape(-1)
-                                            for c in (user_codes, item_codes))
+        # an int64 column is kept as given, so that a subset's parent shares it
+        self.watch_times = w
+        self.durations = given if given.dtype == np.int64 else d.astype(np.int64)
+        tables = [np.asarray(t, dtype=str) for t in (user_table, item_table)]
+        codes = [np.asarray(c).reshape(-1) for c in (user_codes, item_codes)]
         self.timestamps, self.true_interest = (None if c is None else np.asarray(c, np.int64)
                                                for c in (timestamps, true_interest))
         self.features = {f: np.asarray(c, dtype=str) for f, c in (features or {}).items()}
         for f in ("user_id", "item_id"):
             if f in self.features:
                 raise ValueError(f"feature field {f!r} names an id column")
-        columns = [d, self.user_codes, self.item_codes, *self.features.values(),
+        columns = [d, *codes, *self.features.values(),
                    *(c for c in (self.timestamps, self.true_interest) if c is not None)]
         if any(c.shape != w.shape for c in columns):
             raise ValueError(f"every column must hold {w.size} values")
-        for table, codes in ((self.user_table, self.user_codes),
-                             (self.item_table, self.item_codes)):
+        for table, c in zip(tables, codes):
             if np.any(table[1:] <= table[:-1]):
                 raise ValueError("id tables must be sorted and duplicate-free")
-            if codes.size and (codes.min() < 0 or codes.max() >= table.size):
+            if c.size and not (0 <= c.min() and c.max() < table.size):  # NaN fails too
                 raise ValueError("id code outside its table")
+        self.user_table, self.item_table = tables
+        # in group_codes' type for the table, which the check above keeps from wrapping
+        self.user_codes, self.item_codes = (c.astype(np.min_scalar_type(t.size), copy=False)
+                                            for t, c in zip(tables, codes))
 
     def __len__(self):
         return self.watch_times.size

@@ -26,16 +26,18 @@ def _hashed_codes(keys: list):
 def group_codes(keys) -> tuple[np.ndarray, np.ndarray]:
     """(sorted table of the distinct keys, code of each key into it in the
     narrowest unsigned type, which numpy sorts fastest), the values of
-    np.unique(keys, return_inverse=True)."""
-    keys = np.asarray(keys)
+    np.unique(keys, return_inverse=True); a list of str is hashed as it comes."""
+    if not isinstance(keys, list):
+        keys = np.asarray(keys)
+        if keys.dtype.kind in "OU":
+            keys = keys.reshape(-1).tolist()
     coded = None
-    if keys.dtype.kind in "OU":
-        items = keys.reshape(-1).tolist()
-        coded = _hashed_codes(items)
+    if isinstance(keys, list):
+        coded = _hashed_codes(keys)
         if coded is None:
-            # mixed objects: tolist() lets numpy pick str or int, so keys keep
+            # not all str: from a list numpy picks str or int, so keys keep
             # their natural order
-            keys = np.array(items)
+            keys = np.array(keys)
     table, codes = coded or np.unique(keys, return_inverse=True)
     return table, codes.reshape(-1).astype(np.min_scalar_type(table.size), copy=False)
 
@@ -44,7 +46,9 @@ def quantile_bins(values, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """(edges, bin of each value) of equal-frequency bins: the edges are the
     distinct n_bins-quantiles and the bins are right-closed, so equal values
     share a bin and a skewed histogram can give fewer bins than asked for."""
-    edges = np.unique(np.quantile(values, np.linspace(0, 1, n_bins + 1)))
+    q = np.quantile(values, np.linspace(0, 1, n_bins + 1))
+    q.sort()  # np.unique's own steps: sort, then keep the first of equal neighbours
+    edges = q[np.r_[True, q[1:] != q[:-1]]]
     return edges, np.searchsorted(edges[1:-1], values, side="left")
 
 

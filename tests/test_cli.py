@@ -39,7 +39,7 @@ from watchlab.data_model import (
 )
 from watchlab.estimator import BiasNoiseCurves, GmmOptions, fit_all_groups, smooth_curves
 from watchlab.evaluation import gauc, improve_percentage, oracle_labels
-from watchlab.synthgen import SynthConfig, read_ground_truth_csv
+from watchlab.synthgen import SynthConfig, generate, read_ground_truth_csv
 from watchlab.trainer import TrainConfig
 
 
@@ -142,6 +142,15 @@ class TestGenerate:
         invoke("generate", "--config", str(cfg), "--out", str(out1))
         invoke("generate", "--config", str(cfg), "--seed", "9", "--out", str(out2))
         assert sha(out1 / "data.csv") != sha(out2 / "data.csv")
+
+    def test_seed_flag_zero_overrides_config_seed(self, tmp_path):
+        cfg0 = write_config(tmp_path / "config0.json")
+        cfg3 = write_config(tmp_path / "config3.json", seed=3)
+        for cfg, out, flag in ((cfg0, "a", ()), (cfg3, "b", ("--seed", "0")), (cfg3, "c", ())):
+            result = invoke("generate", "--config", str(cfg), *flag, "--out", str(tmp_path / out))
+            assert result.exit_code == 0, result.output
+        a, b, c = (sha(tmp_path / out / "data.csv") for out in "abc")
+        assert a == b != c
 
     def test_missing_config_exits_2(self, tmp_path):
         result = invoke("generate", "--config", str(tmp_path / "nope.json"))
@@ -396,6 +405,15 @@ class TestTrainEval:
         assert [r["seed"] for r in rows] == ["5"] * 5
         assert json.loads((out / "manifest.json").read_text())["notes"]["seeds"] == [5]
 
+    def test_seed_flag_zero_overrides_config_seeds(self, pipeline_dir):
+        cfg_path, out = pipeline_dir
+        cfg2 = write_config(cfg_path.parent / "config_seeds12.json", seeds=[1, 2])
+        result = invoke("train-eval", "--config", str(cfg2), "--seed", "0", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        with open(out / "report.csv") as f:
+            assert [r["seed"] for r in csv.DictReader(f)] == ["0"] * 5
+        assert json.loads((out / "manifest.json").read_text())["notes"]["seeds"] == [0]
+
     def test_empty_seeds_exits_2(self, pipeline_dir):
         cfg_path, out = pipeline_dir
         cfg = write_config(cfg_path.parent / "config_noseeds.json", seeds=[])
@@ -465,6 +483,25 @@ class TestTrainEval:
         assert result.exit_code == 0, result.output
         # watch_time, pcr, d2co_a, d2co_s and oracle at each seed, then the 2 x 3 sweep
         assert calls == [(5,), (5,), (6,)]
+
+    def test_training_splits_hold_only_the_columns_the_fm_reads(self, monkeypatch):
+        ds, truth = generate(SynthConfig(n_rows=600, n_users=20, n_items=30, seed=1))
+        splits = chronological_split_indices(ds, (0.6, 0.2, 0.2))
+        parts = []
+        real = watchlab.cli.train
+
+        def recording(model, train_set, train_labels, val_set, *args):
+            parts.extend((train_set, val_set))
+            return real(model, train_set, train_labels, val_set, *args)
+
+        monkeypatch.setattr(watchlab.cli, "train", recording)
+        oracle = truth.r_sample.astype(np.float64)
+        scores = train_and_score(ds, oracle, splits, oracle, {"trainer": {"epochs": 1}}, 0)
+        assert scores.shape == splits[2].shape and len(parts) == 2
+        for part, idx in zip(parts, splits):
+            assert part.timestamps is None and part.true_interest is None
+            assert part.user_ids.tolist() == ds.user_ids[idx].tolist()
+            assert part.durations.tolist() == ds.durations[idx].tolist()
 
     def test_feature_field_through_correct_and_train_eval(self, tmp_path):
         cfg = write_config(tmp_path / "config.json", feature_fields=["tab"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import watchlab.data_model
 from watchlab.data_model import (
     Dataset,
     chronological_split_indices,
@@ -80,6 +81,11 @@ class TestSplit:
         tr, va, te = split_chronological(ds, (0.5, 0.25, 0.25))
         got = [u for part in (tr, va, te) for u in part.user_ids]
         assert got == [f"u{i}" for i in range(6)]
+
+    def test_mixed_ties_split_in_timestamp_then_row_order(self):
+        ds = make_rows([1] * 8, [5] * 8, timestamps=[3, 1, 2, 1, 3, 2, 1, 2])
+        parts = chronological_split_indices(ds, (0.5, 0.25, 0.25))
+        assert [p.tolist() for p in parts] == [[1, 3, 6, 2], [5, 7], [0, 4]]
 
     def test_shuffled_timestamps_split_in_time_order(self):
         ts = np.random.default_rng(0).permutation(20)
@@ -183,11 +189,15 @@ class TestCsv:
 
     @pytest.mark.parametrize("quote", ["", '"'], ids=["loader", "csv_reader"])
     def test_non_ascii_ids_keep_their_width(self, tmp_path, quote):
+        # the feature column is the reader's own str column, which no coder resizes
         path = tmp_path / "d.csv"
-        path.write_text("user_id,item_id,duration_s,watch_time_s\n"
-                        f"{quote}é日{quote},x,10,3\nu,y,10,3\n", encoding="utf-8")
-        ds = ingest_csv(path)
+        path.write_text("user_id,item_id,duration_s,watch_time_s,tag\n"
+                        f"{quote}é日{quote},x,10,3,{quote}é日{quote}\nu,y,10,3,u\n",
+                        encoding="utf-8")
+        ds = ingest_csv(path, feature_fields=("tag",))
         assert (ds.user_table.dtype, ds.user_table.tolist()) == (np.dtype("<U2"), ["u", "é日"])
+        assert (ds.features["tag"].dtype, ds.features["tag"].tolist()) == (np.dtype("<U2"),
+                                                                          ["é日", "u"])
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -354,6 +364,48 @@ class TestColumns:
                                   (ds.item_ids, ds.item_table, ds.item_codes)):
             assert ids.dtype == object and ids.tolist() == table[codes].tolist()
             assert len({id(v) for v in ids}) == np.unique(codes).size < codes.size
+
+    def test_codes_take_the_narrowest_unsigned_type_of_their_table(self):
+        users = [f"u{k}" for k in range(300)]
+        ds = Dataset(users, ["i0", "i1"] * 150, np.ones(300), np.full(300, 10))
+        assert (ds.user_codes.dtype, ds.item_codes.dtype) == (np.uint16, np.uint8)
+        sub = ds.subset([299, 0])
+        assert (sub.user_codes.dtype, sub.user_ids.tolist()) == (np.uint16, ["u299", "u0"])
+        # codes already in their table's type are kept without a copy
+        codes = np.array([1, 0], dtype=np.uint8)
+        coded = Dataset.from_codes(["a", "b"], codes, ["x"], [0, 0], [1.0, 2.0], [5, 5])
+        assert np.shares_memory(coded.user_codes, codes) and coded.item_codes.dtype == np.uint8
+
+    def test_id_list_of_str_reaches_the_coder_as_it_comes(self, monkeypatch):
+        seen = []
+        real = watchlab.data_model.group_codes
+        monkeypatch.setattr(watchlab.data_model, "group_codes",
+                            lambda keys: seen.append(keys) or real(keys))
+        users, items = ["u2", "u10", "u2"], [10, 9, 10]
+        ds = Dataset(users, items, [1.0, 2.0, 3.0], [5, 5, 5])
+        assert seen[0] is users  # hashed with no str array in between
+        assert (ds.user_table.tolist(), ds.user_codes.tolist()) == (["u10", "u2"], [1, 0, 1])
+        # a list that holds other types still codes as strings
+        assert (ds.item_table.tolist(), ds.item_codes.tolist()) == (["10", "9"], [0, 1, 0])
+
+    def test_durations_are_int64_and_an_int64_column_is_shared(self):
+        given = np.array([5, 7])
+        assert np.shares_memory(Dataset(["a", "b"], ["x", "y"], [1.0, 2.0], given).durations,
+                                given)
+        for given in ([5.0, 7.0], np.array([5, 7], dtype=np.int32)):
+            got = Dataset(["a", "b"], ["x", "y"], [1.0, 2.0], given).durations
+            assert (got.dtype, got.tolist()) == (np.int64, [5, 7])
+
+    # 256 entries code as uint16 and 255 as uint8, where a cast would wrap
+    # 65536 and 256 to 0, and a NaN would become some code
+    @pytest.mark.parametrize("size, code", [(3, 3), (3, -1), (256, 65536), (255, 256),
+                                            (3, math.nan)])
+    def test_code_outside_its_table_rejected(self, size, code):
+        table = [f"k{j:03d}" for j in range(size)]
+        with pytest.raises(ValueError, match="id code outside its table"):
+            Dataset.from_codes(table, [0, code], ["x"], [0, 0], [1.0, 2.0], [5, 5])
+        with pytest.raises(ValueError, match="id code outside its table"):
+            Dataset.from_codes(["a"], [0, 0], table, np.array([code, 0]), [1.0, 2.0], [5, 5])
 
     def test_unsorted_table_rejected(self):
         with pytest.raises(ValueError, match="sorted"):

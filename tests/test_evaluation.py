@@ -58,6 +58,12 @@ class TestGauc:
         with pytest.raises(LengthMismatch):
             gauc([0.1], [1, 0], ["a", "a"])
 
+    @pytest.mark.parametrize("metric", [gauc, lambda s, y, u: ndcg_at_k(s, y, u, k=1)],
+                             ids=["gauc", "ndcg_at_k"])
+    def test_one_user_id_too_few(self, metric):
+        with pytest.raises(LengthMismatch):
+            metric([0.1, 0.2, 0.3], [1, 0, 1], ["a", "a"])
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(0)
         scores = rng.normal(0, 1, 500)

@@ -146,6 +146,17 @@ def test_d2q_matches_reference(rows, n_bins):
     assert label_d2q(ds, bin_of_row).tolist() == reference_d2q(ds, bin_of_row).tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(1, 3000), min_size=1, max_size=200),
+                 st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200)),
+       st.integers(1, 12))
+def test_quantile_bins_match_numpy_quantiles(values, n_bins):
+    edges, bins = quantile_bins(np.array(values), n_bins)
+    ref = np.unique(np.quantile(np.array(values), np.linspace(0, 1, n_bins + 1)))
+    assert (edges.dtype, edges.tobytes()) == (ref.dtype, ref.tobytes())
+    assert bins.tolist() == np.searchsorted(ref[1:-1], values, side="left").tolist()
+
+
 def test_descending_ranks_hand_example():
     values = np.array([3.0, 1.0, 3.0, 2.0, 5.0, 5.0, 5.0])
     codes = np.array([0, 0, 0, 0, 1, 1, 1])
