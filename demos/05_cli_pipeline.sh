@@ -2,7 +2,8 @@
 # The same pipeline as demos 01-04, driven entirely through the CLI.
 # Each stage reads one JSON config, writes its artifacts plus a manifest
 # (config hash + hashes of the files it wrote) into the run directory, and
-# later stages pick up where earlier ones left off.
+# later stages pick up where earlier ones left off: the sweep in train-eval
+# re-smooths the curves.csv that correct wrote, once per window.
 set -euo pipefail
 
 run=$(mktemp -d)
@@ -17,6 +18,7 @@ cat > "$cfg" <<'JSON'
                  "alpha": -0.01},
   "split": {"fractions": [0.6, 0.2, 0.2]},
   "trainer": {"epochs": 5, "batch_size": 256},
+  "sweep": {"window": [1, 3], "alpha": [-0.01]},
   "seed": 0
 }
 JSON
@@ -32,6 +34,9 @@ ls "$run"
 echo
 echo "=== report.csv ==="
 cat "$run/report.csv"
+echo
+echo "=== sweep_gauc.csv ==="
+cat "$run/sweep_gauc.csv"
 echo
 echo "=== error_curves.csv (head) ==="
 head -8 "$run/error_curves.csv"

@@ -344,7 +344,7 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     ks, n_ranges = evaluation.ndcg_k, evaluation.n_ranges
     sweep = _section(SweepConfig, config, "sweep")
     methods = [p.method for p in _correction_params(config)]
-    opts = _section(GmmOptions, config, "estimator")
+    _section(GmmOptions, config, "estimator")  # checked, though the sweep reads curves.csv
     # checked before the data is read; train_and_score reads it again for each seed
     _section(TrainConfig, config, "trainer", seed=0)
     seeds = [seed] if seed is not None else list(run.seeds or (run.seed,))
@@ -360,6 +360,10 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     for m in methods:
         path = _input(out_dir / f"labeled_{m}.csv", "label file missing (run `correct` first)")
         labels_by_method[m] = read_labels_csv(path, len(dataset))
+    curves = None  # the sweep re-smooths the curves `correct` fitted; {} means no sweep
+    if config.get("sweep"):
+        curves = BiasNoiseCurves.from_csv(
+            _input(out_dir / "curves.csv", "curves not found (run `correct` first)"))
 
     try:
         splits = chronological_split_indices(dataset, split.fractions)
@@ -407,15 +411,13 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     outputs = {"report.csv": report_path, "breakdown.csv": breakdown_path}
 
     # the d2co_s test GAUC over window x alpha, at the first seed only
-    if config.get("sweep"):  # a checked object by now; {} means no sweep
-        raw = fit_all_groups(dataset, opts)
-        counts = compute_stats(dataset).group_counts
+    if curves is not None:
         cells, columns = [], []
         for T in sweep.window:
-            curves = smooth_curves(raw, T, counts)
+            smoothed = curves.smoothed(T)
             for a in sweep.alpha:
                 cells.append((T, a))
-                columns.append(apply_method(dataset, CorrectionParams("d2co_s", curves,
+                columns.append(apply_method(dataset, CorrectionParams("d2co_s", smoothed,
                                                                       alpha=a)).labels)
         scores = train_and_score(dataset, np.column_stack(columns), splits, oracle, config,
                                  seeds[0])

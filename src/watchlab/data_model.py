@@ -94,6 +94,8 @@ class Dataset:
                 raise ValueError("id tables must be sorted and duplicate-free")
             if c.size and not (0 <= c.min() and c.max() < table.size):  # NaN fails too
                 raise ValueError("id code outside its table")
+            if c.size and c.dtype.kind not in "iu":  # a cast would truncate 1.7 to code 1
+                raise ValueError("id codes must be integers")
         self.user_table, self.item_table = tables
         # in group_codes' type for the table, which the check above keeps from wrapping
         self.user_codes, self.item_codes = (c.astype(np.min_scalar_type(t.size), copy=False)

@@ -3,7 +3,7 @@ frequency-weighted moving average over the fitted mean sequences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,50 +173,46 @@ class BiasNoiseCurves:
         return cls(d.astype(np.int64), wp_raw, wm_raw, wp, wm, wgt, counts.astype(np.int64),
                    fitted != 0)
 
+    def smoothed(self, window: int) -> "BiasNoiseCurves":
+        """These curves with w+/w- re-averaged from the raw columns.
+
+        For key index i the smoothed value averages the raw values at indices
+        i-T..i+T (T = `window`) weighted by group sizes; the window shrinks at
+        the boundaries, and a zero size still weighs 1, so no window divides 0
+        by 0. Any key where the smoothed noise mean reaches the bias mean is
+        repaired to sit just below it. The other columns are shared, not copied.
+        """
+        if window < 0:
+            raise ValueError("window must be >= 0")
+        weights = np.maximum(self.counts, 1).astype(np.float64)
+        K = weights.size
+        wp, wm = np.empty(K), np.empty(K)
+        for i in range(K):
+            lo, hi = max(0, i - window), min(K, i + window + 1)
+            wsum = weights[lo:hi].sum()
+            wp[i] = float(np.dot(weights[lo:hi], self.w_plus_raw[lo:hi]) / wsum)
+            wm[i] = float(np.dot(weights[lo:hi], self.w_minus_raw[lo:hi]) / wsum)
+        repaired = wm >= wp
+        wm[repaired] = wp[repaired] * (1.0 - 1e-3)
+        return replace(self, w_plus=wp, w_minus=wm)
+
 
 def smooth_curves(raw: dict, window: int, group_counts: dict | None = None) -> BiasNoiseCurves:
-    """Frequency-weighted moving average over the sorted duration keys.
+    """Curves from per-duration fits, smoothed by BiasNoiseCurves.smoothed.
 
-    For key index i the smoothed value averages the raw values at indices
-    i-T..i+T weighted by group sizes; the window shrinks at the boundaries.
     If group_counts lists durations with no fitted estimate, those keys are
     first filled by interpolation between fitted neighbors, then smoothed
-    like the rest. Any key where the smoothed noise mean reaches the bias
-    mean is repaired to sit just below it.
+    like the rest.
     """
     if not raw:
         raise EmptyCurve("no fitted groups to smooth")
-    if window < 0:
-        raise ValueError("window must be >= 0")
     sizes = {**(group_counts or {}), **{k: e.count for k, e in raw.items()}}
     keys, counts = np.array(sorted(sizes.items()), dtype=np.int64).T
-    K = keys.size
     fitted = np.isin(keys, list(raw))
     columns = np.array([(e.w_plus_hat, e.w_minus_hat, e.weight_plus)
                         for _, e in sorted(raw.items())], dtype=np.float64).T
     # np.interp returns a fitted key's own value exactly
     wp_raw, wm_raw, wgt = (np.interp(keys, keys[fitted], c) for c in columns)
-    # a zero size in group_counts still weighs 1, so no window divides 0 by 0
-    weights = np.maximum(counts, 1).astype(np.float64)
-
-    wp = np.empty(K)
-    wm = np.empty(K)
-    for i in range(K):
-        lo, hi = max(0, i - window), min(K, i + window + 1)
-        wsum = weights[lo:hi].sum()
-        wp[i] = float(np.dot(weights[lo:hi], wp_raw[lo:hi]) / wsum)
-        wm[i] = float(np.dot(weights[lo:hi], wm_raw[lo:hi]) / wsum)
-
-    repaired = wm >= wp
-    wm[repaired] = wp[repaired] * (1.0 - 1e-3)
-
-    return BiasNoiseCurves(
-        durations=keys,
-        w_plus_raw=wp_raw,
-        w_minus_raw=wm_raw,
-        w_plus=wp,
-        w_minus=wm,
-        weight_plus=wgt,
-        counts=counts,
-        fitted=fitted,
-    )
+    # the raw columns stand in for the smoothed ones until smoothed() replaces them
+    return BiasNoiseCurves(keys, wp_raw, wm_raw, wp_raw, wm_raw, wgt, counts,
+                           fitted).smoothed(window)

@@ -206,6 +206,23 @@ class TestCorrect:
                 np.max(np.abs(wm - truth.w_minus_d) / np.maximum(truth.w_minus_d, 1e-9))),
         }
 
+    def test_curve_error_floors_a_zero_noise_mean_at_1e_9(self, tmp_path):
+        # a zero noise curve makes every true w- 0, so the floor alone scales the error
+        config = json.loads(write_config(tmp_path / "config.json").read_text())
+        config["generate"]["noise_curve"] = {"family": "constant", "c": 0.0}
+        cfg = tmp_path / "config_zero_noise.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        for command in ("generate", "correct"):
+            result = invoke(command, "--config", str(cfg), "--out", str(out))
+            assert result.exit_code == 0, result.output
+        truth = read_ground_truth_csv(out / "ground_truth.csv")
+        assert not truth.w_minus_d.any()
+        _, wm = BiasNoiseCurves.from_csv(out / "curves.csv").value_at(
+            ingest_csv(out / "data.csv").durations)
+        err = json.loads((out / "manifest.json").read_text())["notes"]["curve_error"]
+        assert err["max_rel_err_w_minus"] == float(np.max(np.abs(wm) / 1e-9)) > 1e8
+
     def test_missing_dataset_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
         result = invoke("correct", "--config", str(cfg), "--out", str(tmp_path / "empty"))
@@ -483,6 +500,36 @@ class TestTrainEval:
         assert result.exit_code == 0, result.output
         # watch_time, pcr, d2co_a, d2co_s and oracle at each seed, then the 2 x 3 sweep
         assert calls == [(5,), (5,), (6,)]
+
+    def test_sweep_resmooths_curves_csv_and_fits_nothing(self, pipeline_dir, monkeypatch):
+        cfg_path, out = pipeline_dir
+        cfg = write_config(cfg_path.parent / "config_sweep_nofit.json",
+                           sweep={"window": [3], "alpha": [-0.03, -0.01]})
+
+        def refit(*args, **kwargs):
+            raise AssertionError("train-eval refitted the curves")
+
+        monkeypatch.setattr(watchlab.cli, "fit_all_groups", refit)
+        monkeypatch.setattr(watchlab.cli, "compute_stats", refit)
+        result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        window, _, _ = read_float_columns(out / "sweep_gauc.csv", ["window", "alpha", "gauc"])
+        assert window.tolist() == [3, 3]
+
+    def test_sweep_without_curves_exits_2_before_training(self, pipeline_dir):
+        cfg_path, out = pipeline_dir
+        cfg = write_config(cfg_path.parent / "config_sweep_nocurves.json",
+                           sweep={"window": [1], "alpha": [-0.01]})
+        (out / "curves.csv").unlink()
+        result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert (f"configuration error: curves not found (run `correct` first): "
+                f"{out / 'curves.csv'}\n") in result.output
+        assert not (out / "report.csv").exists()
+        # without a sweep, train-eval reads no curves
+        result = invoke("train-eval", "--config", str(cfg_path), "--out", str(out))
+        assert result.exit_code == 0, result.output
 
     def test_training_splits_hold_only_the_columns_the_fm_reads(self, monkeypatch):
         ds, truth = generate(SynthConfig(n_rows=600, n_users=20, n_items=30, seed=1))

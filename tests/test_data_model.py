@@ -407,6 +407,15 @@ class TestColumns:
         with pytest.raises(ValueError, match="id code outside its table"):
             Dataset.from_codes(["a"], [0, 0], table, np.array([code, 0]), [1.0, 2.0], [5, 5])
 
+    def test_fractional_codes_rejected(self):
+        # a cast would truncate 0.5 and 1.7 to codes 0 and 1, which name other ids
+        with pytest.raises(ValueError, match="id codes must be integers"):
+            Dataset.from_codes(["a", "b"], [0.5, 1.7], ["x"], [0, 0.9], [1.0, 2.0], [5, 5])
+        with pytest.raises(ValueError, match="id codes must be integers"):
+            Dataset.from_codes(["a"], [0, 0], ["x"], np.zeros(2), [1.0, 2.0], [5, 5])
+        # numpy types an empty list as float64, and it holds no code to truncate
+        assert len(Dataset.from_codes([], [], [], [], [], [])) == 0
+
     def test_unsorted_table_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             Dataset.from_codes(["b", "a"], [0, 1], ["x"], [0, 0], [1.0, 2.0], [5, 5])

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from watchlab import estimator
+from watchlab.data_model import compute_stats
 from watchlab.errors import EmptyCurve, GroupTooSmall, LikelihoodDecrease, NoFittableGroups
 from watchlab.estimator import (
     BiasNoiseCurves,
@@ -202,6 +204,26 @@ class TestSmoothCurves:
         with pytest.raises(EmptyCurve):
             smooth_curves({}, window=1)
 
+    def test_zero_group_count_weighs_one(self):
+        # an unfitted key may count no rows; weighed 0, its T = 0 window would divide 0 by 0
+        raw = make_raw({10: 100, 30: 100}, [10.0, 30.0])
+        curves = smooth_curves(raw, window=0, group_counts={10: 100, 20: 0, 30: 100})
+        assert curves.counts.tolist() == [100, 0, 100]
+        assert np.isfinite(curves.w_plus).all() and np.isfinite(curves.w_minus).all()
+        assert curves.w_plus.tolist() == curves.w_plus_raw.tolist() == [10.0, 20.0, 30.0]
+        assert curves.w_minus.tolist() == curves.w_minus_raw.tolist() == [1.0, 2.0, 3.0]
+
+    def test_smoothed_resmooths_the_raw_columns(self):
+        raw = make_raw({1: 2, 2: 3, 3: 5}, [10.0, 20.0, 30.0])
+        curves = smooth_curves(raw, window=0)
+        wide = curves.smoothed(1)
+        assert wide.w_plus[1] == pytest.approx(23.0, abs=1e-12)
+        assert wide.w_plus.tolist() == smooth_curves(raw, window=1).w_plus.tolist()
+        assert curves.w_plus.tolist() == [10.0, 20.0, 30.0]  # the original is left as it was
+        assert wide.w_plus_raw is curves.w_plus_raw and wide.counts is curves.counts
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            curves.smoothed(-1)
+
     def test_csv_round_trip(self, tmp_path):
         raw = make_raw({5: 10, 9: 20, 14: 5}, [8.0, 12.0, 20.0])
         curves = smooth_curves(raw, window=1)
@@ -230,3 +252,21 @@ class TestSmoothCurves:
         assert wp[0] == pytest.approx(15.0)
         assert wp[1] == pytest.approx(10.0)  # nearest-key extension
         assert wp[2] == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize("min_group_size, n_interpolated", [(40, 0), (200, 25)])
+def test_curves_from_csv_resmooth_as_a_refit(tmp_path, min_group_size, n_interpolated):
+    """curves.csv keeps the raw columns and counts exactly, so re-smoothing
+    what it holds equals smoothing a fresh fit, interpolated keys included."""
+    dataset, _ = generate(SynthConfig(n_rows=4000, n_users=40, n_items=60,
+                                      duration_range=(5, 60), seed=0))
+    raw = fit_all_groups(dataset, GmmOptions(min_group_size=min_group_size))
+    counts = compute_stats(dataset).group_counts
+    smooth_curves(raw, 2, counts).to_csv(tmp_path / "curves.csv")
+    read = BiasNoiseCurves.from_csv(tmp_path / "curves.csv")
+    assert (~read.fitted).sum() == n_interpolated
+    for window in range(6):
+        got, want = read.smoothed(window), smooth_curves(raw, window, counts)
+        for field in dataclasses.fields(BiasNoiseCurves):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), (
+                window, field.name)
