@@ -3,7 +3,8 @@
 # Each stage reads one JSON config, writes its artifacts plus a manifest
 # (config hash + hashes of the files it wrote) into the run directory, and
 # later stages pick up where earlier ones left off: the sweep in train-eval
-# re-smooths the curves.csv that correct wrote, once per window.
+# re-smooths the curves.csv that correct wrote, once per window. The FM
+# takes duration_s as an item feature too, read through the same loader.
 set -euo pipefail
 
 run=$(mktemp -d)
@@ -19,6 +20,7 @@ cat > "$cfg" <<'JSON'
   "split": {"fractions": [0.6, 0.2, 0.2]},
   "trainer": {"epochs": 5, "batch_size": 256},
   "sweep": {"window": [1, 3], "alpha": [-0.01]},
+  "feature_fields": ["duration_s"],
   "seed": 0
 }
 JSON

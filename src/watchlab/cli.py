@@ -206,7 +206,10 @@ class SweepConfig:
     alpha: tuple[float, ...] = (-0.05, -0.03, -0.01)
 
     def validate(self) -> None:
-        if min(self.window, default=0) < 0 or 0 in self.alpha:
+        for key, values in (("sweep.window", self.window), ("sweep.alpha", self.alpha)):
+            if not values:
+                raise ValueError(f"{key} must list at least one value")
+        if min(self.window) < 0 or 0 in self.alpha:
             raise ValueError("every sweep.window must be >= 0 and every sweep.alpha nonzero")
         _distinct(self.window, "sweep.window")
         _distinct(self.alpha, "sweep.alpha")

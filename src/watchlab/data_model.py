@@ -25,10 +25,14 @@ BASE_COLUMNS = ["user_id", "item_id", "duration_s", "watch_time_s"]
 INT64_LIMIT = 2.0 ** 63  # integer columns hold values below this in magnitude
 
 
-def _check(bad: np.ndarray, what: str, values) -> None:
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"row {i}: {what}: {values[i]}")
+def raise_first_bad(checks, error) -> None:
+    """Raise error(i, message) for the earliest row i that any of `checks`,
+    (bad-row mask, message of row i) pairs in priority order, marks, with
+    the message of the first check that marks row i."""
+    hits = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if hits:
+        i, k = min(hits)
+        raise error(i, checks[k][1](i))
 
 
 def _id_codes(ids):
@@ -48,6 +52,10 @@ class Dataset:
     `watch_times` is float64, `durations` int64, `timestamps` and
     `true_interest` are int64 or None, and `features` maps each declared
     feature field to a string column.
+
+    A bad watch time or duration raises ValueError("row i: ...") for the
+    earliest bad row i, naming the first of its failures in the order
+    watch_time_s not finite, negative, duration_s not finite, not an int64 >= 1.
     """
 
     def __init__(self, user_ids, item_ids, watch_times, durations, timestamps=None,
@@ -69,11 +77,12 @@ class Dataset:
         w = np.asarray(watch_times, dtype=np.float64).reshape(-1)
         given = np.asarray(durations).reshape(-1)
         d = np.asarray(given, dtype=np.float64)
-        _check(~np.isfinite(w), "watch_time_s not finite", w)
-        _check(w < 0, "watch_time_s negative", w)
-        _check(~np.isfinite(d), "duration_s not finite", d)
-        _check((d < 1) | (d != np.floor(d)) | (d >= INT64_LIMIT),
-               "duration_s not an int64 >= 1", d)
+        raise_first_bad([(~np.isfinite(w), lambda i: f"watch_time_s not finite: {w[i]}"),
+                         (w < 0, lambda i: f"watch_time_s negative: {w[i]}"),
+                         (~np.isfinite(d), lambda i: f"duration_s not finite: {d[i]}"),
+                         ((d < 1) | (d != np.floor(d)) | (d >= INT64_LIMIT),
+                          lambda i: f"duration_s not an int64 >= 1: {d[i]}")],
+                        lambda i, message: ValueError(f"row {i}: {message}"))
         # an int64 column is kept as given, so that a subset's parent shares it
         self.watch_times = w
         self.durations = given if given.dtype == np.int64 else d.astype(np.int64)
@@ -256,10 +265,7 @@ def _parse_columns(header, cols, lines, feature_fields):
                        lambda i: f"true_interest not 0 or 1: {col('true_interest')[i]!r}"))
         interest = raw == "1"
 
-    hits = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
-    if hits:
-        i, k = min(hits)
-        raise MalformedRow(int(lines[i]), checks[k][1](i))
+    raise_first_bad(checks, lambda i, message: MalformedRow(int(lines[i]), message))
     return Dataset(col("user_id"), col("item_id"), w, d,
                    timestamps=None if ts is None else ts.astype(np.int64),
                    true_interest=interest, features={f: col(f) for f in feature_fields})
@@ -274,9 +280,8 @@ def ingest_csv(path, feature_fields=()) -> Dataset:
     are kept as-is (replays are real data). The optional columns follow the
     required ones' rules: a blank cell or a trailing NUL fails its row.
     """
-    numeric = {"duration_s", "watch_time_s", "timestamp"}  # unless a feature: it keeps its text
-    return _read_columns(path, [*BASE_COLUMNS, *feature_fields],
-                         None if numeric & set(feature_fields) else numeric,
+    numeric = {"duration_s", "watch_time_s", "timestamp"} - set(feature_fields)  # features: text
+    return _read_columns(path, [*BASE_COLUMNS, *feature_fields], numeric,
                          lambda *read: _parse_columns(*read, feature_fields))
 
 
@@ -354,7 +359,7 @@ def _csv_reader_columns(raw: bytes):
 def _read_columns(path, required, numeric, parse):
     """parse(header, columns in header order, line of each row) of a CSV
     file. A file that _load_columns reads, with the `numeric` columns as
-    float64 (None: no loader), is parsed from those typed columns; any other
+    float64, is parsed from those typed columns; any other
     file, and one whose columns parse rejects, from csv.reader's string
     lists, which give every MalformedRow its cell as the file spells it.
     Raises MalformedRow for a repeated column name, MissingColumn for an
@@ -373,7 +378,7 @@ def _read_columns(path, required, numeric, parse):
         return result
 
     try:
-        loaded = numeric is not None and _load_columns(path, numeric)
+        loaded = _load_columns(path, numeric)
         if loaded:
             try:
                 return parsed(*loaded)
@@ -396,21 +401,17 @@ def read_float_columns(path, names, whole=()) -> list:
     that is not a finite number (a whole number in the `whole` columns).
     """
     def parse(header, cols, lines):
-        columns = {name: cols[header.index(name)] for name in names}
-        out, hits = [], []
-        for j, name in enumerate(names):
-            values, bad = _parse_floats(columns[name])
+        out, checks = [], []  # in column order: a row's leftmost bad cell wins
+        for name in names:
+            column = cols[header.index(name)]
+            values, bad = _parse_floats(column)
             bad |= ~np.isfinite(values)
             if name in whole:
                 bad |= values != np.round(values)
-            if bad.any():
-                hits.append((int(np.argmax(bad)), j, name))
+            checks.append((bad, lambda i, name=name, column=column: f"{name} not a "
+                           f"{'whole' if name in whole else 'finite'} number: {column[i]!r}"))
             out.append(values)
-        if hits:
-            i, _, name = min(hits)  # the first bad row, then its leftmost bad cell
-            raise MalformedRow(int(lines[i]), f"{name} not a "
-                               f"{'whole' if name in whole else 'finite'} number: "
-                               f"{columns[name][i]!r}")
+        raise_first_bad(checks, lambda i, message: MalformedRow(int(lines[i]), message))
         return out
 
     return _read_columns(path, names, names, parse)

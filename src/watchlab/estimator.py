@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_model import Dataset, read_float_columns, write_columns
-from .errors import EmptyCurve, GroupTooSmall, LikelihoodDecrease, NoFittableGroups
+from .data_model import Dataset, raise_first_bad, read_float_columns, write_columns
+from .errors import EmptyCurve, GroupTooSmall, LikelihoodDecrease, NoFittableGroups, WatchlabError
 
 
 @dataclass(frozen=True)
@@ -164,12 +164,19 @@ class BiasNoiseCurves:
 
     @classmethod
     def from_csv(cls, path) -> "BiasNoiseCurves":
-        """Curves from a to_csv file, sorted by duration."""
-        columns = read_float_columns(path, cls.CSV_HEADER, whole=("d", "count", "fitted"))
-        if columns[0].size == 0:
+        """Curves from a to_csv file. WatchlabError names the file and the d
+        of the first row with a negative count, a fitted flag other than 0 or
+        1, or a d not above the previous row's."""
+        d, wp_raw, wm_raw, wp, wm, wgt, counts, fitted = read_float_columns(
+            path, cls.CSV_HEADER, whole=("d", "count", "fitted"))
+        if d.size == 0:
             raise EmptyCurve(f"no curve rows in {path}")
-        order = np.argsort(columns[0], kind="stable")
-        d, wp_raw, wm_raw, wp, wm, wgt, counts, fitted = (c[order] for c in columns)
+        raise_first_bad([(counts < 0, lambda i: f"negative count: {int(counts[i])}"),
+                         ((fitted != 0) & (fitted != 1),
+                          lambda i: f"fitted not 0 or 1: {int(fitted[i])}"),
+                         (np.r_[False, d[1:] <= d[:-1]],
+                          lambda i: f"d not above the previous row's: {int(d[i - 1])}")],
+                        lambda i, message: WatchlabError(f"{path}: d {int(d[i])}: {message}"))
         return cls(d.astype(np.int64), wp_raw, wm_raw, wp, wm, wgt, counts.astype(np.int64),
                    fitted != 0)
 

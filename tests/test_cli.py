@@ -738,6 +738,8 @@ def test_readme_config_block_matches_dataclass_defaults():
     ({"alpha": "-0.01"}, "sweep.alpha"),
     ({"windows": [1]}, "sweep.windows"),
     ([1, 2], "sweep"),
+    ({"window": []}, "sweep.window"),
+    ({"alpha": []}, "sweep.alpha"),
 ])
 def test_bad_sweep_exits_2_before_training(tmp_path, corrected_run, sweep, key):
     out = tmp_path / "run"
@@ -747,6 +749,22 @@ def test_bad_sweep_exits_2_before_training(tmp_path, corrected_run, sweep, key):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert key in result.output.split("configuration error: ", 1)[1]
+    assert not (out / "report.csv").exists()
+
+
+def test_sweep_on_edited_curves_exits_1_before_training(tmp_path, corrected_run):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    path = out / "curves.csv"
+    header, first, *rest = path.read_text().splitlines(True)
+    d, *cells = first.split(",")
+    cells[BiasNoiseCurves.CSV_HEADER.index("count") - 1] = "-5"
+    path.write_text("".join([header, ",".join([d, *cells]), *rest]))
+    cfg = write_config(tmp_path / "config.json", sweep={"window": [1], "alpha": [-0.01]})
+    result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {path}: d {d}: negative count: -5\n" in result.output
     assert not (out / "report.csv").exists()
 
 

@@ -181,6 +181,8 @@ def test_loader_agrees_with_csv_reader(raw):
     floats = [c for c in ("duration_s", "watch_time_s", "label") if c.encode() in raw] or ["label"]
     readers = [lambda path: ingest_csv(path, fields),
                lambda path: read_float_columns(path, floats, whole=("duration_s",))]
+    if b"duration_s" in raw:  # a numeric column declared as a feature
+        readers.append(lambda path: ingest_csv(path, (*fields, "duration_s")))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "any.csv"
         path.write_bytes(raw)
@@ -207,6 +209,23 @@ def test_written_files_take_the_loader(tmp_path, monkeypatch):
     assert all(np.array_equal(getattr(back, c), getattr(truth, c)) for c in GROUND_TRUTH_COLUMNS)
     assert np.array_equal(BiasNoiseCurves.from_csv(tmp_path / "curves.csv").w_plus, curves.w_plus)
     assert np.array_equal(read_labels_csv(tmp_path / "labels.csv", len(dataset)), labels.labels)
+
+
+@pytest.mark.parametrize("fields", [("duration_s",), ("duration_s", "watch_time_s", "timestamp")])
+def test_numeric_feature_takes_the_loader(tmp_path, monkeypatch, fields):
+    dataset, _ = generate(SynthConfig(n_rows=2000, seed=3))
+    write_csv(dataset, tmp_path / "data.csv")
+    with mock.patch.object(data_model, "_load_columns", lambda path, numeric: None):
+        via_csv_reader = columns(ingest_csv(tmp_path / "data.csv", fields))
+
+    def no_csv_reader(raw):
+        raise AssertionError("a numeric feature sent the log to csv.reader")
+
+    monkeypatch.setattr(data_model, "_csv_reader_columns", no_csv_reader)
+    loaded = ingest_csv(tmp_path / "data.csv", fields)
+    assert columns(loaded) == via_csv_reader
+    assert loaded.features["duration_s"].tolist() == list(map(str, dataset.durations.tolist()))
+    assert np.array_equal(loaded.durations, dataset.durations)
 
 
 def test_chunked_write_matches_row_writer(tmp_path, monkeypatch):

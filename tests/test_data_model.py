@@ -341,6 +341,12 @@ class TestColumns:
         ([1.0, 2.0], [10, 0], "row 1: duration_s not an int64 >= 1: 0.0"),
         ([1.0, 2.0], [10, 10.5], "row 1: duration_s not an int64 >= 1: 10.5"),
         ([1.0, 2.0], [10, 1e19], "row 1: duration_s not an int64 >= 1: 1e\\+19"),
+        # the earliest bad row wins, though watch times are checked first
+        ([1.0, math.nan], [math.nan, 10], "row 0: duration_s not finite: nan"),
+        # within a row: not finite, negative, duration not finite, not an int64 >= 1
+        ([math.nan, 1.0], [math.nan, 10], "row 0: watch_time_s not finite: nan"),
+        ([-math.inf, 1.0], [10, 10], "row 0: watch_time_s not finite: -inf"),
+        ([-1.0, 1.0], [math.inf, 10], "row 0: watch_time_s negative: -1.0"),
     ])
     def test_bad_numbers_name_the_row(self, w, d, message):
         with pytest.raises(ValueError, match=message):

@@ -1,12 +1,19 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from watchlab import estimator
 from watchlab.data_model import compute_stats
-from watchlab.errors import EmptyCurve, GroupTooSmall, LikelihoodDecrease, NoFittableGroups
+from watchlab.errors import (
+    EmptyCurve,
+    GroupTooSmall,
+    LikelihoodDecrease,
+    NoFittableGroups,
+    WatchlabError,
+)
 from watchlab.estimator import (
     BiasNoiseCurves,
     GmmOptions,
@@ -244,6 +251,30 @@ class TestSmoothCurves:
         assert "converged" not in rows[0]
         assert [r["fitted"] for r in rows] == ["1", "0", "1"]
         assert BiasNoiseCurves.from_csv(path).fitted.tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("column, cell, message", [
+        ("count", "-5", "d 9: negative count: -5"),
+        ("fitted", "7", "d 9: fitted not 0 or 1: 7"),
+        ("fitted", "-1", "d 9: fitted not 0 or 1: -1"),
+        ("d", "5", "d 5: d not above the previous row's: 5"),
+        ("d", "3", "d 3: d not above the previous row's: 5"),
+    ])
+    def test_from_csv_rejects_a_bad_row(self, tmp_path, column, cell, message):
+        path = tmp_path / "curves.csv"
+        smooth_curves(make_raw({5: 10, 9: 20, 14: 5}, [8.0, 12.0, 20.0]), window=1).to_csv(path)
+        lines = path.read_text().splitlines(True)
+        cells = lines[2].rstrip("\r\n").split(",")
+        cells[BiasNoiseCurves.CSV_HEADER.index(column)] = cell
+        lines[2] = ",".join(cells) + "\r\n"
+        path.write_text("".join(lines))
+        with pytest.raises(WatchlabError, match=re.escape(f"{path}: {message}")):
+            BiasNoiseCurves.from_csv(path)
+
+    def test_from_csv_reads_a_zero_count(self, tmp_path):
+        raw = make_raw({10: 100, 30: 100}, [10.0, 30.0])
+        curves = smooth_curves(raw, window=0, group_counts={10: 100, 20: 0, 30: 100})
+        curves.to_csv(tmp_path / "curves.csv")
+        assert BiasNoiseCurves.from_csv(tmp_path / "curves.csv").counts.tolist() == [100, 0, 100]
 
     def test_value_at_interpolates_and_extends(self):
         raw = make_raw({10: 1, 20: 1}, [10.0, 20.0])
