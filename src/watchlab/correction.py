@@ -5,6 +5,7 @@ denoise post-processing, and the error diagnostics."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ from .errors import (
     CurveCollapse,
     DegenerateDenominator,
     LengthMismatch,
+    MalformedRow,
     NumericOverflow,
 )
 from .estimator import BiasNoiseCurves
@@ -162,8 +164,16 @@ class CorrectedDataset:
 
 
 def read_labels_csv(path, n_rows: int) -> np.ndarray:
-    """The `label` column of a labeled_<method>.csv file of n_rows rows."""
+    """The `label` column of a labeled_<method>.csv file of n_rows rows.
+    The file must end with a line break, so that a cut inside its last line
+    fails as a cut at a line boundary does."""
     (labels,) = read_float_columns(path, ["label"])
+    with open(path, "rb") as f:
+        f.seek(-1, os.SEEK_END)  # the reader accepts no empty file
+        if f.read() != b"\n":
+            f.seek(0)
+            raise MalformedRow(len(f.read().splitlines()),
+                               f"{path} does not end with a line break")
     if labels.size != n_rows:
         raise LengthMismatch(f"{labels.size} labels in {path} for {n_rows} data rows")
     return labels

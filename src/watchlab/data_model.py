@@ -25,6 +25,12 @@ BASE_COLUMNS = ["user_id", "item_id", "duration_s", "watch_time_s"]
 INT64_LIMIT = 2.0 ** 63  # integer columns hold values below this in magnitude
 
 
+def not_int64(values) -> np.ndarray:
+    """Mask of the float `values` that are not whole numbers below 2**63 in
+    magnitude, NaN and ±inf included."""
+    return ~((np.floor(values) == values) & (np.abs(values) < INT64_LIMIT))
+
+
 def raise_first_bad(checks, error) -> None:
     """Raise error(i, message) for the earliest row i that any of `checks`,
     (bad-row mask, message of row i) pairs in priority order, marks, with
@@ -33,6 +39,15 @@ def raise_first_bad(checks, error) -> None:
     if hits:
         i, k = min(hits)
         raise error(i, checks[k][1](i))
+
+
+def _int64_or_float(column):
+    """A column as a 1-D array: an int64 one as given, so that a subset's
+    parent shares it, any other as float64; None stays None."""
+    if column is None:
+        return None
+    column = np.asarray(column).reshape(-1)
+    return column if column.dtype == np.int64 else np.asarray(column, dtype=np.float64)
 
 
 def _id_codes(ids):
@@ -53,9 +68,12 @@ class Dataset:
     `true_interest` are int64 or None, and `features` maps each declared
     feature field to a string column.
 
-    A bad watch time or duration raises ValueError("row i: ...") for the
-    earliest bad row i, naming the first of its failures in the order
-    watch_time_s not finite, negative, duration_s not finite, not an int64 >= 1.
+    An int64 `durations`, `timestamps` or `true_interest` column is kept as
+    given; any other is read as float64 and must hold whole numbers that an
+    int64 holds. A bad value raises ValueError("row i: ...") for the earliest
+    bad row i, naming the first of its failures in the order watch_time_s
+    not finite, negative, duration_s not finite, not an int64 >= 1,
+    timestamp not an int64, true_interest not 0 or 1.
     """
 
     def __init__(self, user_ids, item_ids, watch_times, durations, timestamps=None,
@@ -75,21 +93,23 @@ class Dataset:
     def _set(self, user_table, user_codes, item_table, item_codes, watch_times, durations,
              timestamps, true_interest, features):
         w = np.asarray(watch_times, dtype=np.float64).reshape(-1)
-        given = np.asarray(durations).reshape(-1)
-        d = np.asarray(given, dtype=np.float64)
-        raise_first_bad([(~np.isfinite(w), lambda i: f"watch_time_s not finite: {w[i]}"),
-                         (w < 0, lambda i: f"watch_time_s negative: {w[i]}"),
-                         (~np.isfinite(d), lambda i: f"duration_s not finite: {d[i]}"),
-                         ((d < 1) | (d != np.floor(d)) | (d >= INT64_LIMIT),
-                          lambda i: f"duration_s not an int64 >= 1: {d[i]}")],
-                        lambda i, message: ValueError(f"row {i}: {message}"))
-        # an int64 column is kept as given, so that a subset's parent shares it
+        d, t, r = map(_int64_or_float, (durations, timestamps, true_interest))
+        d_f = np.asarray(d, dtype=np.float64)  # an int64 duration is checked as a float too
+        checks = [(~np.isfinite(w), lambda i: f"watch_time_s not finite: {w[i]}"),
+                  (w < 0, lambda i: f"watch_time_s negative: {w[i]}"),
+                  (~np.isfinite(d_f), lambda i: f"duration_s not finite: {d_f[i]}"),
+                  ((d_f < 1) | not_int64(d_f),
+                   lambda i: f"duration_s not an int64 >= 1: {d_f[i]}")]
+        if t is not None and t.dtype != np.int64:
+            checks.append((not_int64(t), lambda i: f"timestamp not an int64: {t[i]}"))
+        if r is not None:
+            checks.append(((r != 0) & (r != 1), lambda i: f"true_interest not 0 or 1: {r[i]}"))
+        raise_first_bad(checks, lambda i, message: ValueError(f"row {i}: {message}"))
         self.watch_times = w
-        self.durations = given if given.dtype == np.int64 else d.astype(np.int64)
-        tables = [np.asarray(t, dtype=str) for t in (user_table, item_table)]
+        self.durations, self.timestamps, self.true_interest = (
+            None if c is None else c.astype(np.int64, copy=False) for c in (d, t, r))
+        tables = [np.asarray(table, dtype=str) for table in (user_table, item_table)]
         codes = [np.asarray(c).reshape(-1) for c in (user_codes, item_codes)]
-        self.timestamps, self.true_interest = (None if c is None else np.asarray(c, np.int64)
-                                               for c in (timestamps, true_interest))
         self.features = {f: np.asarray(c, dtype=str) for f, c in (features or {}).items()}
         for f in ("user_id", "item_id"):
             if f in self.features:
@@ -394,25 +414,26 @@ def _read_columns(path, required, numeric, parse):
 
 
 def read_float_columns(path, names, whole=()) -> list:
-    """The `names` columns of a CSV file as float64 arrays, in that order.
+    """The `names` columns of a CSV file in that order: the `whole` ones as
+    int64 arrays, the others as float64 arrays.
 
     Raises MissingColumn for an absent column, and MalformedRow naming the
     line of the first row with the wrong number of fields or with a cell
-    that is not a finite number (a whole number in the `whole` columns).
+    that is not a finite number (in the `whole` columns, not a whole number
+    that an int64 holds).
     """
     def parse(header, cols, lines):
         out, checks = [], []  # in column order: a row's leftmost bad cell wins
         for name in names:
             column = cols[header.index(name)]
             values, bad = _parse_floats(column)
-            bad |= ~np.isfinite(values)
-            if name in whole:
-                bad |= values != np.round(values)
-            checks.append((bad, lambda i, name=name, column=column: f"{name} not a "
-                           f"{'whole' if name in whole else 'finite'} number: {column[i]!r}"))
+            kind = "an int64" if name in whole else "a finite number"
+            bad |= not_int64(values) if name in whole else ~np.isfinite(values)
+            checks.append((bad, lambda i, name=name, column=column, kind=kind:
+                           f"{name} not {kind}: {column[i]!r}"))
             out.append(values)
         raise_first_bad(checks, lambda i, message: MalformedRow(int(lines[i]), message))
-        return out
+        return [v.astype(np.int64) if name in whole else v for name, v in zip(names, out)]
 
     return _read_columns(path, names, names, parse)
 

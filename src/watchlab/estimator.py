@@ -177,8 +177,7 @@ class BiasNoiseCurves:
                          (np.r_[False, d[1:] <= d[:-1]],
                           lambda i: f"d not above the previous row's: {int(d[i - 1])}")],
                         lambda i, message: WatchlabError(f"{path}: d {int(d[i])}: {message}"))
-        return cls(d.astype(np.int64), wp_raw, wm_raw, wp, wm, wgt, counts.astype(np.int64),
-                   fitted != 0)
+        return cls(d, wp_raw, wm_raw, wp, wm, wgt, counts, fitted != 0)
 
     def smoothed(self, window: int) -> "BiasNoiseCurves":
         """These curves with w+/w- re-averaged from the raw columns.

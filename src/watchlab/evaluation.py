@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, long_view_labels
+from .data_model import Dataset, long_view_labels, raise_first_bad
 from .errors import (
     DegenerateDenominator,
     LengthMismatch,
@@ -116,14 +116,19 @@ def improve_percentage(v_method, v_watchtime, v_oracle) -> float:
 
 def oracle_labels(dataset: Dataset, truth=None) -> np.ndarray:
     """Binary interest ground truth: the sampled interest for synthetic rows,
-    the long_view rule otherwise."""
+    the log's true_interest column, or else the long_view rule. Raises
+    NonBinaryLabels when the source holds a value other than 0 or 1."""
     if truth is not None:
         if len(truth) != len(dataset):
             raise LengthMismatch("ground-truth records not aligned with rows")
-        return truth.r_sample.astype(np.int64)
-    if dataset.true_interest is not None:
-        return dataset.true_interest.astype(np.int64)
-    return long_view_labels(dataset.watch_times, dataset.durations)
+        labels = truth.r_sample
+    elif dataset.true_interest is not None:
+        labels = dataset.true_interest
+    else:
+        labels = long_view_labels(dataset.watch_times, dataset.durations)
+    raise_first_bad([((labels != 0) & (labels != 1), lambda i: f"{labels[i]} (row index {i})")],
+                    lambda i, message: NonBinaryLabels(f"oracle interest not 0 or 1: {message}"))
+    return labels.astype(np.int64)
 
 
 @dataclass

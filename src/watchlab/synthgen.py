@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, read_float_columns, write_columns
+from .data_model import Dataset, not_int64, raise_first_bad, read_float_columns, write_columns
 from .errors import CurveOrderViolation, OutOfRangeDuration
 
 
@@ -89,7 +89,12 @@ class GroundTruth:
 
     def __init__(self, p_interest, r_sample, w_plus_d, w_minus_d):
         self.p_interest = np.asarray(p_interest, dtype=np.float64)
-        self.r_sample = np.asarray(r_sample, dtype=np.int64)
+        r = np.asarray(r_sample)
+        if r.dtype != np.int64:  # kept as given; any other is read as float64
+            r = np.asarray(r, dtype=np.float64)
+            raise_first_bad([(not_int64(r), lambda i: f"r_sample not an int64: {r[i]}")],
+                            lambda i, message: ValueError(f"row {i}: {message}"))
+        self.r_sample = r.astype(np.int64, copy=False)
         self.w_plus_d = np.asarray(w_plus_d, dtype=np.float64)
         self.w_minus_d = np.asarray(w_minus_d, dtype=np.float64)
         if {c.shape for c in self._columns()} != {(self.p_interest.size,)}:

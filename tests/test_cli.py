@@ -768,6 +768,62 @@ def test_sweep_on_edited_curves_exits_1_before_training(tmp_path, corrected_run)
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train-eval", "report"])
+def test_curves_count_an_int64_cannot_hold_exits_1(tmp_path, corrected_run, command):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    path = out / "curves.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[1].split(b",")
+    cells[BiasNoiseCurves.CSV_HEADER.index("count")] = b"1e19"
+    lines[1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    cfg = write_config(tmp_path / "config.json", sweep={"window": [1], "alpha": [-0.01]})
+    result = invoke(command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: row 2: count not an int64: '1e19'\n" in result.output
+    assert not (out / "report.csv").exists() and not (out / "error_curves.csv").exists()
+
+
+def _fail_training(*args, **kwargs):
+    raise AssertionError("training started")
+
+
+def test_non_binary_oracle_exits_1_before_training(tmp_path, corrected_run, monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    path = out / "ground_truth.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[10].split(b",")
+    cells[1] = b"2"  # r_sample of the tenth data row, row index 9
+    lines[10] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    monkeypatch.setattr(watchlab.cli, "train", _fail_training)
+    cfg = write_config(tmp_path / "config.json")
+    result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: oracle interest not 0 or 1: 2 (row index 9)\n" in result.output
+    assert not (out / "report.csv").exists()
+
+
+def test_label_file_cut_inside_its_last_line_exits_1(tmp_path, corrected_run, monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    path = out / "labeled_d2co_a.csv"
+    raw = path.read_bytes()
+    last = raw.rstrip(b"\r\n").rsplit(b"\r\n", 1)[1]
+    path.write_bytes(raw[:len(raw) - len(last) - 2] + last[:4])  # e.g. 0.8300520580639517 -> 0.83
+    monkeypatch.setattr(watchlab.cli, "train", _fail_training)
+    cfg = write_config(tmp_path / "config.json")
+    result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: row 4001: {path} does not end with a line break\n" in result.output
+    assert not (out / "report.csv").exists()
+
+
 def test_bad_estimator_key_exits_2_before_training(tmp_path, corrected_run):
     out = tmp_path / "run"
     shutil.copytree(corrected_run, out)

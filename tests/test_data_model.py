@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,21 @@ class TestCsv:
             ingest_csv(path)
         assert str(info.value) == f"row {line}: {message}"
 
+    def test_whole_columns_come_back_as_int64(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("d,w,count\n1,2.5,3\n-4,1e1,5e0\n")
+        d, w, count = read_float_columns(path, ["d", "w", "count"], whole=("d", "count"))
+        assert [c.dtype for c in (d, w, count)] == [np.int64, np.float64, np.int64]
+        assert (d.tolist(), w.tolist(), count.tolist()) == ([1, -4], [2.5, 10.0], [3, 5])
+
+    @pytest.mark.parametrize("cell", ["1.5", "1e19", "9223372036854775808", "-inf", "nan"])
+    def test_whole_cell_an_int64_cannot_hold_names_the_line(self, tmp_path, cell):
+        path = tmp_path / "c.csv"
+        path.write_text(f"w,count\n1,2\n1,{cell}\n")
+        with pytest.raises(MalformedRow) as info:
+            read_float_columns(path, ["w", "count"], whole=("count",))
+        assert str(info.value) == f"row 3: count not an int64: '{cell}'"
+
     def test_leftmost_bad_float_cell_wins(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("w_plus_d,w_minus_d\n1,2\nx,y\n")
@@ -351,6 +367,40 @@ class TestColumns:
     def test_bad_numbers_name_the_row(self, w, d, message):
         with pytest.raises(ValueError, match=message):
             Dataset(["a", "b"], ["x", "y"], w, d)
+
+    @pytest.mark.parametrize("column, values, message", [
+        ("timestamps", [1.5, 2.0], "row 0: timestamp not an int64: 1.5"),
+        ("timestamps", [1e19, 0.0], "row 0: timestamp not an int64: 1e+19"),
+        ("timestamps", [2.0 ** 63, 0.0], "row 0: timestamp not an int64: 9.223372036854776e+18"),
+        ("timestamps", [math.nan, 0.0], "row 0: timestamp not an int64: nan"),
+        ("timestamps", [0.0, -math.inf], "row 1: timestamp not an int64: -inf"),
+        ("true_interest", [0.5, 1], "row 0: true_interest not 0 or 1: 0.5"),
+        ("true_interest", [2, 0], "row 0: true_interest not 0 or 1: 2"),
+        ("true_interest", [1, math.nan], "row 1: true_interest not 0 or 1: nan"),
+    ])
+    def test_bad_timestamp_or_interest_names_the_row(self, column, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(["a", "b"], ["x", "y"], [1.0, 2.0], [5, 7], **{column: values})
+
+    def test_timestamp_and_interest_checks_follow_the_duration_checks(self):
+        def build(durations):
+            Dataset(["a", "b"], ["x", "y"], [1.0, 2.0], durations, timestamps=[1.5, 0.0],
+                    true_interest=[2, 3])
+        with pytest.raises(ValueError, match=re.escape("row 0: duration_s not an int64 >= 1")):
+            build([0, 5])
+        with pytest.raises(ValueError, match=re.escape("row 0: timestamp not an int64: 1.5")):
+            build([5, 0])  # the earliest bad row wins
+
+    def test_int64_timestamps_are_kept_and_other_columns_become_int64(self):
+        ts = np.array([2 ** 63 - 1, -2 ** 63])
+        ds = Dataset(["a", "b"], ["x", "y"], [1.0, 2.0], [5, 7], timestamps=ts,
+                     true_interest=np.array([True, False]))
+        assert np.shares_memory(ds.timestamps, ts)
+        assert (ds.true_interest.dtype, ds.true_interest.tolist()) == (np.int64, [1, 0])
+        ds = Dataset(["a", "b"], ["x", "y"], [1.0, 2.0], [5, 7], timestamps=[3.0, -2.0],
+                     true_interest=[1.0, 0.0])
+        for column, values in ((ds.timestamps, [3, -2]), (ds.true_interest, [1, 0])):
+            assert (column.dtype, column.tolist()) == (np.int64, values)
 
     def test_ids_are_codes_into_sorted_table(self):
         ds = Dataset(["u2", "u10", "u2"], ["i1", "i1", "i0"], [1.0, 2.0, 3.0], [5, 6, 7])

@@ -11,6 +11,7 @@ from watchlab.errors import (
     EmptyCurve,
     GroupTooSmall,
     LikelihoodDecrease,
+    MalformedRow,
     NoFittableGroups,
     WatchlabError,
 )
@@ -269,6 +270,20 @@ class TestSmoothCurves:
         path.write_text("".join(lines))
         with pytest.raises(WatchlabError, match=re.escape(f"{path}: {message}")):
             BiasNoiseCurves.from_csv(path)
+
+    def test_from_csv_rejects_a_count_an_int64_cannot_hold(self, tmp_path):
+        # a cast of 1e19 wraps to -2**63 with a RuntimeWarning, an error in these tests
+        path = tmp_path / "curves.csv"
+        smooth_curves(make_raw({5: 10, 9: 20, 14: 5}, [8.0, 12.0, 20.0]), window=1).to_csv(path)
+        lines = path.read_text().splitlines(True)
+        for line, column in ((2, "count"), (3, "d")):
+            cells = lines[line].rstrip("\r\n").split(",")
+            cells[BiasNoiseCurves.CSV_HEADER.index(column)] = "1e19"
+            lines[line] = ",".join(cells) + "\r\n"
+        path.write_text("".join(lines))
+        with pytest.raises(MalformedRow) as info:
+            BiasNoiseCurves.from_csv(path)
+        assert str(info.value) == "row 3: count not an int64: '1e19'"
 
     def test_from_csv_reads_a_zero_count(self, tmp_path):
         raw = make_raw({10: 100, 30: 100}, [10.0, 30.0])

@@ -191,6 +191,16 @@ class TestOracleLabels:
         ])
         assert oracle_labels(ds).tolist() == [1, 0, 1]
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_non_binary_truth_rejected(self, bad):
+        ds = tiny_dataset()
+        r = ds.true_interest.copy()
+        r[3] = bad
+        truth = GroundTruth(np.full(len(ds), 0.5), r, np.full(len(ds), 2.0),
+                            np.full(len(ds), 1.0))
+        with pytest.raises(NonBinaryLabels, match=f"not 0 or 1: {bad} \\(row index 3\\)"):
+            oracle_labels(ds, truth)
+
     def test_misaligned_truth(self):
         with pytest.raises(LengthMismatch):
             oracle_labels(tiny_dataset(), truth=[])

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from watchlab.errors import CurveOrderViolation, MissingColumn, OutOfRangeDuration
+from watchlab.errors import (
+    CurveOrderViolation,
+    MalformedRow,
+    MissingColumn,
+    OutOfRangeDuration,
+)
 from watchlab.synthgen import (
     GROUND_TRUTH_COLUMNS,
     Curve,
+    GroundTruth,
     SynthConfig,
     generate,
     read_ground_truth_csv,
@@ -150,6 +156,30 @@ def test_ground_truth_missing_column(tmp_path):
     path.write_text(path.read_text().replace("w_minus_d", "w_minus"))
     with pytest.raises(MissingColumn, match="w_minus_d"):
         read_ground_truth_csv(path)
+
+
+def test_ground_truth_r_sample_an_int64_cannot_hold(tmp_path):
+    _, truth = generate(SynthConfig(n_rows=5, seed=1))
+    path = tmp_path / "gt.csv"
+    write_ground_truth_csv(truth, path)
+    lines = path.read_text().splitlines(True)
+    cells = lines[2].split(",")
+    cells[GROUND_TRUTH_COLUMNS.index("r_sample")] = "1e19"
+    lines[2] = ",".join(cells)
+    path.write_text("".join(lines))
+    with pytest.raises(MalformedRow) as info:
+        read_ground_truth_csv(path)
+    assert str(info.value) == "row 3: r_sample not an int64: '1e19'"
+
+
+def test_ground_truth_r_sample_is_an_int64_column():
+    ones = np.ones(2)
+    r = np.array([0, 1])
+    assert np.shares_memory(GroundTruth(ones, r, ones, ones).r_sample, r)
+    back = GroundTruth(ones, [1.0, 0.0], ones, ones).r_sample
+    assert (back.dtype, back.tolist()) == (np.int64, [1, 0])
+    with pytest.raises(ValueError, match=r"row 1: r_sample not an int64: 0\.5"):
+        GroundTruth(ones, [1.0, 0.5], ones, ones)
 
 
 def test_bimodal_groups_prefer_two_components():
