@@ -31,10 +31,11 @@ from .data_model import (
     chronological_split_indices,
     compute_stats,
     ingest_csv,
+    read_float_columns,
     write_columns,
     write_csv,
 )
-from .errors import ConfigError, CurveOrderViolation, LengthMismatch, WatchlabError
+from .errors import ConfigError, CurveOrderViolation, EmptyDataset, LengthMismatch, WatchlabError
 from .estimator import BiasNoiseCurves, GmmOptions, fit_all_groups, smooth_curves
 from .evaluation import evaluate, gauc, improve_percentage, oracle_labels
 from .synthgen import (
@@ -224,20 +225,22 @@ def _run_config(config: dict, out_override) -> tuple[RunConfig, Path]:
 
 
 def _input(path, what: str) -> Path:
-    """`path` as a Path; ConfigError (exit 2) with `what` and the path if it is missing."""
+    """`path` as a Path; ConfigError (exit 2) with `what` and the path unless
+    it names a file, such as when it is missing or a directory."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{what}: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{what}: {path}" + (" is not a file" if path.exists() else ""))
     return path
 
 
 def _ground_truth(run: RunConfig, out_dir: Path) -> Path | None:
     """The ground-truth sidecar, or None where there is none: a file that
-    `ground_truth_csv` names must exist, while <out>/ground_truth.csv is optional."""
-    if run.ground_truth_csv:
-        return _input(run.ground_truth_csv, "ground truth not found")
-    path = out_dir / "ground_truth.csv"
-    return path if path.exists() else None
+    `ground_truth_csv` names must exist, while <out>/ground_truth.csv is
+    optional; either must be a file where it exists."""
+    path = Path(run.ground_truth_csv or out_dir / "ground_truth.csv")
+    if not (run.ground_truth_csv or path.exists()):
+        return None
+    return _input(path, "ground truth not found")
 
 
 def _write_rows(path, header, rows, dtypes) -> None:
@@ -295,7 +298,7 @@ def run_correct(config: dict, seed=None, out=None) -> Path:
 
     notes = {}
     if truth_path is not None:  # read and checked before the first write
-        truth = read_ground_truth_csv(truth_path)
+        truth = read_ground_truth_csv(truth_path, ["w_plus_d", "w_minus_d"])
         if len(truth) != len(dataset):
             raise LengthMismatch(f"{len(truth)} ground-truth rows for {len(dataset)} data rows")
         wp_true, wm_true = truth.w_plus_d, truth.w_minus_d
@@ -355,7 +358,7 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     run_methods = list(dict.fromkeys(["watch_time", *methods, "oracle"]))
 
     truth_path = _ground_truth(run, out_dir)
-    truth = None if truth_path is None else read_ground_truth_csv(truth_path)
+    truth = None if truth_path is None else read_ground_truth_csv(truth_path, ["r_sample"])
     oracle = oracle_labels(dataset, truth).astype(np.float64)
 
     watch_time = apply_method(dataset, CorrectionParams("watch_time")).labels
@@ -440,8 +443,10 @@ def run_report(config: dict, seed=None, out=None) -> Path:
     curves_path = _input(out_dir / "curves.csv", "curves not found (run `correct` first)")
     data_path = _input(run.dataset_csv or out_dir / "data.csv", "input dataset not found")
     curves = BiasNoiseCurves.from_csv(curves_path)
-    stats = compute_stats(ingest_csv(data_path, run.feature_fields))
-    bias_err, noise_err = error_decomposition(curves, stats.w_max)
+    (watch_times,) = read_float_columns(data_path, ["watch_time_s"], nonnegative=["watch_time_s"])
+    if watch_times.size == 0:
+        raise EmptyDataset(f"no data rows in {data_path}")
+    bias_err, noise_err = error_decomposition(curves, float(watch_times.max()))
     err_path = out_dir / "error_curves.csv"
     write_columns(err_path, ["d", "bias_err", "noise_err"],
                   [curves.durations, bias_err, noise_err])

@@ -94,6 +94,16 @@ class Dataset:
              timestamps, true_interest, features):
         w = np.asarray(watch_times, dtype=np.float64).reshape(-1)
         d, t, r = map(_int64_or_float, (durations, timestamps, true_interest))
+        tables = [np.asarray(table, dtype=str) for table in (user_table, item_table)]
+        codes = [np.asarray(c).reshape(-1) for c in (user_codes, item_codes)]
+        self.features = {f: np.asarray(c, dtype=str) for f, c in (features or {}).items()}
+        for f in ("user_id", "item_id"):
+            if f in self.features:
+                raise ValueError(f"feature field {f!r} names an id column")
+        # lengths first, so that a row check names a row every column has
+        if any(c.shape != w.shape for c in (d, *codes, *self.features.values(), t, r)
+               if c is not None):
+            raise ValueError(f"every column must hold {w.size} values")
         d_f = np.asarray(d, dtype=np.float64)  # an int64 duration is checked as a float too
         checks = [(~np.isfinite(w), lambda i: f"watch_time_s not finite: {w[i]}"),
                   (w < 0, lambda i: f"watch_time_s negative: {w[i]}"),
@@ -108,16 +118,6 @@ class Dataset:
         self.watch_times = w
         self.durations, self.timestamps, self.true_interest = (
             None if c is None else c.astype(np.int64, copy=False) for c in (d, t, r))
-        tables = [np.asarray(table, dtype=str) for table in (user_table, item_table)]
-        codes = [np.asarray(c).reshape(-1) for c in (user_codes, item_codes)]
-        self.features = {f: np.asarray(c, dtype=str) for f, c in (features or {}).items()}
-        for f in ("user_id", "item_id"):
-            if f in self.features:
-                raise ValueError(f"feature field {f!r} names an id column")
-        columns = [d, *codes, *self.features.values(),
-                   *(c for c in (self.timestamps, self.true_interest) if c is not None)]
-        if any(c.shape != w.shape for c in columns):
-            raise ValueError(f"every column must hold {w.size} values")
         for table, c in zip(tables, codes):
             if np.any(table[1:] <= table[:-1]):
                 raise ValueError("id tables must be sorted and duplicate-free")
@@ -299,48 +299,85 @@ def ingest_csv(path, feature_fields=()) -> Dataset:
     Durations are quantized to integer seconds. Watch times above duration
     are kept as-is (replays are real data). The optional columns follow the
     required ones' rules: a blank cell or a trailing NUL fails its row.
+    Other columns are not read.
     """
-    numeric = {"duration_s", "watch_time_s", "timestamp"} - set(feature_fields)  # features: text
-    return _read_columns(path, [*BASE_COLUMNS, *feature_fields], numeric,
+    types = dict.fromkeys(("duration_s", "watch_time_s", "timestamp"), float)
+    types.update(dict.fromkeys(("user_id", "item_id", "true_interest", *feature_fields), str))
+    return _read_columns(path, [*BASE_COLUMNS, *feature_fields], types,
                          lambda *read: _parse_columns(*read, feature_fields))
 
 
-def _load_columns(path, numeric):
-    """(header, columns, line of each row, None) of a CSV file read by
-    np.loadtxt: the `numeric` columns as float64 arrays, the others as str
-    arrays. None unless the text has no quote, NUL, bare CR or blank line,
-    holds a data row, every line has the header's field count and every
-    numeric cell parses. In such a text every line is one record and every
-    comma a field boundary, so the cells are csv.reader's."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    text = raw.replace(b"\r\n", b"\n")
-    text += b"" if text.endswith(b"\n") else b"\n"
-    if b'"' in raw or b"\0" in raw or b"\r" in text or b"\n\n" in text or text.startswith(b"\n"):
-        return None
+SCAN_CHUNK_BYTES = 1 << 16  # bytes of text searched for cell ends at a time
+
+
+def _cell_ends(text: bytes) -> np.ndarray:
+    """Offsets of the bytes that end a cell of a plain text, "," and "\n",
+    as int32 for a text under 2 GiB. The text is searched SCAN_CHUNK_BYTES at
+    a time, so no mask or int64 offsets of the whole text are made."""
     a = np.frombuffer(text, dtype=np.uint8)
-    ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))  # the byte after each cell
+    ends = np.empty(text.count(b",") + text.count(b"\n"),
+                    dtype=np.int32 if a.size < 2 ** 31 else np.int64)
+    done = 0
+    for lo in range(0, a.size, SCAN_CHUNK_BYTES):
+        chunk = a[lo:lo + SCAN_CHUNK_BYTES]
+        part = np.flatnonzero((chunk == ord(",")) | (chunk == ord("\n")))
+        ends[done:done + part.size] = part + lo
+        done += part.size
+    return ends
+
+
+def _load_columns(path, types):
+    """(header, columns, line of each row, None) of a CSV file read by
+    np.loadtxt. `types` maps the names of the columns to read to float (a
+    float64 array) or str (a str array as wide as its widest cell); a header
+    column it does not name is not read and comes back as None. None unless
+    the text has no quote, NUL, bare CR or blank line, holds a data row,
+    every line has the header's field count and every cell of a float column
+    read parses. In such a text every line is one record and every comma a
+    field boundary, so the cells are csv.reader's.
+
+    The field counts and the widths come from one copy of the text, which
+    keeps its CRLF line ends, and the offsets of its cell ends; np.loadtxt
+    then reads the file again, given the columns to read as usecols."""
+    with open(path, "rb") as f:
+        text = f.read()
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    if (b'"' in text or b"\0" in text or text.count(b"\r") != text.count(b"\r\n")
+            or b"\n\n" in text or b"\n\r\n" in text or text[:1] in (b"\n", b"\r")):
+        return None
+    ends = _cell_ends(text)
+    a = np.frombuffer(text, dtype=np.uint8)
     kinds = a[ends]
     k = int(np.argmax(kinds == ord("\n"))) + 1
     if kinds.size == k or kinds.size % k or np.any(kinds.reshape(-1, k) != kinds[:k]):
         return None
-    header = text[:ends[k - 1]].decode("utf-8").split(",")
+    header = text[:ends[k - 1]].decode("utf-8").removesuffix("\r").split(",")
+    read = [j for j, c in enumerate(header) if c in types]
+    if not read:
+        return None  # csv.reader's route names the missing column
+    crlf = a[ends[2 * k - 1::k] - 1] == ord("\r")  # data lines whose last cell ends in CR
     if a.max() >= 0x80:  # count cell ends in characters: UTF-8 continuation bytes start none
-        ends = ends - np.add.reduceat((a & 0xC0) == 0x80, np.r_[0, ends[:-1]],
-                                      dtype=np.int64).cumsum()
-    widths = (ends[k:] - ends[k - 1:-1]).reshape(-1, k).max(axis=0) - 1
+        ends -= np.add.reduceat((a & 0xC0) == 0x80, np.r_[0, ends[:-1]],
+                                dtype=ends.dtype).cumsum(dtype=ends.dtype)
+    # cell j of a data row spans the characters between the end before it and its own
+    widths = [int((ends[k + j::k] - ends[k + j - 1:-1:k] - (crlf if j == k - 1 else 0)).max())
+              - 1 if types[header[j]] is str else 0 for j in read]
     n, size = kinds.size // k - 1, a.size
-    del raw, text, a, ends, kinds  # the loader's table needs the memory
-    if n * sum(int(w) for c, w in zip(header, widths) if c not in numeric) > size:
+    del text, a, ends, kinds  # the loader's table needs the memory
+    if n * sum(widths) > size:
         return None  # str arrays larger than the text: a few very long cells
-    dtype = [(f"f{j}", np.float64 if c in numeric else f"U{max(w, 1)}")
-             for j, (c, w) in enumerate(zip(header, widths))]
+    dtype = [(f"f{j}", np.float64 if types[header[j]] is float else f"U{max(w, 1)}")
+             for j, w in zip(read, widths)]
     try:
         table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                           encoding="utf-8", skiprows=1, ndmin=1)
-    except ValueError:  # a numeric cell that does not parse, or bytes that are not UTF-8
+                           encoding="utf-8", skiprows=1, ndmin=1, usecols=read)
+    except ValueError:  # a float cell that does not parse, or bytes that are not UTF-8
         return None
-    return header, [table[f].copy() for f in table.dtype.names], np.arange(2, n + 2), None
+    columns = [None] * len(header)
+    for j in read:
+        columns[j] = table[f"f{j}"].copy()
+    return header, columns, range(2, n + 2), None
 
 
 def _csv_reader_columns(raw: bytes):
@@ -376,15 +413,16 @@ def _csv_reader_columns(raw: bytes):
     return header, cols, lines, error
 
 
-def _read_columns(path, required, numeric, parse):
+def _read_columns(path, required, types, parse):
     """parse(header, columns in header order, line of each row) of a CSV
-    file. A file that _load_columns reads, with the `numeric` columns as
-    float64, is parsed from those typed columns; any other
-    file, and one whose columns parse rejects, from csv.reader's string
-    lists, which give every MalformedRow its cell as the file spells it.
-    Raises MalformedRow for a repeated column name, MissingColumn for an
-    absent `required` column, and after parse's own errors (an earlier bad
-    row wins) the MalformedRow for a row with the wrong field count."""
+    file, where only the columns that `types` names (see _load_columns) are
+    read and the others are None. A file that _load_columns reads is parsed
+    from its typed columns; any other file, and one whose columns parse
+    rejects, from csv.reader's string lists, which give every MalformedRow
+    its cell as the file spells it. Raises MalformedRow for a repeated column
+    name, MissingColumn for an absent `required` column, and after parse's
+    own errors (an earlier bad row wins) the MalformedRow for a row with the
+    wrong field count, whether or not that row's cells are read."""
     def parsed(header, cols, lines, error):
         for c in header:
             if header.count(c) > 1:
@@ -392,13 +430,14 @@ def _read_columns(path, required, numeric, parse):
         for c in required:
             if c not in header:
                 raise MissingColumn(c)
-        result = parse(header, cols, lines)
+        result = parse(header, [col if c in types else None for c, col in zip(header, cols)],
+                       lines)
         if error:
             raise error
         return result
 
     try:
-        loaded = _load_columns(path, numeric)
+        loaded = _load_columns(path, types)
         if loaded:
             try:
                 return parsed(*loaded)
@@ -413,14 +452,15 @@ def _read_columns(path, required, numeric, parse):
                            f"not valid UTF-8: byte {exc.object[exc.start]:#04x}") from None
 
 
-def read_float_columns(path, names, whole=()) -> list:
+def read_float_columns(path, names, whole=(), nonnegative=()) -> list:
     """The `names` columns of a CSV file in that order: the `whole` ones as
-    int64 arrays, the others as float64 arrays.
+    int64 arrays, the others as float64 arrays. Other columns are not read.
 
     Raises MissingColumn for an absent column, and MalformedRow naming the
-    line of the first row with the wrong number of fields or with a cell
-    that is not a finite number (in the `whole` columns, not a whole number
-    that an int64 holds).
+    line of the first row with the wrong number of fields, in any column, or
+    with a cell of `names` that is not a finite number (in the `whole`
+    columns, not a whole number that an int64 holds; in the `nonnegative`
+    ones, not a finite number >= 0).
     """
     def parse(header, cols, lines):
         out, checks = [], []  # in column order: a row's leftmost bad cell wins
@@ -429,13 +469,16 @@ def read_float_columns(path, names, whole=()) -> list:
             values, bad = _parse_floats(column)
             kind = "an int64" if name in whole else "a finite number"
             bad |= not_int64(values) if name in whole else ~np.isfinite(values)
+            if name in nonnegative:
+                kind += " >= 0"
+                bad |= values < 0
             checks.append((bad, lambda i, name=name, column=column, kind=kind:
                            f"{name} not {kind}: {column[i]!r}"))
             out.append(values)
         raise_first_bad(checks, lambda i, message: MalformedRow(int(lines[i]), message))
         return [v.astype(np.int64) if name in whole else v for name, v in zip(names, out)]
 
-    return _read_columns(path, names, names, parse)
+    return _read_columns(path, names, dict.fromkeys(names, float), parse)
 
 
 def _quote(cell: str) -> str:

@@ -85,26 +85,27 @@ class SynthConfig:
 class GroundTruth:
     """Row-aligned latent truth of a synthetic log, as numpy columns: the
     interest probability, the sampled interest and both curves at the row's
-    duration."""
+    duration. A column given as None, one a partial read left out, stays None."""
 
     def __init__(self, p_interest, r_sample, w_plus_d, w_minus_d):
-        self.p_interest = np.asarray(p_interest, dtype=np.float64)
-        r = np.asarray(r_sample)
-        if r.dtype != np.int64:  # kept as given; any other is read as float64
+        r = None if r_sample is None else np.asarray(r_sample)
+        if r is not None and r.dtype != np.int64:  # kept as given; any other is read as float64
             r = np.asarray(r, dtype=np.float64)
             raise_first_bad([(not_int64(r), lambda i: f"r_sample not an int64: {r[i]}")],
                             lambda i, message: ValueError(f"row {i}: {message}"))
-        self.r_sample = r.astype(np.int64, copy=False)
-        self.w_plus_d = np.asarray(w_plus_d, dtype=np.float64)
-        self.w_minus_d = np.asarray(w_minus_d, dtype=np.float64)
-        if {c.shape for c in self._columns()} != {(self.p_interest.size,)}:
+        self.r_sample = None if r is None else r.astype(np.int64, copy=False)
+        self.p_interest, self.w_plus_d, self.w_minus_d = (
+            None if c is None else np.asarray(c, dtype=np.float64)
+            for c in (p_interest, w_plus_d, w_minus_d))
+        given = [c for c in self._columns() if c is not None]
+        if len({c.shape for c in given}) != 1 or given[0].ndim != 1:
             raise ValueError("ground-truth columns must be 1-D and equally long")
 
     def _columns(self):
         return self.p_interest, self.r_sample, self.w_plus_d, self.w_minus_d
 
     def __len__(self):
-        return self.p_interest.size
+        return next(c for c in self._columns() if c is not None).size
 
 
 def true_curves(config: SynthConfig, d) -> tuple:
@@ -181,5 +182,8 @@ def write_ground_truth_csv(truth: GroundTruth, path) -> None:
     write_columns(path, GROUND_TRUTH_COLUMNS, truth._columns())
 
 
-def read_ground_truth_csv(path) -> GroundTruth:
-    return GroundTruth(*read_float_columns(path, GROUND_TRUTH_COLUMNS, whole=("r_sample",)))
+def read_ground_truth_csv(path, columns=GROUND_TRUTH_COLUMNS) -> GroundTruth:
+    """The GroundTruth of a write_ground_truth_csv file. Only the `columns`
+    are read and checked; the others are None in the result."""
+    values = read_float_columns(path, columns, whole=("r_sample",))
+    return GroundTruth(**{**dict.fromkeys(GROUND_TRUTH_COLUMNS), **dict(zip(columns, values))})

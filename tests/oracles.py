@@ -48,6 +48,13 @@ def matched_interest_dataset(p_values, durations, bias_curve: Curve,
     return dataset, GroundTruth(p, p >= 0.5, wp, wm)
 
 
+def numpy_quantile_bins(values, n_bins: int) -> tuple:
+    """ranking.quantile_bins by np.quantile: the distinct linear quantiles
+    from np.unique and the right-closed bin of each value."""
+    edges = np.unique(np.quantile(values, np.linspace(0, 1, n_bins + 1)))
+    return edges, np.searchsorted(edges[1:-1], values, side="left")
+
+
 def fm_score_bruteforce(model: FMModel, idx_row) -> float:
     """O(k m^2) pairwise reference used to check the identity-based score."""
     s = model.bias + sum(model.linear[i] for i in idx_row)

@@ -848,8 +848,20 @@ def _nan_label(lines):
     return [lines[0], lines[1], "nan\n", *lines[3:]]
 
 
-def _bad_truth_cell(lines):
-    return [*lines[:2], "x" + lines[2][lines[2].index(","):], *lines[3:]]
+def _bad_truth_cell(lines, column):
+    """The lines with cell `column` of the second data row replaced by x."""
+    body = lines[2].rstrip("\r\n")
+    cells = body.split(",")
+    cells[column] = "x"
+    return [*lines[:2], ",".join(cells) + lines[2][len(body):], *lines[3:]]
+
+
+def _bad_r_sample(lines):
+    return _bad_truth_cell(lines, 1)
+
+
+def _bad_w_plus_d(lines):
+    return _bad_truth_cell(lines, 2)
 
 
 def _drop_second_column(lines):
@@ -868,10 +880,9 @@ BAD_SIDECARS = [
     ("train-eval", "labeled_pcr.csv", _nan_label, "error: row 3: label not a finite number: 'nan'"),
     ("train-eval", "labeled_d2co_s.csv", lambda ls: ls + ls[-1:], "error: 4001 labels in "),
     ("train-eval", "labeled_d2co_s.csv", lambda ls: ls[:-1], "error: 3999 labels in "),
-    ("train-eval", "ground_truth.csv", _bad_truth_cell,
-     "error: row 3: p_interest not a finite number: 'x'"),
-    ("correct", "ground_truth.csv", _bad_truth_cell,
-     "error: row 3: p_interest not a finite number: 'x'"),
+    ("train-eval", "ground_truth.csv", _bad_r_sample, "error: row 3: r_sample not an int64: 'x'"),
+    ("correct", "ground_truth.csv", _bad_w_plus_d,
+     "error: row 3: w_plus_d not a finite number: 'x'"),
     ("report", "curves.csv", _drop_second_column, "error: missing column: w_plus_raw"),
     ("correct", "data.csv", _repeat_last_column, "error: row 1: repeated column: true_interest"),
 ]
@@ -946,7 +957,7 @@ def _short_truth(out):
 
 def _bad_truth(out):
     path = out / "ground_truth.csv"
-    path.write_text("".join(_bad_truth_cell(path.read_text().splitlines(True))))
+    path.write_text("".join(_bad_w_plus_d(path.read_text().splitlines(True))))
     return {}
 
 
@@ -954,7 +965,7 @@ def _bad_truth(out):
     (lambda out: {"ground_truth_csv": str(out / "no_such_truth.csv")}, 2,
      "configuration error: ground truth not found: "),
     (_short_truth, 1, "error: 99 ground-truth rows for 4000 data rows"),
-    (_bad_truth, 1, "error: row 3: p_interest not a finite number: 'x'"),
+    (_bad_truth, 1, "error: row 3: w_plus_d not a finite number: 'x'"),
 ], ids=["missing", "short", "bad-cell"])
 def test_correct_checks_ground_truth_before_writing(tmp_path, corrected_run, truth, code,
                                                     message):
@@ -982,3 +993,82 @@ def test_default_ground_truth_stays_optional(tmp_path, corrected_run):
     assert "curve_error" not in json.loads((out / "manifest.json").read_text())["notes"]
     result = invoke("train-eval", "--config", str(cfg), "--out", str(out))
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("where", ["dataset_csv", "ground_truth_csv", "default_ground_truth"])
+def test_input_that_is_a_directory_exits_2(tmp_path, corrected_run, where):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    overrides = {"correction": {"methods": ["d2co_a"]}}
+    if where == "default_ground_truth":
+        (out / "ground_truth.csv").unlink()
+        folder = out / "ground_truth.csv"
+        folder.mkdir()
+    else:
+        overrides[where] = str(folder)
+    cfg = write_config(tmp_path / "config.json", **overrides)
+    result = invoke("correct", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f": {folder} is not a file\n" in result.output.split("configuration error: ", 1)[1]
+
+
+@pytest.mark.parametrize("command", ["correct", "train-eval"])
+def test_bad_cell_in_an_unread_truth_column_is_not_an_error(tmp_path, corrected_run, command):
+    # correct reads w_plus_d and w_minus_d of the ground truth, train-eval r_sample
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    path = out / "ground_truth.csv"
+    path.write_text("".join(_bad_truth_cell(path.read_text().splitlines(True), 0)))
+    cfg = write_config(tmp_path / "config.json")
+    result = invoke(command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    for name in ("curves.csv", "labeled_d2co_a.csv") if command == "correct" else ():
+        assert sha(out / name) == sha(corrected_run / name)
+
+
+def _edit_data_row(out, column, cell):
+    """Set `column` of the second data row of <out>/data.csv to `cell`."""
+    path = out / "data.csv"
+    header, first, second, *rest = path.read_bytes().split(b"\r\n")
+    cells = second.split(b",")
+    cells[header.split(b",").index(column.encode())] = cell.encode()
+    path.write_bytes(b"\r\n".join([header, first, b",".join(cells), *rest]))
+
+
+def test_report_reads_only_the_watch_times(tmp_path, corrected_run):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    cfg = write_config(tmp_path / "config.json")
+    assert invoke("report", "--config", str(cfg), "--out", str(out)).exit_code == 0
+    expected = sha(out / "error_curves.csv")
+    (out / "error_curves.csv").unlink()
+    _edit_data_row(out, "item_id", "")
+    result = invoke("report", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert sha(out / "error_curves.csv") == expected
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("-1.5", "error: row 3: watch_time_s not a finite number >= 0: '-1.5'\n"),
+    ("inf", "error: row 3: watch_time_s not a finite number >= 0: 'inf'\n"),
+    ("x", "error: row 3: watch_time_s not a finite number >= 0: 'x'\n"),
+    (None, "error: no data rows in "),
+])
+def test_report_rejects_a_bad_watch_time_or_an_empty_log(tmp_path, corrected_run, cell,
+                                                         message):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    if cell is None:
+        path = out / "data.csv"
+        path.write_bytes(path.read_bytes().split(b"\r\n", 1)[0] + b"\r\n")
+    else:
+        _edit_data_row(out, "watch_time_s", cell)
+    cfg = write_config(tmp_path / "config.json")
+    result = invoke("report", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert not (out / "error_curves.csv").exists()

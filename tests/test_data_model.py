@@ -257,6 +257,31 @@ class TestCsv:
             read_float_columns(path, ["w", "count"], whole=("count",))
         assert str(info.value) == f"row 3: count not an int64: '{cell}'"
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loader", "csv_reader"])
+    @pytest.mark.parametrize("line", ["1", "1,a,b"], ids=["short", "long"])
+    @pytest.mark.parametrize("read", [
+        lambda path: read_float_columns(path, ["watch_time_s"]),
+        lambda path: ingest_csv(path),
+    ], ids=["one_column", "log"])
+    def test_wrong_field_count_fails_its_line_in_read_and_unread_columns(self, tmp_path, quote,
+                                                                         line, read):
+        # the short line lacks the unread `note`, the long one adds a field after it
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s,note\n"
+                        f"a,x,10,3,{quote}n{quote}\nb,y,10,{line}\nc,z,10,3,n\n")
+        with pytest.raises(MalformedRow) as info:
+            read(path)
+        assert str(info.value) == f"row 3: expected 5 fields, got {4 + line.count(',')}"
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loader", "csv_reader"])
+    def test_unread_columns_are_not_checked(self, tmp_path, quote):
+        path = tmp_path / "c.csv"
+        path.write_text(f"w,note,d\n1,{quote}n{quote},2\n3,,x\n")
+        (w,) = read_float_columns(path, ["w"])
+        assert w.tolist() == [1.0, 3.0]
+        with pytest.raises(MalformedRow, match="^row 3: d not a finite number: 'x'$"):
+            read_float_columns(path, ["w", "d"])
+
     def test_leftmost_bad_float_cell_wins(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("w_plus_d,w_minus_d\n1,2\nx,y\n")
@@ -381,6 +406,13 @@ class TestColumns:
     def test_bad_timestamp_or_interest_names_the_row(self, column, values, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             Dataset(["a", "b"], ["x", "y"], [1.0, 2.0], [5, 7], **{column: values})
+
+    @pytest.mark.parametrize("columns", [{"durations": [5], "timestamps": [0.0, 1.5]},
+                                         {"durations": [5, 0.5]}], ids=["timestamps", "durations"])
+    def test_lengths_are_checked_before_rows(self, columns):
+        # a row check would name row 1, which the watch times do not have
+        with pytest.raises(ValueError, match="^every column must hold 1 values$"):
+            Dataset(["a"], ["x"], [1.0], **columns)
 
     def test_timestamp_and_interest_checks_follow_the_duration_checks(self):
         def build(durations):

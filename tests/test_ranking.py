@@ -1,6 +1,7 @@
 """The segmented rank kernel against per-group loops built on scipy's
 rankdata, which the metrics and the D2Q label used before the kernel."""
 
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from watchlab.errors import NoEvaluableUsers
 from watchlab.evaluation import gauc, ndcg_at_k
 from watchlab.ranking import descending_order, descending_ranks, group_codes, quantile_bins
 
+from oracles import numpy_quantile_bins
 from rows import rows_dataset
 
 
@@ -157,6 +159,26 @@ def test_quantile_bins_match_numpy_quantiles(values, n_bins):
     assert bins.tolist() == np.searchsorted(ref[1:-1], values, side="left").tolist()
 
 
+def test_quantile_bins_equal_numpy_quantile_bins_bit_for_bit():
+    rng = np.random.default_rng(0)
+    # one value (each virtual index is at the last value), more bins than
+    # values, all-equal values, -0.0 (whose sign shows which of numpy's two
+    # interpolations ran), then random int64 columns
+    cases = [(np.array([7]), 1), (np.array([7]), 4), (np.array([3, 1]), 9),
+             (np.full(9, -4), 3), (np.arange(5), 4), (np.array([-0.0]), 1),
+             (np.array([-0.0, -0.0, 2.5]), 3)]
+    for _ in range(1000):
+        n = int(rng.integers(1, 300))
+        high = int(rng.choice([3, 60, 4000, 2 ** 40, 2 ** 62]))
+        cases.append((rng.integers(-high, high, n), int(rng.integers(1, 2 * n + 3))))
+    for values, n_bins in cases:
+        edges, bins = quantile_bins(values, n_bins)
+        ref_edges, ref_bins = numpy_quantile_bins(values, n_bins)
+        assert (edges.dtype, edges.tobytes()) == (ref_edges.dtype, ref_edges.tobytes()), (
+            values.tolist(), n_bins)
+        assert bins.tolist() == ref_bins.tolist()
+
+
 def test_descending_ranks_hand_example():
     values = np.array([3.0, 1.0, 3.0, 2.0, 5.0, 5.0, 5.0])
     codes = np.array([0, 0, 0, 0, 1, 1, 1])
@@ -218,3 +240,28 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_correct_and_train_eval_leave_numpy_ma_out(tmp_path):
+    """No stage imports numpy.ma (np.quantile does on numpy 2); where numpy's
+    own import loads it, as numpy 1.24 does, there is nothing to check."""
+    env = dict(os.environ)
+    src = str(Path(watchlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def loads_numpy_ma(code):
+        out = subprocess.run([sys.executable, "-c", code + "\nprint('numpy.ma' in sys.modules)"],
+                             env=env, capture_output=True, text=True, timeout=120, check=True)
+        return out.stdout.splitlines()[-1] == "True"
+
+    if loads_numpy_ma("import sys, numpy"):
+        pytest.skip("import numpy loads numpy.ma")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "generate": {"n_rows": 2000, "n_users": 30, "n_items": 40},
+        "correction": {"methods": ["d2q", "d2co_a"], "alpha": -0.01},
+        "split": {"fractions": [0.6, 0.2, 0.2]}, "trainer": {"epochs": 1}}))
+    for command in ("generate", "correct", "train-eval"):
+        args = [command, "--config", str(config), "--out", str(tmp_path / "run")]
+        assert not loads_numpy_ma(f"import sys, watchlab.cli\nwatchlab.cli.main({args!r})"), (
+            command)
