@@ -50,10 +50,8 @@ from .trainer import FMModel, TrainConfig, build_vocab, train
 
 def _load_config(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(_input(path, "config file not found"), encoding="utf-8") as f:
             config = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(config, dict):
@@ -219,9 +217,15 @@ class SweepConfig:
 def _run_config(config: dict, out_override) -> tuple[RunConfig, Path]:
     """The top-level keys, and the output directory, which is not made here:
     generate and correct make it right before their first write, and
-    train-eval and report read inputs from it, so a failed check leaves none."""
+    train-eval and report read inputs from it, so a failed check leaves none.
+    ConfigError when the directory, or the nearest of its parents that
+    exists, is not a directory, such as a file."""
     run = _section(RunConfig, config, None, skip=SECTIONS)
-    return run, Path(out_override or run.out_dir)
+    out_dir = Path(out_override or run.out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory: {existing} is not a directory")
+    return run, out_dir
 
 
 def _input(path, what: str) -> Path:

@@ -19,7 +19,7 @@ from .errors import (
     NumericOverflow,
 )
 from .estimator import BiasNoiseCurves
-from .ranking import descending_order, descending_ranks, quantile_bins
+from .ranking import descending_order, descending_ranks, group_codes, quantile_bins
 
 METHOD_IDS = (
     "watch_time",
@@ -45,9 +45,10 @@ def group_watch_stats(dataset: Dataset) -> tuple:
     whose watch times are all equal gets exactly that mean and a zero std.
     """
     w = dataset.watch_times
-    durations, first, group = np.unique(dataset.durations, return_index=True,
-                                        return_inverse=True)
+    durations, group = group_codes(dataset.durations)
     counts = np.bincount(group)
+    # each group's first row: a stable radix sort of the narrow codes keeps row order
+    first = np.argsort(group, kind="stable")[np.cumsum(counts) - counts]
     ref = w[first]
     dev = w - ref[group]
     shift = np.bincount(group, dev) / counts

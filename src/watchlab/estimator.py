@@ -9,6 +9,7 @@ import numpy as np
 
 from .data_model import Dataset, raise_first_bad, read_float_columns, write_columns
 from .errors import EmptyCurve, GroupTooSmall, LikelihoodDecrease, NoFittableGroups, WatchlabError
+from .ranking import group_codes
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,11 @@ def fit_all_groups(dataset: Dataset, options: GmmOptions | None = None) -> dict:
         raise NoFittableGroups("empty dataset")
     w = dataset.watch_times
     d = dataset.durations
-    order = np.argsort(d, kind="stable")  # keeps row order inside each group
-    uniq, first = np.unique(d[order], return_index=True)
-    groups = [(int(dk), x) for dk, x in zip(uniq, np.split(w[order], first[1:]))
+    durations, group = group_codes(d)
+    # a stable sort of narrow codes is numpy's radix sort; it keeps row order inside each group
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group))
+    groups = [(int(dk), x) for dk, x in zip(durations, np.split(w[order], ends[:-1]))
               if x.size >= options.min_group_size]
     if not groups:
         raise NoFittableGroups("no duration group reaches min_group_size")

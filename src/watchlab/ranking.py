@@ -1,9 +1,16 @@
 """Segmented rank kernel shared by GAUC, nDCG and the D2Q label, with one
 convention: rows sort by group code, then by descending value, ties in row
-order, and tied values share their average rank. `group_codes` is the one
-coder of keys: dataset ids, trainer feature columns and the metrics' user
-groups all become a sorted table plus codes through it. The equal-frequency
-bins of D2Q and of the duration ranges are made here too."""
+order, and tied values share their average rank. That order is
+np.lexsort((-values, codes)); descending_order makes it from numpy's fast
+unstable sorts, an argsort of the values for dense value ranks and a sort of
+one int64 key per row, (code, descending rank, row), that no two rows share.
+
+`group_codes` is the one coder of keys: dataset ids, trainer feature columns
+and the metrics' user groups all become a sorted table plus codes through it.
+A str array whose strings are at most 8 characters, all below U+0100, such
+as the synthetic ids u17 and i2048, sorts as packed uint64s; any other str
+array sorts as strings. The equal-frequency bins of D2Q and of the duration
+ranges are made here too."""
 
 from __future__ import annotations
 
@@ -11,37 +18,61 @@ import numpy as np
 
 
 def _hashed_codes(keys: list):
-    """np.unique(np.asarray(keys, dtype=str), return_inverse=True) when every
-    key is a str, else None; the codes come in the narrowest unsigned type.
-    Only the distinct keys are sorted; each key then takes its code from a dict."""
+    """group_codes(np.asarray(keys, dtype=str)) when every key is a str, else
+    None. Only the distinct keys are sorted; each key then takes its code
+    from a dict."""
     distinct = list(set(keys))
     if not set(map(type, distinct)) <= {str}:
         return None
-    table, inverse = np.unique(np.array(distinct, dtype=str), return_inverse=True)
+    table, inverse = group_codes(np.array(distinct, dtype=str))
     code = dict(zip(distinct, inverse.tolist()))
-    return table, np.fromiter(map(code.__getitem__, keys), dtype=np.min_scalar_type(table.size),
-                              count=len(keys))
+    return table, np.fromiter(map(code.__getitem__, keys), dtype=inverse.dtype, count=len(keys))
+
+
+def _packed(keys: np.ndarray):
+    """A 1-D str array whose strings are at most 8 characters, all below
+    U+0100, as uint64s in the strings' order: each string's code points,
+    NUL-padded as numpy pads them, are the bytes of a big-endian number.
+    None for any other array."""
+    width = keys.dtype.itemsize // 4
+    if keys.dtype.kind != "U" or width > 8:
+        return None
+    points = np.ascontiguousarray(keys).view(np.uint32).reshape(-1, width)
+    # in a byte-swapped array every character but NUL reads as above U+00FF
+    if points.size and points.max() > 0xFF:
+        return None
+    digits = np.zeros((points.shape[0], 8), dtype=np.uint8)
+    digits[:, :width] = points
+    return digits.view(">u8").reshape(-1).astype(np.uint64)
 
 
 def group_codes(keys) -> tuple[np.ndarray, np.ndarray]:
     """(sorted table of the distinct keys, code of each key into it in the
     narrowest unsigned type, which numpy sorts fastest), the values of
     np.unique(keys, return_inverse=True). A list, or an object array, of str
-    is hashed as it comes; a str array, such as a loaded id column, goes to
-    np.unique itself, so that no Python str is made per row."""
+    is hashed as it comes. A str array, such as a loaded id column, makes no
+    Python str per row: where _packed turns it into uint64s, np.unique sorts
+    those with numpy's fast integer sort, and else it sorts the strings."""
     if not isinstance(keys, list):
         keys = np.asarray(keys)
         if keys.dtype.kind == "O":
             keys = keys.reshape(-1).tolist()
-    coded = None
     if isinstance(keys, list):
         coded = _hashed_codes(keys)
-        if coded is None:
-            # not all str: from a list numpy picks str or int, so keys keep
-            # their natural order
-            keys = np.array(keys)
-    table, codes = coded or np.unique(keys, return_inverse=True)
-    return table, codes.reshape(-1).astype(np.min_scalar_type(table.size), copy=False)
+        if coded is not None:
+            return coded
+        # not all str: from a list numpy picks str or int, so keys keep
+        # their natural order
+        keys = np.array(keys)
+    keys = keys.reshape(-1)
+    packed = _packed(keys)
+    if packed is None:
+        table, codes = np.unique(keys, return_inverse=True)
+    else:
+        distinct, codes = np.unique(packed, return_inverse=True)
+        table = np.empty(distinct.size, dtype=keys.dtype)
+        table[codes] = keys  # the rows of one code hold one string
+    return table, codes.astype(np.min_scalar_type(table.size), copy=False)
 
 
 def quantile_bins(values, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,8 +104,42 @@ def quantile_bins(values, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def descending_order(values, codes) -> np.ndarray:
-    """Row order by group code, then by descending value, ties in row order."""
-    return np.lexsort((-np.asarray(values), codes))
+    """Row order by group code, then by descending value, ties in row order:
+    np.lexsort((-values, codes)) for NaN-free float values and integer codes.
+
+    One unstable argsort of the values, numpy's fastest sort, gives each row
+    a dense rank in which tied values, 0.0 and -0.0 too, share one. Each row
+    then gets one int64 key, (code, descending rank, row), which no two rows
+    share, so that sorting the keys themselves gives the stable order, and
+    each sorted key modulo the row count is its row. Where that key could
+    overflow int64, lexsort itself sorts.
+    """
+    values, codes = np.asarray(values), np.asarray(codes)
+    n = values.size
+    by_value = np.argsort(values)
+    if n == 0:
+        return by_value
+    v = values[by_value]
+    new = v[1:] != v[:-1]  # a new value starts at each True, in value order
+    del v
+    n_ranks, lo = 1 + int(np.count_nonzero(new)), int(codes.min())
+    if (int(codes.max()) - lo + 1) * n_ranks * n > 2 ** 63:
+        return np.lexsort((-values, codes))
+    # key = ((code - lo) * n_ranks - rank) * n + row, made in place and with the
+    # rank in by_value's buffer, so that at most two int64 columns are held
+    key = codes[by_value].astype(np.int64)
+    key -= lo
+    key *= n_ranks * n
+    key += by_value
+    rank = by_value
+    rank[0] = 0
+    rank[1:] = new
+    np.cumsum(rank, out=rank)  # in place: a bool input would be cast into a buffer
+    rank *= n
+    key -= rank
+    key.sort()
+    key %= n
+    return key
 
 
 def descending_ranks(values, codes) -> tuple[np.ndarray, np.ndarray]:

@@ -1015,6 +1015,31 @@ def test_input_that_is_a_directory_exits_2(tmp_path, corrected_run, where):
     assert f": {folder} is not a file\n" in result.output.split("configuration error: ", 1)[1]
 
 
+@pytest.mark.parametrize("command", list(watchlab.cli.COMMANDS))
+def test_config_that_is_a_directory_exits_2(tmp_path, command):
+    result = invoke(command, "--config", str(tmp_path), "--out", str(tmp_path / "run"))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"configuration error: config file not found: {tmp_path} is not a file\n" in (
+        result.output)
+
+
+@pytest.mark.parametrize("command", list(watchlab.cli.COMMANDS))
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_output_path_through_a_file_exits_2_before_writing(tmp_path, corrected_run, command,
+                                                            below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    cfg = write_config(tmp_path / "config.json", dataset_csv=str(corrected_run / "data.csv"))
+    out = afile / "run" if below else afile
+    result = invoke(command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"configuration error: output directory: {afile} is not a directory\n" in (
+        result.output)
+    assert sorted(tmp_path.iterdir()) == [afile, cfg] and afile.read_text() == "kept"
+
+
 @pytest.mark.parametrize("command", ["correct", "train-eval"])
 def test_bad_cell_in_an_unread_truth_column_is_not_an_error(tmp_path, corrected_run, command):
     # correct reads w_plus_d and w_minus_d of the ground truth, train-eval r_sample

@@ -261,19 +261,28 @@ def test_csv_io_peaks_below_eight_times_the_log_size(tmp_path, step):
     assert peak < 8 * (tmp_path / "data.csv").stat().st_size
 
 
+# "ÿ" is U+00FF, the last character the packed route takes, and "Ā" U+0100
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.text(st.sampled_from(["a", "b", "é", "日", "\x00"]), max_size=3), max_size=8))
+@given(st.lists(st.text(st.sampled_from(["a", "b", "é", "ÿ", "Ā", "日", "\x00"]), max_size=9),
+                max_size=8))
 @example([])
 @example([""])
 @example(["", "a", ""])
 @example(["only"])
 @example(["é", "e", "日本", "z", "e"])
 @example(["a", "a\x00", "a\x00\x00", "\x00", ""])
+@example(["ÿÿÿÿÿÿÿÿ", "abcdefgh", "abcdefg", "\x00abcdefg", "b", "abcdefgh"])  # width 8
+@example(["abcdefghi", "abcdefgh", "ÿ", "abcdefghi"])  # width 9
+@example(["ÿÿÿÿÿÿÿĀ", "ÿ", "Ā"])
 def test_string_codes_equal_np_unique(keys):
     ref_table, ref_codes = np.unique(np.asarray(keys, dtype=str), return_inverse=True)
-    for given_keys in (keys, np.asarray(keys, dtype=str), np.asarray(keys, dtype=object)):
+    swapped = np.asarray(keys, dtype=str)
+    swapped = swapped.astype(swapped.dtype.newbyteorder())
+    for given_keys in (keys, np.asarray(keys, dtype=str), np.asarray(keys, dtype=object),
+                       swapped, np.repeat(np.asarray(keys, dtype=str), 2)[::2]):
         table, codes = group_codes(given_keys)
         assert table.tolist() == ref_table.tolist() and codes.tolist() == ref_codes.tolist()
+        assert table.dtype.str[1:] == ref_table.dtype.str[1:]  # kind and width, any byte order
         assert codes.dtype == np.min_scalar_type(table.size) and codes.dtype.kind == "u"
 
 

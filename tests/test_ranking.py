@@ -1,5 +1,6 @@
 """The segmented rank kernel against per-group loops built on scipy's
-rankdata, which the metrics and the D2Q label used before the kernel."""
+rankdata, which the metrics and the D2Q label used before the kernel, and
+its sorts against the numpy sorts they replaced."""
 
 import json
 import os
@@ -9,15 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import watchlab
-from watchlab.correction import label_d2q
+from watchlab.correction import group_watch_stats, label_d2q
 from watchlab.errors import NoEvaluableUsers
+from watchlab.estimator import GmmOptions, fit_all_groups, fit_group_gmm
 from watchlab.evaluation import gauc, ndcg_at_k
 from watchlab.ranking import descending_order, descending_ranks, group_codes, quantile_bins
+from watchlab.synthgen import SynthConfig, generate
 
 from oracles import numpy_quantile_bins
 from rows import rows_dataset
@@ -195,6 +198,67 @@ def test_descending_ranks_hand_example():
     assert rank.tolist() == [1.0, 2.0, 3.0, 1.5, 1.5]
 
 
+# values that tie often, signed zeros, subnormals and magnitudes up to 1e300
+rank_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e300, -1e300]),
+    st.floats(-2, 2).map(lambda x: round(x, 1)), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def value_code_columns(draw):
+    """(values, codes) of up to 300 rows, each drawn from a pool of a few
+    distinct ones. int64 codes from its whole range overflow the int64 sort
+    key as often as not; uint8, uint16 and small int64 codes do not."""
+    n = draw(st.integers(0, 300))
+    pool = draw(st.lists(rank_values, min_size=1, max_size=40))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    info = np.iinfo(draw(st.sampled_from([np.uint8, np.uint16, np.int64])))
+    pool = draw(st.lists(st.integers(int(info.min), int(info.max)), min_size=1, max_size=6))
+    codes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(values, dtype=np.float64), np.array(codes, dtype=info.dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_code_columns())
+@example((np.array([]), np.array([], dtype=np.int64)))
+# the key's largest value is 2**63 - 1, then one code further it would be 2**63
+@example((np.array([1.0, 1.0]), np.array([2 ** 62 - 1, 0])))
+@example((np.array([1.0, 1.0]), np.array([2 ** 62, 0])))
+# one group whose codes times rows, if not taken from the smallest code, would reach 2**63
+@example((np.ones(3), np.full(3, (2 ** 63 - 2) // 3)))
+@example((np.array([-0.0, 0.0, 5e-324, -0.0]), np.array([3, 3, 3, 3], dtype=np.uint8)))
+def test_descending_order_equals_lexsort(columns):
+    values, codes = columns
+    order = descending_order(values, codes)
+    expected = np.lexsort((-values, codes))
+    assert (order.dtype, order.tolist()) == (expected.dtype, expected.tolist())
+
+
+def test_duration_grouping_equals_the_int64_sorts():
+    """fit_all_groups and group_watch_stats against the algorithms they
+    replaced, a stable sort and np.unique of the int64 durations, on logs
+    whose durations come unsorted and repeated."""
+    for seed in range(3):
+        ds, _ = generate(SynthConfig(n_rows=3000, n_users=30, n_items=40, seed=seed))
+        assert np.any(np.diff(ds.durations) < 0) and np.unique(ds.durations).size < 300
+        w, d = ds.watch_times, ds.durations
+        order = np.argsort(d, kind="stable")
+        uniq, first = np.unique(d[order], return_index=True)
+        options = GmmOptions(min_group_size=10)
+        expected = {int(dk): fit_group_gmm(x, options, d=int(dk))
+                    for dk, x in zip(uniq, np.split(w[order], first[1:])) if x.size >= 10}
+        assert fit_all_groups(ds, options) == expected
+        durations, first, group = np.unique(d, return_index=True, return_inverse=True)
+        counts = np.bincount(group)
+        ref = w[first]
+        dev = w - ref[group]
+        shift = np.bincount(group, dev) / counts
+        sigma = np.sqrt(np.bincount(group, (dev - shift[group]) ** 2) / counts)
+        got = group_watch_stats(ds)
+        for a, b in zip(got, (durations, group, ref + shift, sigma)):
+            assert a.tolist() == b.tolist()
+
+
 def test_group_codes_follow_key_order():
     table, codes = group_codes(np.array(["b", "a", "c", "a"], dtype=object))
     assert (table.tolist(), codes.tolist(), codes.dtype) == (["a", "b", "c"], [1, 0, 2, 0],
@@ -204,6 +268,23 @@ def test_group_codes_follow_key_order():
     table, codes = group_codes(np.arange(256, -1, -1))
     assert (table.tolist(), codes.tolist(), codes.dtype) == (
         list(range(257)), list(range(256, -1, -1)), np.uint16)
+    # a 2-D str array codes as its flattened rows, on the packed route and off it
+    table, codes = group_codes(np.array([["b", "a"], ["c", "a"]]))
+    assert (table.tolist(), codes.tolist()) == (["a", "b", "c"], [1, 0, 2, 0])
+    table, codes = group_codes(np.array([["日", "a"], ["c", "a"]]))
+    assert (table.tolist(), codes.tolist()) == (["a", "c", "日"], [2, 0, 1, 0])
+
+
+def test_short_latin1_str_ids_sort_as_packed_integers(monkeypatch):
+    """A str array of at most 8 characters, all below U+0100, reaches np.unique
+    as big-endian uint64s of its code points; any other str array as strings."""
+    seen = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda a, **kw: seen.append(a) or unique(a, **kw))
+    for keys in (["ab", "b", "ÿ"], ["日"], ["abcdefghi"]):
+        group_codes(np.array(keys))
+    assert seen[0].tolist() == [0x6162 << 48, 0x62 << 56, 0xFF << 56]
+    assert [a.dtype.kind for a in seen] == ["u", "U", "U"]
 
 
 def test_cli_import_leaves_scipy_stats_out():
