@@ -171,6 +171,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.seeds == ():
             raise ValueError("seeds must list at least one seed")
+        if min((self.seed, *(self.seeds or ()))) < 0:  # numpy's generators take none
+            raise ValueError(f"seed and seeds must be >= 0, got seed {self.seed}, "
+                             f"seeds {list(self.seeds or ())}")
         _distinct(self.seeds or (), "seeds")
         _distinct(self.feature_fields, "feature_fields")
         if {"user_id", "item_id"} & set(self.feature_fields):
@@ -214,15 +217,18 @@ class SweepConfig:
         _distinct(self.alpha, "sweep.alpha")
 
 
-def _run_config(config: dict, out_override) -> tuple[RunConfig, Path]:
-    """The top-level keys, and the output directory, which is not made here:
-    generate and correct make it right before their first write, and
-    train-eval and report read inputs from it, so a failed check leaves none.
-    ConfigError when the directory, or the nearest of its parents that
-    exists, is not a directory, such as a file."""
+def _run_config(config: dict, seed, out_override) -> tuple[RunConfig, Path]:
+    """The top-level keys, where a --seed flag replaces seed and seeds, and
+    the output directory, which is not made here: generate and correct make
+    it right before their first write, and train-eval and report read inputs
+    from it, so a failed check leaves none. ConfigError when a seed is bad,
+    or when the directory, or the nearest of its parents that exists (a
+    dangling symlink too), is not a directory, such as a file."""
     run = _section(RunConfig, config, None, skip=SECTIONS)
+    if seed is not None:  # the flag is checked as the keys are
+        run = _section(RunConfig, {**config, "seed": seed, "seeds": None}, None, skip=SECTIONS)
     out_dir = Path(out_override or run.out_dir)
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise ConfigError(f"output directory: {existing} is not a directory")
     return run, out_dir
@@ -259,8 +265,8 @@ def _cell(value) -> str:
 
 
 def run_generate(config: dict, seed=None, out=None) -> Path:
-    run, out_dir = _run_config(config, out)
-    synth = _section(SynthConfig, config, "generate", seed=run.seed if seed is None else seed)
+    run, out_dir = _run_config(config, seed, out)
+    synth = _section(SynthConfig, config, "generate", seed=run.seed)
     dataset, truth = generate(synth)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.csv"
@@ -292,7 +298,7 @@ def fit_curves(dataset, config) -> BiasNoiseCurves:
 
 
 def run_correct(config: dict, seed=None, out=None) -> Path:
-    run, out_dir = _run_config(config, out)
+    run, out_dir = _run_config(config, seed, out)
     data_path = _input(run.dataset_csv or out_dir / "data.csv", "input dataset not found")
     params = _correction_params(config)
     _section(GmmOptions, config, "estimator")  # checked before the data is read
@@ -347,7 +353,7 @@ def train_and_score(dataset, labels, splits, oracle, config, seed):
 
 
 def run_train_eval(config: dict, seed=None, out=None) -> Path:
-    run, out_dir = _run_config(config, out)
+    run, out_dir = _run_config(config, seed, out)
     data_path = _input(run.dataset_csv or out_dir / "data.csv", "input dataset not found")
     split = _section(SplitConfig, config, "split")
     evaluation = _section(EvalConfig, config, "evaluation")
@@ -357,7 +363,7 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
     _section(GmmOptions, config, "estimator")  # checked, though the sweep reads curves.csv
     # checked before the data is read; train_and_score reads it again for each seed
     _section(TrainConfig, config, "trainer", seed=0)
-    seeds = [seed] if seed is not None else list(run.seeds or (run.seed,))
+    seeds = list(run.seeds or (run.seed,))
     dataset = ingest_csv(data_path, run.feature_fields)
     run_methods = list(dict.fromkeys(["watch_time", *methods, "oracle"]))
 
@@ -443,7 +449,7 @@ def run_train_eval(config: dict, seed=None, out=None) -> Path:
 
 
 def run_report(config: dict, seed=None, out=None) -> Path:
-    run, out_dir = _run_config(config, out)
+    run, out_dir = _run_config(config, seed, out)
     curves_path = _input(out_dir / "curves.csv", "curves not found (run `correct` first)")
     data_path = _input(run.dataset_csv or out_dir / "data.csv", "input dataset not found")
     curves = BiasNoiseCurves.from_csv(curves_path)

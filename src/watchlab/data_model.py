@@ -50,13 +50,6 @@ def _int64_or_float(column):
     return column if column.dtype == np.int64 else np.asarray(column, dtype=np.float64)
 
 
-def _id_codes(ids):
-    """group_codes of an id column as strings; a list of str is hashed as it comes."""
-    if not (isinstance(ids, list) and set(map(type, ids)) <= {str}):
-        ids = np.asarray(ids, dtype=str)
-    return group_codes(ids)
-
-
 class Dataset:
     """Immutable interaction log held as numpy columns.
 
@@ -78,7 +71,8 @@ class Dataset:
 
     def __init__(self, user_ids, item_ids, watch_times, durations, timestamps=None,
                  true_interest=None, features=None):
-        self._set(*_id_codes(user_ids), *_id_codes(item_ids), watch_times, durations,
+        self._set(*group_codes(np.asarray(user_ids, dtype=str)),
+                  *group_codes(np.asarray(item_ids, dtype=str)), watch_times, durations,
                   timestamps, true_interest, features)
 
     @classmethod
@@ -135,12 +129,12 @@ class Dataset:
 
     @property
     def user_ids(self) -> np.ndarray:
-        """Object array of user id strings, one per row; a user's rows share one object."""
-        return self.user_table.astype(object)[self.user_codes]
+        """The user id of each row, as a str column: user_table[user_codes]."""
+        return self.user_table[self.user_codes]
 
     @property
     def item_ids(self) -> np.ndarray:
-        return self.item_table.astype(object)[self.item_codes]
+        return self.item_table[self.item_codes]
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

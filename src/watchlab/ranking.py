@@ -17,18 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _hashed_codes(keys: list):
-    """group_codes(np.asarray(keys, dtype=str)) when every key is a str, else
-    None. Only the distinct keys are sorted; each key then takes its code
-    from a dict."""
-    distinct = list(set(keys))
-    if not set(map(type, distinct)) <= {str}:
-        return None
-    table, inverse = group_codes(np.array(distinct, dtype=str))
-    code = dict(zip(distinct, inverse.tolist()))
-    return table, np.fromiter(map(code.__getitem__, keys), dtype=inverse.dtype, count=len(keys))
-
-
 def _packed(keys: np.ndarray):
     """A 1-D str array whose strings are at most 8 characters, all below
     U+0100, as uint64s in the strings' order: each string's code points,
@@ -49,21 +37,14 @@ def _packed(keys: np.ndarray):
 def group_codes(keys) -> tuple[np.ndarray, np.ndarray]:
     """(sorted table of the distinct keys, code of each key into it in the
     narrowest unsigned type, which numpy sorts fastest), the values of
-    np.unique(keys, return_inverse=True). A list, or an object array, of str
-    is hashed as it comes. A str array, such as a loaded id column, makes no
+    np.unique(keys, return_inverse=True). A list or an object array becomes
+    the str or int array that numpy picks for its keys (an empty str array
+    when there are none). A str array, such as a loaded id column, makes no
     Python str per row: where _packed turns it into uint64s, np.unique sorts
     those with numpy's fast integer sort, and else it sorts the strings."""
-    if not isinstance(keys, list):
-        keys = np.asarray(keys)
-        if keys.dtype.kind == "O":
-            keys = keys.reshape(-1).tolist()
-    if isinstance(keys, list):
-        coded = _hashed_codes(keys)
-        if coded is not None:
-            return coded
-        # not all str: from a list numpy picks str or int, so keys keep
-        # their natural order
-        keys = np.array(keys)
+    keys = np.asarray(keys, dtype=object if isinstance(keys, list) else None)
+    if keys.dtype.kind == "O":
+        keys = np.array(keys.tolist(), dtype=None if keys.size else str)
     keys = keys.reshape(-1)
     packed = _packed(keys)
     if packed is None:

@@ -152,6 +152,14 @@ class TestGenerate:
         a, b, c = (sha(tmp_path / out / "data.csv") for out in "abc")
         assert a == b != c
 
+    def test_seed_flag_keeps_the_other_top_level_keys(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "config.json", out_dir="run")
+        result = invoke("generate", "--config", str(cfg), "--seed", "9")
+        assert result.exit_code == 0, result.output
+        invoke("generate", "--config", str(cfg), "--seed", "9", "--out", "flagged")
+        assert sha(tmp_path / "run" / "data.csv") == sha(tmp_path / "flagged" / "data.csv")
+
     def test_missing_config_exits_2(self, tmp_path):
         result = invoke("generate", "--config", str(tmp_path / "nope.json"))
         assert result.exit_code == 2
@@ -683,6 +691,10 @@ BAD_CONFIGS = [
     ("generate", "generate", "n_items", 0),
     ("generate", "generate", "n_rows", -5),
     ("generate", "generate", "n_rows", 0),
+    ("generate", "seed", None, -2),
+    ("train-eval", "seed", None, -2),
+    ("generate", "seeds", None, [1, -4]),
+    ("train-eval", "seeds", None, [1, -4]),
 ]
 
 
@@ -1038,6 +1050,43 @@ def test_output_path_through_a_file_exits_2_before_writing(tmp_path, corrected_r
     assert f"configuration error: output directory: {afile} is not a directory\n" in (
         result.output)
     assert sorted(tmp_path.iterdir()) == [afile, cfg] and afile.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", list(watchlab.cli.COMMANDS))
+@pytest.mark.parametrize("below", [False, True], ids=["link", "below-a-link"])
+def test_dangling_symlink_output_exits_2_before_writing(tmp_path, corrected_run, command, below):
+    link = tmp_path / "dangling"
+    link.symlink_to(tmp_path / "nowhere")
+    cfg = write_config(tmp_path / "config.json", dataset_csv=str(corrected_run / "data.csv"))
+    out = link / "run" if below else link
+    result = invoke(command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"configuration error: output directory: {link} is not a directory\n" in (
+        result.output)
+    assert sorted(tmp_path.iterdir()) == [cfg, link] and link.is_symlink()
+
+
+@pytest.mark.parametrize("command", list(watchlab.cli.COMMANDS))
+# a negative seed key is an error where the flag would stand in for it too
+@pytest.mark.parametrize("seeds, flag, named", [({}, "-1", "-1"), ({"seed": -2}, None, "-2"),
+                                                ({"seeds": [1, -4]}, None, "-4"),
+                                                ({"seeds": [-4]}, "3", "-4")],
+                         ids=["flag", "seed", "seeds", "seeds-and-flag"])
+def test_negative_seed_exits_2_before_reading_or_writing(tmp_path, corrected_run, monkeypatch,
+                                                         command, seeds, flag, named):
+    out = tmp_path / "run"
+    shutil.copytree(corrected_run, out)
+    before = {p.name: sha(p) for p in out.iterdir()}
+    monkeypatch.setattr(watchlab.cli, "ingest_csv", None)  # reading the data would fail
+    cfg = write_config(tmp_path / "config.json", **seeds)
+    result = invoke(command, "--config", str(cfg), "--out", str(out),
+                    *(() if flag is None else ("--seed", flag)))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    message = result.output.split("configuration error: ", 1)[1]
+    assert message.startswith("seed") and named in message, message
+    assert {p.name: sha(p) for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["correct", "train-eval"])

@@ -1,7 +1,7 @@
 """CSV round trip of arbitrary logs; write_csv's bytes against the
 row-by-row writer it replaced, which is kept here as the reference; the
 np.loadtxt reader against csv.reader; the memory CSV I/O takes; and the
-hashed id coder against np.unique."""
+id coder against np.unique."""
 
 import csv
 import tempfile

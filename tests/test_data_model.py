@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-import watchlab.data_model
 from watchlab.data_model import (
     Dataset,
     chronological_split_indices,
@@ -439,19 +438,19 @@ class TestColumns:
         assert ds.user_table.tolist() == ["u10", "u2"]
         assert ds.user_codes.tolist() == [1, 0, 1]
         assert ds.item_codes.tolist() == [1, 1, 0]
-        assert ds.user_ids.dtype == object
+        assert ds.user_ids.dtype.kind == "U"
         assert ds.user_ids.tolist() == ["u2", "u10", "u2"]
         assert ds.timestamps is None and ds.true_interest is None
 
-    def test_id_columns_share_one_string_per_id(self):
+    def test_id_columns_are_their_tables_at_their_codes(self):
         rng = np.random.default_rng(0)
         users, items = rng.integers(0, 40, 500), rng.integers(0, 60, 500)
         ds = Dataset([f"user{u}" for u in users], [f"item{i}" for i in items], np.ones(500),
                      np.full(500, 10)).subset(np.arange(0, 500, 7))
         for ids, table, codes in ((ds.user_ids, ds.user_table, ds.user_codes),
                                   (ds.item_ids, ds.item_table, ds.item_codes)):
-            assert ids.dtype == object and ids.tolist() == table[codes].tolist()
-            assert len({id(v) for v in ids}) == np.unique(codes).size < codes.size
+            assert ids.dtype == table.dtype and ids.dtype.kind == "U"
+            assert np.array_equal(ids, table[codes]) and np.unique(codes).size < codes.size
 
     def test_codes_take_the_narrowest_unsigned_type_of_their_table(self):
         users = [f"u{k}" for k in range(300)]
@@ -464,17 +463,15 @@ class TestColumns:
         coded = Dataset.from_codes(["a", "b"], codes, ["x"], [0, 0], [1.0, 2.0], [5, 5])
         assert np.shares_memory(coded.user_codes, codes) and coded.item_codes.dtype == np.uint8
 
-    def test_id_list_of_str_reaches_the_coder_as_it_comes(self, monkeypatch):
-        seen = []
-        real = watchlab.data_model.group_codes
-        monkeypatch.setattr(watchlab.data_model, "group_codes",
-                            lambda keys: seen.append(keys) or real(keys))
+    def test_id_lists_code_as_strings(self):
         users, items = ["u2", "u10", "u2"], [10, 9, 10]
         ds = Dataset(users, items, [1.0, 2.0, 3.0], [5, 5, 5])
-        assert seen[0] is users  # hashed with no str array in between
         assert (ds.user_table.tolist(), ds.user_codes.tolist()) == (["u10", "u2"], [1, 0, 1])
-        # a list that holds other types still codes as strings
+        # a list that holds other types still codes as strings, users as items
         assert (ds.item_table.tolist(), ds.item_codes.tolist()) == (["10", "9"], [0, 1, 0])
+        swapped = Dataset(items, users, [1.0, 2.0, 3.0], [5, 5, 5])
+        assert (swapped.user_table.tolist(), swapped.user_codes.tolist()) == (["10", "9"],
+                                                                              [0, 1, 0])
 
     def test_durations_are_int64_and_an_int64_column_is_shared(self):
         given = np.array([5, 7])

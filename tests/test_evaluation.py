@@ -214,6 +214,12 @@ class TestBreakdownAndReport:
         (r,) = evaluate(scores, labels, ds, "watch_time", ks=(1, 3, 5), n_ranges=1).ranges
         assert r.n_rows == len(ds)
         assert r.gauc == pytest.approx(gauc(scores, labels, ds.user_ids))
+        # the str id column, its object and list forms and the codes all group alike
+        for users in (ds.user_ids.astype(object), ds.user_ids.tolist(), ds.user_codes):
+            assert gauc(scores, labels, users) == gauc(scores, labels, ds.user_ids)
+            for k in (1, 3, 5):
+                assert ndcg_at_k(scores, labels, users, k) == ndcg_at_k(scores, labels,
+                                                                      ds.user_ids, k)
 
     def test_ranges_partition_rows(self):
         ds = tiny_dataset()
