@@ -26,7 +26,7 @@ d = dataset.durations
 for dur in (30, 60, 120):
     nearest = min(stats.group_counts, key=lambda k: abs(k - dur))
     w = dataset.watch_times[d == nearest]
-    wp, wm = wl.true_curves(cfg, nearest)
+    wp, wm = cfg.bias_curve(nearest), cfg.noise_curve(nearest)
     print(f"\nduration {nearest}s ({w.size} rows): "
           f"true curves w+={wp:.1f}, w-={wm:.1f}")
     hist, edges = np.histogram(w, bins=12)

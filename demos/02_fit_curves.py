@@ -21,8 +21,7 @@ curves = wl.smooth_curves(raw, window=2, group_counts=counts)
 print(f"fitted {len(raw)} of {len(counts)} duration groups "
       f"(the rest were too thin and got interpolated)")
 
-wp_true = np.array([wl.true_curves(cfg, int(d))[0] for d in curves.durations])
-wm_true = np.array([wl.true_curves(cfg, int(d))[1] for d in curves.durations])
+wp_true, wm_true = cfg.bias_curve(curves.durations), cfg.noise_curve(curves.durations)
 err_p = np.abs(curves.w_plus - wp_true) / wp_true
 err_m = np.abs(curves.w_minus - wm_true) / np.maximum(wm_true, 1e-9)
 print(f"bias curve  relative error: median {np.median(err_p):.3f}, "

@@ -204,11 +204,9 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
     elif base == "d2co_a":
         wp, wm = params.curves.value_at(d)
         labels = label_d2co_affine(w, wp, wm)
-    elif base == "d2co_s":
+    else:  # d2co_s, the one method validate() leaves
         wp, wm = params.curves.value_at(d)
         labels = label_d2co_sensitivity(w, wp, wm, params.alpha)
-    else:  # pragma: no cover - guarded by validate()
-        raise ValueError(method)
 
     if method.endswith("_denoise"):
         labels = denoise_postprocess(labels, dataset, params.denoise_threshold_s)

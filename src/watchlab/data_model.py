@@ -213,16 +213,19 @@ def split_chronological(dataset: Dataset, fractions) -> tuple:
 
 def _is_float(s) -> bool:
     try:
-        float(s)
-        return True
+        float(s)  # which, unlike np.loadtxt, reads underscores and non-ASCII digits
     except ValueError:
         return False
+    return "_" not in s and s.strip().isascii()
 
 
 def _parse_floats(column):
-    """Float values of a column, NaN where a cell does not parse, and the
-    mask of those cells; a float64 column from the loader is its own values."""
+    """Float values of a column, NaN where np.loadtxt would not read a cell,
+    and the mask of those cells; a loader's float64 column is its own values."""
     try:
+        text = "".join(column) if _is_text(column) else ""
+        if "_" in text or not text.isascii():  # cells that float reads and np.loadtxt may not
+            raise ValueError
         return np.asarray(column, dtype=np.float64), np.zeros(len(column), dtype=bool)
     except ValueError:  # find the bad cells; only on the error path
         bad = np.array([not _is_float(s) for s in column])

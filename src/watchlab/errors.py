@@ -8,13 +8,11 @@ class WatchlabError(Exception):
 class MalformedRow(WatchlabError):
     def __init__(self, line: int, reason: str):
         self.line = line
-        self.reason = reason
         super().__init__(f"row {line}: {reason}")
 
 
 class MissingColumn(WatchlabError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"missing column: {name}")
 
 
@@ -30,13 +28,8 @@ class CurveOrderViolation(WatchlabError):
     pass
 
 
-class OutOfRangeDuration(WatchlabError):
-    pass
-
-
 class GroupTooSmall(WatchlabError):
     def __init__(self, count: int):
-        self.count = count
         super().__init__(f"group has {count} samples")
 
 
@@ -46,7 +39,6 @@ class NoFittableGroups(WatchlabError):
 
 class LikelihoodDecrease(WatchlabError):
     def __init__(self, d: int, loglik: float, previous: float):
-        self.d = d
         super().__init__(f"duration group {d}: EM log-likelihood fell from {previous!r} "
                          f"to {loglik!r}")
 

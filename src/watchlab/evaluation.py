@@ -18,28 +18,21 @@ from .errors import (
 from .ranking import descending_order, descending_ranks, group_codes, quantile_bins
 
 
-def _scores_and_positives(scores, labels, n_ids):
-    """Validated float scores and the positive-row mask."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = len(scores)
-    if len(labels) != n or n_ids != n:
+def _ranked(scores, labels, user_ids):
+    """Validated rows in ranking order: (row order, then scores, pos, codes,
+    position, rank of the rows in that order, then n_users)."""
+    table, codes = group_codes(user_ids)
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    if not len(scores) == len(labels) == len(codes):
         raise LengthMismatch("scores, labels and user ids must be row-aligned")
     if not np.isfinite(scores).all():
         raise NonFiniteScores(f"{int((~np.isfinite(scores)).sum())} scores are NaN or infinite")
     pos = labels == 1
     if not (pos | (labels == 0)).all():
         raise NonBinaryLabels("labels must be 0 or 1")
-    return scores, pos
-
-
-def _ranked(scores, labels, user_ids):
-    """Validated rows in ranking order: (pos, codes, position, rank, n_users)."""
-    table, codes = group_codes(user_ids)
-    scores, pos = _scores_and_positives(scores, labels, len(codes))
     order = descending_order(scores, codes)
-    codes = codes[order]
-    return pos[order], codes, *descending_ranks(scores[order], codes), table.size
+    scores, codes = scores[order], codes[order]
+    return order, scores, pos[order], codes, *descending_ranks(scores, codes), table.size
 
 
 def gauc(scores, labels, user_ids, return_counts: bool = False):
@@ -49,7 +42,7 @@ def gauc(scores, labels, user_ids, return_counts: bool = False):
     counts 0.5. Users whose labels are all one class carry no ranking signal
     and are skipped. User ids may be strings or Dataset.user_codes.
     """
-    out = _gauc(*_ranked(scores, labels, user_ids))
+    out = _gauc(*_ranked(scores, labels, user_ids)[2:])
     return out if return_counts else out[0]
 
 
@@ -77,7 +70,7 @@ def ndcg_at_k(scores, labels, user_ids, k: int, return_counts: bool = False):
     Score ties break by original row order (stable); users with no positive
     rows are skipped.
     """
-    values, n_eval, n_skip = _ndcg(*_ranked(scores, labels, user_ids), [k])
+    values, n_eval, n_skip = _ndcg(*_ranked(scores, labels, user_ids)[2:], [k])
     return (values[k], n_eval, n_skip) if return_counts else values[k]
 
 
@@ -161,17 +154,15 @@ def evaluate(scores, labels, dataset: Dataset, method: str, ks, n_ranges: int) -
     """
     if n_ranges < 1:
         raise ValueError("n_ranges must be >= 1")
-    scores, pos = _scores_and_positives(scores, labels, len(dataset))
-    table, codes = group_codes(dataset.user_codes)
-    order = descending_order(scores, codes)
-    scores, pos, codes, d = scores[order], pos[order], codes[order], dataset.durations[order]
-    ranked = pos, codes, *descending_ranks(scores, codes), table.size
+    order, scores, *ranked = _ranked(scores, labels, dataset.user_codes)
+    pos, codes, *_, n_users = ranked
+    d = dataset.durations[order]
     g, n_eval, n_skip = _gauc(*ranked)
     report = EvalReport(method, g, _ndcg(*ranked, ks)[0], n_eval, n_skip)
     edges, assign = quantile_bins(d, n_ranges)
     for b in range(max(1, edges.size - 1)):
         mask = assign == b
-        ranked = pos[mask], codes[mask], *descending_ranks(scores[mask], codes[mask]), table.size
+        ranked = pos[mask], codes[mask], *descending_ranks(scores[mask], codes[mask]), n_users
         try:
             g = _gauc(*ranked)[0]
         except NoEvaluableUsers:

@@ -62,21 +62,24 @@ def quantile_bins(values, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     share a bin and a skewed histogram can give fewer bins than asked for.
 
     The quantiles are np.quantile's default linear ones, computed by its own
-    steps: the sorted values at numpy's virtual index (n - 1) * q, where an
+    steps: a copy partitioned at numpy's own kth, which orders 0.0 and -0.0
+    as numpy does, and its values at the virtual index (n - 1) * q, where an
     index at or past the last value takes the last value twice with weight
     index + 1, then numpy's _lerp, which interpolates from the upper value
     when the weight t >= 0.5. So for NaN-free values the edges equal
     np.unique(np.quantile(values, np.linspace(0, 1, n_bins + 1))) bit for
-    bit, without np.quantile, which imports numpy.ma on numpy 2.
+    bit without np.quantile or a plain np.unique (both import numpy.ma).
     """
-    v = np.sort(values)
+    v = np.array(values)
     index = (v.size - 1) * np.linspace(0, 1, n_bins + 1)
-    lo = np.floor(index)
+    lo = np.floor(index).astype(np.intp)
     hi = lo + 1
     last = index >= v.size - 1
     lo[last] = hi[last] = -1
     t = index - lo
-    a, b = v[lo.astype(np.intp)], v[hi.astype(np.intp)]
+    # numpy's kth, np.unique of 0, -1, lo and hi, which lo holds already
+    v.partition(np.unique(np.r_[lo, hi], return_index=True)[0])
+    a, b = v[lo], v[hi]
     diff = b - a
     q = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
     q.sort()  # np.unique's own steps: sort, then keep the first of equal neighbours

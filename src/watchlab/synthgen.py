@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_model import Dataset, not_int64, raise_first_bad, read_float_columns, write_columns
-from .errors import CurveOrderViolation, OutOfRangeDuration
+from .errors import CurveOrderViolation
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,6 @@ class GroundTruth:
 
     def __len__(self):
         return next(c for c in self._columns() if c is not None).size
-
-
-def true_curves(config: SynthConfig, d) -> tuple:
-    """Evaluate the configured bias/noise curves at duration d."""
-    d_lo, d_hi = config.duration_range
-    if np.any(np.asarray(d) < d_lo) or np.any(np.asarray(d) > d_hi):
-        raise OutOfRangeDuration(f"duration {d} outside {config.duration_range}")
-    return float(config.bias_curve(d)), float(config.noise_curve(d))
 
 
 def _truncated_normal(rng, means, stds):

@@ -80,15 +80,10 @@ def build_vocab(train: Dataset) -> Vocabulary:
         raise ValueError("cannot build a vocabulary from an empty dataset")
     tables, n = {}, 0
     for fld, table, codes in _field_columns(train):
-        rows = np.arange(codes.size)
-        first = np.full(table.size, codes.size)
-        np.minimum.at(first, codes, rows)
-        seen = np.flatnonzero(first < codes.size)
-        # a value's token counts the first appearances up to and including its own
-        appeared = np.cumsum(first[codes] == rows)
+        seen, first = np.unique(codes, return_index=True)  # first: a value's first row
         unknown = n + seen.size
         tokens = np.full(table.size, unknown)
-        tokens[seen] = n - 1 + appeared[first[seen]]
+        tokens[seen[np.argsort(first)]] = np.arange(n, unknown)
         tables[fld] = (table, tokens, unknown)
         n = unknown + 1
     return Vocabulary(tables, n)

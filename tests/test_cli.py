@@ -695,6 +695,12 @@ BAD_CONFIGS = [
     ("train-eval", "seed", None, -2),
     ("generate", "seeds", None, [1, -4]),
     ("train-eval", "seeds", None, [1, -4]),
+    ("generate", "generate", "bias_curve", "power_law"),
+    ("generate", "generate", "duration_range", [0, 10]),
+    ("generate", "generate", "duration_range", [20, 10]),
+    ("correct", "estimator", "window", -1),
+    ("train-eval", "evaluation", "ndcg_k", [0]),
+    ("train-eval", "evaluation", "n_ranges", 0),
 ]
 
 

@@ -153,6 +153,12 @@ class TestD2coSensitivityLabel:
             s = label_d2co_sensitivity(w, 10.0, 2.0, alpha)
         assert np.abs(s - label_d2co_affine(w, 10.0, 2.0)).max() <= 1e-12
 
+    def test_zero_alpha_and_collapsed_curves_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be nonzero"):
+            label_d2co_sensitivity(5.0, 10.0, 2.0, 0.0)
+        with pytest.raises(CurveCollapse):
+            label_d2co_sensitivity(5.0, 2.0, 2.0, 0.03)
+
     def test_sign_of_alpha_orders_results(self):
         lo = label_d2co_sensitivity(6.0, 10.0, 2.0, +0.05)
         hi = label_d2co_sensitivity(6.0, 10.0, 2.0, -0.05)
@@ -218,6 +224,13 @@ class TestErrorDecomposition:
         bias_err, noise_err = error_decomposition(curves, 100.0)
         assert bias_err[0] == 0.0
         assert noise_err[0] == 0.0
+
+
+    @pytest.mark.parametrize("w_max", [0.0, -1.0])
+    def test_non_positive_w_max_rejected(self, w_max):
+        curves = smooth_curves(make_raw({10: 1}, [60.0], minus=[10.0]), window=0)
+        with pytest.raises(DegenerateDenominator, match="w_max must be positive"):
+            error_decomposition(curves, w_max)
 
 
 class TestApplyMethod:

@@ -99,6 +99,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="empty"):
             split_chronological(ds, fractions)
 
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.0, 0.5, 0.5), (-0.1, 0.6, 0.5)])
+    def test_three_positive_fractions_required(self, fractions):
+        ds = make_rows([1] * 10, [5] * 10, timestamps=list(range(10)))
+        with pytest.raises(ValueError, match="need three positive fractions"):
+            chronological_split_indices(ds, fractions)
+
     def test_missing_timestamps(self):
         with pytest.raises(MissingTimestamps):
             split_chronological(make_rows([1], [5]), (0.4, 0.3, 0.3))
@@ -280,6 +286,29 @@ class TestCsv:
         assert w.tolist() == [1.0, 3.0]
         with pytest.raises(MalformedRow, match="^row 3: d not a finite number: 'x'$"):
             read_float_columns(path, ["w", "d"])
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "\uff11", "1e1_0"])
+    def test_numbers_the_loader_rejects_fail_their_line(self, tmp_path, quote, cell):
+        # Python's float reads underscores and any Unicode digit; np.loadtxt reads neither
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s\n"
+                        f"{quote}a{quote},x,10,3\nb,y,10,{cell}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as info:
+            ingest_csv(path)
+        assert str(info.value) == f"row 3: watch_time_s not numeric: {cell!r}"
+        with pytest.raises(MalformedRow) as info:
+            read_float_columns(path, ["watch_time_s"])
+        assert str(info.value) == f"row 3: watch_time_s not a finite number: {cell!r}"
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loader", "csv_reader"])
+    def test_unicode_spaces_around_a_number_are_read(self, tmp_path, quote):
+        path = tmp_path / "d.csv"
+        path.write_text("user_id,item_id,duration_s,watch_time_s\n"
+                        f"{quote}a{quote},x,\u00a010,3\u2003\n", encoding="utf-8")
+        ds = ingest_csv(path)
+        assert (ds.durations.tolist(), ds.watch_times.tolist()) == ([10], [3.0])
+        assert read_float_columns(path, ["watch_time_s"])[0].tolist() == [3.0]
 
     def test_leftmost_bad_float_cell_wins(self, tmp_path):
         path = tmp_path / "c.csv"

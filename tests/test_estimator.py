@@ -53,6 +53,10 @@ class TestFitGroupGmm:
         with pytest.raises(GroupTooSmall):
             fit_group_gmm(np.ones(10), GmmOptions(min_group_size=50))
 
+    def test_negative_watch_time_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            fit_group_gmm(np.r_[np.ones(99), -1.0])
+
     def test_component_order(self):
         rng = np.random.default_rng(3)
         for seed in range(5):
@@ -105,6 +109,8 @@ class TestFitAllGroups:
         ds = dataset_with_groups({d: 1 for d in range(10, 40)})
         with pytest.raises(NoFittableGroups):
             fit_all_groups(ds)
+        with pytest.raises(NoFittableGroups, match="empty dataset"):
+            fit_all_groups(ds.subset([]))
 
     def test_thin_groups_skipped(self):
         ds = dataset_with_groups({10: 1000, 15: 10, 20: 1000})
@@ -284,6 +290,12 @@ class TestSmoothCurves:
         with pytest.raises(MalformedRow) as info:
             BiasNoiseCurves.from_csv(path)
         assert str(info.value) == "row 3: count not an int64: '1e19'"
+
+    def test_from_csv_rejects_a_file_without_rows(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text(",".join(BiasNoiseCurves.CSV_HEADER) + "\r\n")
+        with pytest.raises(EmptyCurve, match=re.escape(f"no curve rows in {path}")):
+            BiasNoiseCurves.from_csv(path)
 
     def test_from_csv_reads_a_zero_count(self, tmp_path):
         raw = make_raw({10: 100, 30: 100}, [10.0, 30.0])

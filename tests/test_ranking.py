@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import watchlab
-from watchlab.correction import group_watch_stats, label_d2q
+from watchlab.correction import METHOD_IDS, group_watch_stats, label_d2q
 from watchlab.errors import NoEvaluableUsers
 from watchlab.estimator import GmmOptions, fit_all_groups, fit_group_gmm
 from watchlab.evaluation import gauc, ndcg_at_k
@@ -155,6 +155,7 @@ def test_d2q_matches_reference(rows, n_bins):
 @given(st.one_of(st.lists(st.integers(1, 3000), min_size=1, max_size=200),
                  st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200)),
        st.integers(1, 12))
+@example([0.0, -0.0, -0.0, -1.0], 2)  # np.sort and numpy's partition order -0.0 and 0.0 apart
 def test_quantile_bins_match_numpy_quantiles(values, n_bins):
     edges, bins = quantile_bins(np.array(values), n_bins)
     ref = np.unique(np.quantile(np.array(values), np.linspace(0, 1, n_bins + 1)))
@@ -340,9 +341,9 @@ def test_correct_and_train_eval_leave_numpy_ma_out(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "generate": {"n_rows": 2000, "n_users": 30, "n_items": 40},
-        "correction": {"methods": ["d2q", "d2co_a"], "alpha": -0.01},
+        "correction": {"methods": list(METHOD_IDS), "alpha": -0.01},
         "split": {"fractions": [0.6, 0.2, 0.2]}, "trainer": {"epochs": 1}}))
-    for command in ("generate", "correct", "train-eval"):
+    for command in ("generate", "correct", "train-eval", "report"):
         args = [command, "--config", str(config), "--out", str(tmp_path / "run")]
         assert not loads_numpy_ma(f"import sys, watchlab.cli\nwatchlab.cli.main({args!r})"), (
             command)

@@ -6,7 +6,6 @@ from watchlab.errors import (
     CurveOrderViolation,
     MalformedRow,
     MissingColumn,
-    OutOfRangeDuration,
 )
 from watchlab.synthgen import (
     GROUND_TRUTH_COLUMNS,
@@ -15,7 +14,6 @@ from watchlab.synthgen import (
     SynthConfig,
     generate,
     read_ground_truth_csv,
-    true_curves,
     write_ground_truth_csv,
 )
 
@@ -23,24 +21,18 @@ from oracles import expected_watch_dataset
 
 
 def test_power_law_direct():
-    wp, _ = true_curves(
-        SynthConfig(bias_curve=Curve("power_law", {"a": 2.0, "gamma": 1.0}),
-                    duration_range=(5, 100)),
-        10,
-    )
-    assert wp == pytest.approx(20.0)
+    assert float(Curve("power_law", {"a": 2.0, "gamma": 1.0})(10)) == pytest.approx(20.0)
+
+
+def test_table_curve_interpolates_and_holds_its_ends():
+    curve = Curve("table", {"durations": [10, 20, 40], "values": [1.0, 3.0, 4.0]})
+    assert curve([5, 10, 15, 30, 40, 99]).tolist() == [1.0, 1.0, 2.0, 3.5, 4.0, 4.0]
 
 
 def test_saturating_linear_regime():
     # c * (1 - exp(-d/tau)) ~ c*d/tau when d << tau
     curve = Curve("saturating", {"c": 5.0, "tau": 1e6})
     assert float(curve(10)) == pytest.approx(5.0 * 10 / 1e6, rel=1e-4)
-
-
-def test_out_of_range_duration():
-    cfg = SynthConfig(duration_range=(10, 50))
-    with pytest.raises(OutOfRangeDuration):
-        true_curves(cfg, 5)
 
 
 def test_curve_order_enforced():
@@ -182,6 +174,15 @@ def test_ground_truth_r_sample_is_an_int64_column():
         GroundTruth(ones, [1.0, 0.5], ones, ones)
 
 
+@pytest.mark.parametrize("columns", [
+    ([0.5, 0.5], [1, 0], [2.0, 2.0], [1.0]),
+    (np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2))),
+], ids=["unequal", "2d"])
+def test_ground_truth_columns_must_be_1d_and_equally_long(columns):
+    with pytest.raises(ValueError, match="1-D and equally long"):
+        GroundTruth(*columns)
+
+
 def test_bimodal_groups_prefer_two_components():
     """Well-separated components: 2-Gaussian likelihood beats 1 Gaussian."""
     from watchlab.estimator import fit_group_gmm
@@ -196,7 +197,7 @@ def test_bimodal_groups_prefer_two_components():
         x = w[d == dur]
         if x.size < 400:
             continue
-        wp, wm = true_curves(cfg, int(dur))
+        wp, wm = cfg.bias_curve(dur), cfg.noise_curve(dur)
         if wp - wm < 3 * cfg.noise_std_plus:
             continue
         est = fit_group_gmm(x)

@@ -91,6 +91,10 @@ class TestVocabulary:
         assert len(vocab) == 8
         assert vocab.fields == ("user_id", "item_id")
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            build_vocab(pair_dataset([("a", "x")]).subset([]))
+
     def test_unknown_fallback(self):
         vocab = build_vocab(pair_dataset([("a", "x")]))
         unseen = token(vocab, "user_id", "zzz")
