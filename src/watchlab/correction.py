@@ -14,6 +14,7 @@ from .data_model import Dataset, read_float_columns, write_columns
 from .errors import (
     CurveCollapse,
     DegenerateDenominator,
+    EmptyDataset,
     LengthMismatch,
     MalformedRow,
     NumericOverflow,
@@ -183,12 +184,12 @@ def read_labels_csv(path, n_rows: int) -> np.ndarray:
 def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset:
     """Label every row with the requested correction method."""
     params.validate()
+    if len(dataset) == 0:
+        raise EmptyDataset("cannot label an empty dataset")
     w = dataset.watch_times
     d = dataset.durations
     method = params.method
     base = method.replace("_denoise", "")
-    if base in ("d2co_a", "d2co_s") and params.curves is None:
-        raise ValueError(f"{method} needs fitted bias/noise curves")
 
     if base == "watch_time":
         if not w.max() > 0:
@@ -201,12 +202,12 @@ def apply_method(dataset: Dataset, params: CorrectionParams) -> CorrectedDataset
         labels = label_wtg(w, mu[group], sigma[group])
     elif base == "d2q":
         labels = label_d2q(dataset, quantile_bins(d, params.n_bins)[1])
-    elif base == "d2co_a":
+    else:  # d2co_a or d2co_s, the methods validate() leaves
+        if params.curves is None:
+            raise ValueError(f"{method} needs fitted bias/noise curves")
         wp, wm = params.curves.value_at(d)
-        labels = label_d2co_affine(w, wp, wm)
-    else:  # d2co_s, the one method validate() leaves
-        wp, wm = params.curves.value_at(d)
-        labels = label_d2co_sensitivity(w, wp, wm, params.alpha)
+        labels = (label_d2co_affine(w, wp, wm) if base == "d2co_a"
+                  else label_d2co_sensitivity(w, wp, wm, params.alpha))
 
     if method.endswith("_denoise"):
         labels = denoise_postprocess(labels, dataset, params.denoise_threshold_s)

@@ -426,7 +426,7 @@ def _read_columns(path, required, types, parse):
                 raise MalformedRow(1, f"repeated column: {c}")
         for c in required:
             if c not in header:
-                raise MissingColumn(c)
+                raise MissingColumn(f"missing column: {c}")
         result = parse(header, [col if c in types else None for c, col in zip(header, cols)],
                        lines)
         if error:

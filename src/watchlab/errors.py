@@ -12,8 +12,7 @@ class MalformedRow(WatchlabError):
 
 
 class MissingColumn(WatchlabError):
-    def __init__(self, name: str):
-        super().__init__(f"missing column: {name}")
+    pass
 
 
 class EmptyDataset(WatchlabError):
@@ -29,8 +28,7 @@ class CurveOrderViolation(WatchlabError):
 
 
 class GroupTooSmall(WatchlabError):
-    def __init__(self, count: int):
-        super().__init__(f"group has {count} samples")
+    pass
 
 
 class NoFittableGroups(WatchlabError):
@@ -38,9 +36,7 @@ class NoFittableGroups(WatchlabError):
 
 
 class LikelihoodDecrease(WatchlabError):
-    def __init__(self, d: int, loglik: float, previous: float):
-        super().__init__(f"duration group {d}: EM log-likelihood fell from {previous!r} "
-                         f"to {loglik!r}")
+    pass
 
 
 class EmptyCurve(WatchlabError):

@@ -11,18 +11,19 @@ from .data_model import Dataset, raise_first_bad, read_float_columns, write_colu
 from .errors import EmptyCurve, GroupTooSmall, LikelihoodDecrease, NoFittableGroups, WatchlabError
 from .ranking import group_codes
 
+EM_TOL = 1e-6  # EM stops once the log-likelihood moves by less than this, relative
+EM_MAX_ITER = 200
+VAR_FLOOR = 1e-4  # no component variance goes below this
+
 
 @dataclass(frozen=True)
 class GmmOptions:
     min_group_size: int = 50
-    tol: float = 1e-6
-    max_iter: int = 200
-    var_floor: float = 1e-4
     window: int = 2  # T: smooth_curves averages each fit with T neighbours per side
 
     def validate(self) -> None:
-        if self.window < 0:
-            raise ValueError("window must be >= 0")
+        if self.min_group_size < 1 or self.window < 0:
+            raise ValueError("min_group_size must be >= 1 and window >= 0")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) ->
     x = np.asarray(watch_times, dtype=np.float64)
     n = x.size
     if n < options.min_group_size:
-        raise GroupTooSmall(n)
+        raise GroupTooSmall(f"group has {n} samples")
     if np.any(x < 0):
         raise ValueError("watch times must be non-negative")
 
@@ -62,19 +63,19 @@ def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) ->
         v = float(x[0])
         return GroupEstimate(
             w_plus_hat=v, w_minus_hat=v,
-            var_plus=options.var_floor, var_minus=options.var_floor,
+            var_plus=VAR_FLOOR, var_minus=VAR_FLOOR,
             weight_plus=0.5, count=n, converged=False, loglik=float("nan"),
             degenerate=True,
         )
 
     mu = np.percentile(x, [10, 90], method="inverted_cdf")
-    var = np.full(2, max(float(np.var(x)), options.var_floor))
+    var = np.full(2, max(float(np.var(x)), VAR_FLOOR))
     pi = np.array([0.5, 0.5])
 
     prev_ll = -np.inf
     converged = False
     ll = prev_ll
-    for _ in range(options.max_iter):
+    for _ in range(EM_MAX_ITER):
         # E-step
         log_comp = np.log(pi)[:, None] + _log_gauss(x[None, :], mu[:, None], var[:, None])
         m = log_comp.max(axis=0)
@@ -83,8 +84,9 @@ def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) ->
         ll = float(log_norm.sum())
         # the likelihood must not fall between iterations (1e-8 relative slack)
         if not ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
-            raise LikelihoodDecrease(d, ll, prev_ll)
-        if np.isfinite(prev_ll) and abs(ll - prev_ll) < options.tol * abs(prev_ll):
+            raise LikelihoodDecrease(f"duration group {d}: EM log-likelihood fell from "
+                                     f"{prev_ll!r} to {ll!r}")
+        if np.isfinite(prev_ll) and abs(ll - prev_ll) < EM_TOL * abs(prev_ll):
             converged = True
             break
         prev_ll = ll
@@ -93,7 +95,7 @@ def fit_group_gmm(watch_times, options: GmmOptions | None = None, d: int = 0) ->
         nk = np.maximum(nk, 1e-12)
         mu = (resp * x[None, :]).sum(axis=1) / nk
         var = (resp * (x[None, :] - mu[:, None]) ** 2).sum(axis=1) / nk
-        var = np.maximum(var, options.var_floor)
+        var = np.maximum(var, VAR_FLOOR)
         pi = nk / n
 
     hi, lo = (0, 1) if mu[0] >= mu[1] else (1, 0)

@@ -17,6 +17,9 @@ import numpy as np
 from .data_model import Dataset, not_int64, raise_first_bad, read_float_columns, write_columns
 from .errors import CurveOrderViolation
 
+LATENT_DIM = 8  # length of each user and item embedding
+INTEREST_SCALE = 5.0  # gain on the embedding dot product
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -55,14 +58,12 @@ class SynthConfig:
     n_rows: int = 50_000
     n_users: int = 200
     n_items: int = 300
-    latent_dim: int = 8
-    duration_range: tuple = (5, 240)
+    duration_range: tuple[int, ...] = (5, 240)
     bias_curve: Curve = Curve("power_law", {"a": 0.8, "gamma": 0.9})
     noise_curve: Curve = Curve("saturating", {"c": 12.0, "tau": 60.0})
     noise_std_plus: float = 2.0
     noise_std_minus: float = 1.0
     duration_interest_coupling: float = 1.0  # lambda; 0 removes the d -> p link
-    interest_scale: float = 5.0  # gain on the embedding dot product
     duration_per_item: bool = True
     seed: int = 0
 
@@ -71,7 +72,7 @@ class SynthConfig:
             raise ValueError("n_rows, n_users and n_items must be >= 1")
         if self.noise_std_plus <= 0 or self.noise_std_minus <= 0:
             raise ValueError("noise_std_plus and noise_std_minus must be positive")
-        d_lo, d_hi = self.duration_range
+        d_lo, d_hi = self.duration_range if len(self.duration_range) == 2 else (0, 0)
         if not (1 <= d_lo <= d_hi):
             raise ValueError(f"bad duration_range {self.duration_range}")
         grid = np.arange(d_lo, d_hi + 1)
@@ -125,8 +126,8 @@ def generate(config: SynthConfig) -> tuple:
     n = config.n_rows
     d_lo, d_hi = config.duration_range
 
-    emb_u = rng.normal(0.0, 1.0, (config.n_users, config.latent_dim)) / np.sqrt(config.latent_dim)
-    emb_v = rng.normal(0.0, 1.0, (config.n_items, config.latent_dim)) / np.sqrt(config.latent_dim)
+    emb_u = rng.normal(0.0, 1.0, (config.n_users, LATENT_DIM)) / np.sqrt(LATENT_DIM)
+    emb_v = rng.normal(0.0, 1.0, (config.n_items, LATENT_DIM)) / np.sqrt(LATENT_DIM)
 
     log_lo, log_hi = np.log(d_lo), np.log(d_hi)
     item_durations = np.round(np.exp(rng.uniform(log_lo, log_hi, config.n_items))).astype(np.int64)
@@ -145,7 +146,7 @@ def generate(config: SynthConfig) -> tuple:
         z = (np.log(durations) - (log_lo + log_hi) / 2.0) / ((log_hi - log_lo) / np.sqrt(12.0))
     else:
         z = np.zeros(n)
-    logits = config.interest_scale * np.einsum(
+    logits = INTEREST_SCALE * np.einsum(
         "ij,ij->i", emb_u[users], emb_v[items]
     ) + config.duration_interest_coupling * z
     p = 1.0 / (1.0 + np.exp(-logits))

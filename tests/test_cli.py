@@ -701,6 +701,12 @@ BAD_CONFIGS = [
     ("correct", "estimator", "window", -1),
     ("train-eval", "evaluation", "ndcg_k", [0]),
     ("train-eval", "evaluation", "n_ranges", 0),
+    ("correct", "estimator", "min_group_size", 0),
+    ("correct", "estimator", "max_iter", 0),
+    ("generate", "generate", "latent_dim", -1),
+    ("generate", "generate", "duration_range", [True, 10]),
+    ("generate", "generate", "duration_range", [5.5, 10]),
+    ("generate", "generate", "duration_range", [5, 10, 20]),
 ]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from watchlab.correction import (
+    METHOD_IDS,
     CorrectedDataset,
     CorrectionParams,
     apply_method,
@@ -24,7 +25,13 @@ from watchlab.correction import (
     read_labels_csv,
 )
 from watchlab.data_model import Dataset
-from watchlab.errors import CurveCollapse, DegenerateDenominator, LengthMismatch, NumericOverflow
+from watchlab.errors import (
+    CurveCollapse,
+    DegenerateDenominator,
+    EmptyDataset,
+    LengthMismatch,
+    NumericOverflow,
+)
 from watchlab.estimator import BiasNoiseCurves, GroupEstimate, smooth_curves
 from watchlab.ranking import quantile_bins
 from watchlab.synthgen import SynthConfig, generate
@@ -273,6 +280,14 @@ class TestApplyMethod:
             params = CorrectionParams(m, curves=curves, alpha=0.04)
             labels = apply_method(ds, params).labels
             assert (np.diff(labels) >= -1e-12).all(), m
+
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_empty_dataset_raises(self, method):
+        # every method, d2co with its curves and alpha, names the empty log
+        curves = smooth_curves(make_raw({10: 1}, [20.0]), window=0)
+        empty = simple_dataset([1.0, 2.0], [10, 20]).subset([])
+        with pytest.raises(EmptyDataset, match="empty dataset"):
+            apply_method(empty, CorrectionParams(method, curves=curves, alpha=-0.01))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="d2co_a needs fitted bias/noise curves"):

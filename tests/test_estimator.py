@@ -129,11 +129,15 @@ class TestFitAllGroups:
         assert list(fits) == list(reference)
         assert fits == reference
 
-    def test_loglik_path_never_drops(self):
+    def test_loglik_path_never_drops(self, monkeypatch):
         """The log-likelihood after k EM steps, k = 1..25, never falls by more
         than the relative 1e-8 that fit_group_gmm tolerates."""
         ds, _ = generate(SynthConfig(n_rows=6000, duration_range=(5, 120), seed=0))
-        paths = [fit_all_groups(ds, GmmOptions(tol=0.0, max_iter=k)) for k in range(1, 26)]
+        monkeypatch.setattr(estimator, "EM_TOL", 0.0)
+        paths = []
+        for k in range(1, 26):
+            monkeypatch.setattr(estimator, "EM_MAX_ITER", k)
+            paths.append(fit_all_groups(ds))
         groups = [d for d, est in paths[0].items() if not est.degenerate]
         assert groups
         for d in groups:
@@ -144,11 +148,10 @@ class TestFitAllGroups:
 
     def test_em_runs_to_its_stopping_rule(self):
         """One more EM step from each converged fit moves the log-likelihood
-        by less than tol relative to it: the fit stopped where the rule says,
+        by less than EM_TOL relative to it: the fit stopped where the rule says,
         not earlier."""
         ds, _ = generate(SynthConfig(n_rows=20000, seed=0))
-        options = GmmOptions()
-        fits = fit_all_groups(ds, options)
+        fits = fit_all_groups(ds)
 
         def log_joint(x, mu, var, pi):
             """log(pi_c * N(x; mu_c, var_c)), one column per component."""
@@ -166,10 +169,10 @@ class TestFitAllGroups:
             resp = np.exp(joint - log_px[:, None])
             nk = resp.sum(axis=0)
             mu = (resp * x).sum(axis=0) / nk
-            var = np.maximum((resp * (x - mu) ** 2).sum(axis=0) / nk, options.var_floor)
+            var = np.maximum((resp * (x - mu) ** 2).sum(axis=0) / nk, estimator.VAR_FLOOR)
             joint = log_joint(x, mu, var, nk / x.size)
             ll, next_ll = log_px.sum(), np.logaddexp(joint[:, 0], joint[:, 1]).sum()
-            assert abs(next_ll - ll) < options.tol * abs(ll), (d, ll, next_ll)
+            assert abs(next_ll - ll) < estimator.EM_TOL * abs(ll), (d, ll, next_ll)
             checked += 1
         assert checked > 100
 
